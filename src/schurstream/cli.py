@@ -19,14 +19,13 @@ import numpy as np
 
 from . import __version__
 from .cg import cg_transform, verify_sparsity
+from .errors import BranchExplosionError, InvalidInputError, SizeLimitError
 from .gt_basis import build_irrep
-from .oracle import (InvalidStateError, SizeLimitError as OracleSizeLimit,
-                     schur_transform, weak_schur_probs)
-from .partitions import InvalidPartitionError, LatticePath, Partition, partitions_of
+from .oracle import schur_transform, weak_schur_probs
+from .partitions import LatticePath, Partition
 from .resources import (memory_profile, qubit_gate_count, qudit_gate_bound,
                         two_level_total)
-from .sampler import (BranchExplosionError, InvalidInputError, SizeLimitError,
-                      branch_distribution, run_full_state, run_stream)
+from .sampler import branch_distribution, run_full_state, run_stream
 
 STREAM_SCHEMA = {
     "stream.json": {
@@ -47,17 +46,13 @@ STREAM_SCHEMA = {
 }
 
 
-class ValidationError(ValueError):
-    pass
-
-
 def _complex_entry(x):
     if isinstance(x, (int, float)):
         return complex(x)
     if isinstance(x, list) and len(x) == 2 and all(
             isinstance(t, (int, float)) for t in x):
         return complex(x[0], x[1])
-    raise ValidationError(f"bad amplitude entry {x!r}; use a number or [re, im]")
+    raise InvalidInputError(f"bad amplitude entry {x!r}; use a number or [re, im]")
 
 
 def _parse_array(data, matrix: bool = False):
@@ -72,9 +67,9 @@ def _parse_array(data, matrix: bool = False):
             return _parse_array(data["vector"])
         if "rho" in data:
             return _parse_array(data["rho"], matrix=True)
-        raise ValidationError("dict state needs 'vector' or 'rho'")
+        raise InvalidInputError("dict state needs 'vector' or 'rho'")
     if not isinstance(data, list) or not data:
-        raise ValidationError("expected a non-empty list")
+        raise InvalidInputError("expected a non-empty list")
     if matrix:
         return np.array([[_complex_entry(x) for x in row] for row in data])
     return np.array([_complex_entry(x) for x in data])
@@ -88,13 +83,13 @@ def load_stream(path: str, d: int) -> list[np.ndarray]:
         rho = _parse_array(spec["rho"], matrix=True)
         return [rho] * int(spec["n"])
     if not isinstance(data, list):
-        raise ValidationError("stream file must be a list or {'iid': ...}")
+        raise InvalidInputError("stream file must be a list or {'iid': ...}")
     out = []
     for i, item in enumerate(data):
         try:
             out.append(_parse_array(item))
-        except ValidationError as e:
-            raise ValidationError(f"stream element {i}: {e}") from e
+        except InvalidInputError as e:
+            raise InvalidInputError(f"stream element {i}: {e}") from e
     return out
 
 
@@ -102,7 +97,7 @@ def load_state(path: str):
     with open(path) as f:
         data = json.load(f)
     if isinstance(data, dict) and not ("vector" in data or "rho" in data):
-        raise ValidationError("state file needs 'vector' or 'rho'")
+        raise InvalidInputError("state file needs 'vector' or 'rho'")
     return _parse_array(data)
 
 
@@ -339,10 +334,11 @@ def run(argv: list[str]) -> tuple[int, str]:
         return 1, ""
     try:
         return COMMANDS[args.command](args)
-    except (ValidationError, InvalidInputError, InvalidStateError,
-            InvalidPartitionError, ValueError, OSError, json.JSONDecodeError) as e:
+    # InvalidInputError, InvalidPartitionError and json.JSONDecodeError
+    # are ValueErrors
+    except (ValueError, OSError) as e:
         return 1, json.dumps({"error": str(e)})
-    except (SizeLimitError, OracleSizeLimit, BranchExplosionError) as e:
+    except (SizeLimitError, BranchExplosionError) as e:
         return 2, json.dumps({"error": str(e)})
 
 

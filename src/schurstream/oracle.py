@@ -16,14 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cg import cg_transform
+from .errors import SizeLimitError, check_state
 from .partitions import (LatticePath, Partition, dim_unitary, one_box,
                          partitions_of, valid_rows, add_box)
 
 DEFAULT_LIMITS = {2: 10, 3: 6}  # max n per d before we refuse to build
-
-
-class SizeLimitError(RuntimeError):
-    pass
 
 
 def _check_size(n: int, d: int, limit: int | None):
@@ -130,25 +127,9 @@ def copy_projector(su: SchurUnitary, lam: Partition, path: LatticePath) -> np.nd
     return sel.conj().T @ sel
 
 
-class InvalidStateError(ValueError):
-    pass
-
-
 def _as_density(state: np.ndarray, dim: int) -> np.ndarray:
-    state = np.asarray(state, dtype=complex)
-    if state.ndim == 1:
-        if state.shape[0] != dim:
-            raise InvalidStateError(f"state length {state.shape[0]} != {dim}")
-        if abs(np.linalg.norm(state) - 1.0) > 1e-9:
-            raise InvalidStateError("state vector not normalized")
-        return np.outer(state, state.conj())
-    if state.shape != (dim, dim):
-        raise InvalidStateError(f"density matrix shape {state.shape} != {dim}")
-    if abs(np.trace(state) - 1.0) > 1e-9:
-        raise InvalidStateError("density matrix trace != 1")
-    if np.max(np.abs(state - state.conj().T)) > 1e-9:
-        raise InvalidStateError("density matrix not Hermitian")
-    return state
+    state = check_state(state, dim)
+    return np.outer(state, state.conj()) if state.ndim == 1 else state
 
 
 def weak_schur_probs(rho: np.ndarray, su: SchurUnitary) -> dict[Partition, float]:

@@ -9,7 +9,7 @@ analytic bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,15 +18,26 @@ from .partitions import Partition
 
 def qubit_width(k: int) -> int:
     """Qubits needed during iteration k (d=2): ceil(log2(2k+4))."""
-    return math.ceil(math.log2(2 * k + 4))
+    return (2 * k + 3).bit_length()
 
 
 def qudit_width(k: int, d: int) -> int:
-    """Qudits needed during iteration k: one L qudit plus a Q register
-    sized by the dimension bound (k+2)^(d-1) after the new qudit."""
+    """Qudits needed during iteration k: one L qudit plus the smallest Q
+    register of m qudits with d^m >= (k+2)^(d-1), the dimension bound after
+    the new qudit; exact integer arithmetic."""
     if d == 2:
         return qubit_width(k)
-    return 1 + math.ceil((d - 1) * math.log(k + 2, d))
+    bound = (k + 2) ** (d - 1)
+    m = 0
+    while d ** m < bound:
+        m += 1
+    return 1 + m
+
+
+def removal(k: int, d: int) -> bool:
+    """Whether iteration k discards its measured L qudit: it does unless the
+    next iteration needs exactly one qudit more than this one."""
+    return qudit_width(k, d) != qudit_width(k + 1, d) - 1
 
 
 @dataclass
@@ -44,53 +55,13 @@ class IterationRecord:
                 "two_level_bound": self.two_level_bound}
 
 
-@dataclass
-class ResourceLedger:
-    n: int
-    d: int
-    records: list[IterationRecord] = field(default_factory=list)
-
-    def record(self, k: int, cg_size: int | None = None,
-               givens_used: int | None = None) -> IterationRecord:
-        w = qudit_width(k, self.d)
-        removal = w != qudit_width(k + 1, self.d) - 1
-        bound = 4 * (k + 1) if self.d == 2 else self.d ** 2 * (k + 1) ** (2 * self.d - 2)
-        rec = IterationRecord(k=k, width=w, removal=removal, cg_size=cg_size,
-                              givens_used=givens_used, two_level_bound=bound)
-        self.records.append(rec)
-        return rec
-
-    @property
-    def peak_width(self) -> int:
-        return max((r.width for r in self.records), default=0)
-
-    @property
-    def total_givens(self) -> int:
-        return sum(r.givens_used or 0 for r in self.records)
-
-    @property
-    def total_two_level_bound(self) -> int:
-        return sum(r.two_level_bound or 0 for r in self.records)
-
-    def to_dict(self) -> dict:
-        return {"n": self.n, "d": self.d,
-                "records": [r.to_dict() for r in self.records],
-                "peak_width": self.peak_width,
-                "total_givens": self.total_givens,
-                "total_two_level_bound": self.total_two_level_bound}
-
-
 def memory_profile(n: int, d: int = 2) -> list[IterationRecord]:
     """Per-iteration register widths and qudit-removal events for a run
     on n qudits (iterations k = 1 .. n-1)."""
     if n < 2:
         raise ValueError("n >= 2 required")
-    out = []
-    for k in range(1, n):
-        w = qudit_width(k, d)
-        removal = w != qudit_width(k + 1, d) - 1
-        out.append(IterationRecord(k=k, width=w, removal=removal))
-    return out
+    return [IterationRecord(k=k, width=qudit_width(k, d), removal=removal(k, d))
+            for k in range(1, n)]
 
 
 def peak_width(n: int, d: int = 2) -> int:

@@ -1,9 +1,11 @@
 """The streaming weak Schur sampling engine.
 
-Three execution modes share the same measurement law:
+Each step couples one new qudit in with a Clebsch-Gordan transform and
+measures the block label j.  Four execution modes share that step:
 
-* abstract block mode (`step` / `run_stream`): the simulated state is the
-  dim Q^d_lam amplitude vector (or density matrix) itself;
+* trajectory mode (`step` / `run_stream`): the simulated state is the
+  dim Q^d_lam amplitude vector (or density matrix) itself, and j is
+  sampled;
 * exhaustive branch enumeration (`branch_distribution`) over all
   measurement outcomes of a product-state stream;
 * full-state mode (`run_full_state`) applying the identity-padded step
@@ -11,6 +13,10 @@ Three execution modes share the same measurement law:
 * register-level qubit mode (`register_*`), which lays the state out on an
   explicit ceil(log2(2k+4))-qubit register, measures the leading (L) qubit
   and discards qubits per the width bookkeeping.
+
+The modes differ only in how they form one step's outcomes: `_outcomes`
+couples and projects, `_enumerate` walks every branch depth first and
+`_sample` draws one.
 """
 
 from __future__ import annotations
@@ -21,24 +27,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cg import CGTransform, cg_transform
+from .errors import (BranchExplosionError, InvalidInputError,
+                     NumericalCollapseError, SizeLimitError, check_state)
 from .partitions import LatticePath, Partition, one_box
-from .resources import ResourceLedger, cg_givens_count, qubit_width
+from .resources import qubit_width, removal
 
 DEFAULT_PRUNE = 1e-12
 DEFAULT_BRANCH_CAP = 10 ** 6
 DEFAULT_FULL_LIMITS = {2: 12, 3: 7}
-
-
-class NumericalCollapseError(RuntimeError):
-    """All branch probabilities vanished; the state is corrupted."""
-
-
-class BranchExplosionError(RuntimeError):
-    pass
-
-
-class InvalidInputError(ValueError):
-    pass
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -50,179 +46,56 @@ def _is_matrix(x) -> bool:
     return np.asarray(x).ndim == 2
 
 
-def _check_qudit(qudit: np.ndarray, d: int) -> np.ndarray:
-    qudit = np.asarray(qudit, dtype=complex)
-    if _is_matrix(qudit):
-        if qudit.shape != (d, d):
-            raise InvalidInputError(f"density matrix shape {qudit.shape}, d={d}")
-        if abs(np.trace(qudit).real - 1.0) > 1e-9 or abs(np.trace(qudit).imag) > 1e-9:
-            raise InvalidInputError("qudit density matrix trace != 1")
-        if np.max(np.abs(qudit - qudit.conj().T)) > 1e-9:
-            raise InvalidInputError("qudit density matrix not Hermitian")
-    else:
-        if qudit.shape != (d,):
-            raise InvalidInputError(f"qudit length {qudit.shape}, d={d}")
-        if abs(np.linalg.norm(qudit) - 1.0) > 1e-9:
-            raise InvalidInputError("qudit not normalized")
-    return qudit
+def _weight(x: np.ndarray) -> float:
+    """Squared norm of a vector, trace of a density matrix."""
+    return float(np.trace(x).real) if _is_matrix(x) else float(np.vdot(x, x).real)
 
 
-class PartTree:
-    """The recorded decision structure of the register algorithm: for each
-    visited label the chosen child; serializes to the path's step string."""
-
-    def __init__(self, d: int):
-        self.root = one_box(d)
-        self.children: dict[Partition, tuple[int, Partition]] = {}
-        self._order: list[Partition] = [self.root]
-
-    def extend(self, lam: Partition, j: int, child: Partition) -> None:
-        self.children[lam] = (j, child)
-        self._order.append(child)
-
-    @property
-    def leaf(self) -> Partition:
-        return self._order[-1]
-
-    def steps(self) -> tuple[int, ...]:
-        out = []
-        lam = self.root
-        while lam in self.children:
-            j, lam = self.children[lam]
-            out.append(j)
-        return tuple(out)
-
-    def path(self) -> LatticePath:
-        return LatticePath(self.steps())
-
-    def serialize(self) -> str:
-        return str(self.path())
+def _outcomes(t: CGTransform, big: np.ndarray, rest: int = 1
+              ) -> list[tuple[int, Partition, float, np.ndarray]]:
+    """Rotate `big` (a vector or a density matrix) by t (x) I_rest and split
+    it along the blocks of t: (j, lam+e_j, weight, unnormalized part) per
+    block, j ascending."""
+    op = t.matrix if rest == 1 else np.kron(t.matrix, np.eye(rest))
+    mixed = _is_matrix(big)
+    rotated = op @ big @ op.conj().T if mixed else op @ big
+    out = []
+    for b in t.blocks:
+        sl = slice(b.offset * rest, (b.offset + b.dim) * rest)
+        sub = rotated[sl, sl] if mixed else rotated[sl]
+        out.append((b.j, b.target, _weight(sub), sub))
+    return out
 
 
-@dataclass
-class StreamState:
-    d: int
-    lam: Partition
-    amplitudes: np.ndarray  # vector (pure) or density matrix (mixed)
-    path: list[int] = field(default_factory=list)
-    rng: np.random.Generator = None
-    ledger: ResourceLedger = None
-    k: int = 1  # boxes received so far
-
-    @property
-    def mixed(self) -> bool:
-        return _is_matrix(self.amplitudes)
-
-    def check(self, tol: float = 1e-9) -> None:
-        if self.mixed:
-            if abs(np.trace(self.amplitudes).real - 1.0) > tol:
-                raise NumericalCollapseError("state trace drifted from 1")
-        elif abs(np.linalg.norm(self.amplitudes) - 1.0) > tol:
-            raise NumericalCollapseError("state norm drifted from 1")
-
-
-def init_state(qudit: np.ndarray, d: int, seed: int = 0,
-               n_hint: int | None = None) -> StreamState:
-    """Absorb the first qudit: lam = (1, 0, ...) and Q^d_(1) = C^d."""
-    qudit = _check_qudit(qudit, d)
-    return StreamState(d=d, lam=one_box(d), amplitudes=qudit.copy(),
-                       rng=make_rng(seed),
-                       ledger=ResourceLedger(n=n_hint or 0, d=d))
-
-
-def _branch_outcomes(lam: Partition, d: int, amplitudes: np.ndarray,
-                     qudit: np.ndarray) -> list[tuple[int, Partition, float, np.ndarray]]:
-    """All (j, lam+e_j, probability, unnormalized post state) of one step."""
-    t = cg_transform(lam, d)
-    mixed = _is_matrix(amplitudes) or _is_matrix(qudit)
-    if mixed:
+def _product_outcomes(lam: Partition, d: int, amplitudes: np.ndarray,
+                      qudit: np.ndarray) -> list[tuple[int, Partition, float, np.ndarray]]:
+    """The outcomes of coupling a product-state qudit into Q^d_lam."""
+    if _is_matrix(amplitudes) or _is_matrix(qudit):
         if not _is_matrix(amplitudes):
             amplitudes = np.outer(amplitudes, amplitudes.conj())
         if not _is_matrix(qudit):
             qudit = np.outer(qudit, qudit.conj())
-        big = np.kron(amplitudes, qudit)  # fundamental index fastest
-        rotated = t.matrix @ big @ t.matrix.conj().T
-        out = []
-        for b in t.blocks:
-            sl = slice(b.offset, b.offset + b.dim)
-            sub = rotated[sl, sl]
-            out.append((b.j, b.target, float(np.trace(sub).real), sub))
-        return out
-    big = np.kron(amplitudes, qudit)
-    rotated = t.matrix @ big
-    out = []
-    for b in t.blocks:
-        sub = rotated[b.offset:b.offset + b.dim]
-        out.append((b.j, b.target, float(np.vdot(sub, sub).real), sub))
-    return out
+    # fundamental index fastest
+    return _outcomes(cg_transform(lam, d), np.kron(amplitudes, qudit))
 
 
-def step(state: StreamState, qudit: np.ndarray) -> tuple[StreamState, int, float]:
-    """One iteration: couple in the new qudit, measure the block label j by
-    inverse-CDF sampling (j ascending), project and renormalize."""
-    qudit = _check_qudit(qudit, state.d)
-    state.check()
-    outcomes = _branch_outcomes(state.lam, state.d, state.amplitudes, qudit)
-    probs = [p for _, _, p, _ in outcomes]
-    total = sum(probs)
+def _sample(outcomes: list, rng: np.random.Generator) -> tuple[tuple, float]:
+    """Inverse-CDF draw over `outcomes` in order (j ascending), weighted by
+    their third field; returns the drawn outcome and its probability."""
+    total = sum(o[2] for o in outcomes)
     if total < 1e-12:
         raise NumericalCollapseError("all branch probabilities below 1e-12")
-    r = state.rng.random() * total
+    r = rng.random() * total
     acc = 0.0
     chosen = outcomes[-1]
-    for outc in outcomes:
-        acc += outc[2]
+    for o in outcomes:
+        acc += o[2]
         if r < acc:
-            chosen = outc
+            chosen = o
             break
-    j, target, p, sub = chosen
-    if p < 1e-12:
+    if chosen[2] < 1e-12:
         raise NumericalCollapseError("sampled branch has vanishing probability")
-    if _is_matrix(sub):
-        new_amp = sub / p
-    else:
-        new_amp = sub / math.sqrt(p)
-    if state.ledger is not None:
-        t = cg_transform(state.lam, state.d)
-        state.ledger.record(state.k, cg_size=t.size,
-                            givens_used=cg_givens_count(state.lam, state.d))
-    state.lam = target
-    state.amplitudes = new_amp
-    state.path.append(j)
-    state.k += 1
-    return state, j, p / total
-
-
-@dataclass
-class RunResult:
-    lam: Partition
-    path: LatticePath
-    parttree: PartTree
-    amplitudes: np.ndarray
-    ledger: ResourceLedger
-
-    @property
-    def d(self) -> int:
-        return self.lam.d
-
-
-def run_stream(stream: list[np.ndarray], d: int, seed: int = 0,
-               max_steps: int | None = None) -> RunResult:
-    """Run the sampler over a stream of qudits; deterministic in
-    (stream, seed).  `max_steps` truncates the run early (the streaming
-    property): the current label is still a valid output."""
-    if len(stream) < 1:
-        raise InvalidInputError("empty stream")
-    state = init_state(stream[0], d, seed=seed, n_hint=len(stream))
-    tree = PartTree(d)
-    steps = len(stream) - 1 if max_steps is None else min(max_steps, len(stream) - 1)
-    for k in range(steps):
-        prev = state.lam
-        state, j, _ = step(state, stream[k + 1])
-        tree.extend(prev, j, state.lam)
-    return RunResult(lam=state.lam, path=LatticePath(tuple(state.path)),
-                     parttree=tree, amplitudes=state.amplitudes,
-                     ledger=state.ledger)
+    return chosen, chosen[2] / total
 
 
 @dataclass
@@ -247,31 +120,25 @@ class BranchDistribution:
         return self.entries.get(path.steps, 0.0)
 
 
-def branch_distribution(stream: list[np.ndarray], d: int,
-                        prune: float = DEFAULT_PRUNE,
-                        branch_cap: int = DEFAULT_BRANCH_CAP) -> BranchDistribution:
-    """Depth-first enumeration of every measurement branch of a product
-    stream, carrying unnormalized states whose norm^2 (or trace) is the
-    accumulated branch probability."""
-    if len(stream) < 1:
-        raise InvalidInputError("empty stream")
-    stream = [_check_qudit(q, d) for q in stream]
-    n = len(stream)
+def _enumerate(d: int, n: int, root: np.ndarray, outcomes_fn,
+               prune: float, branch_cap: int) -> BranchDistribution:
+    """Depth-first enumeration of every measurement branch of n qudits.
+    Nodes carry unnormalized states, whose weight is the accumulated branch
+    probability; `outcomes_fn(k, lam, state)` gives the children of a node
+    after k qudits.  Children lighter than `prune` are dropped and their
+    weight is added to `pruned`."""
     entries: dict[tuple[int, ...], float] = {}
     pruned = 0.0
-    # stack entries: (k, lam, unnormalized amplitudes, steps)
-    stack = [(1, one_box(d), stream[0], ())]
+    # stack entries: (k, lam, unnormalized state, steps)
+    stack = [(1, one_box(d), root, ())]
     while stack:
         if len(stack) > branch_cap:
             raise BranchExplosionError(f"live branch count exceeded {branch_cap}")
-        k, lam, amp, steps = stack.pop()
+        k, lam, cur, steps = stack.pop()
         if k == n:
-            prob = float(np.trace(amp).real) if _is_matrix(amp) \
-                else float(np.vdot(amp, amp).real)
-            entries[steps] = prob
+            entries[steps] = _weight(cur)
             continue
-        for j, target, p, sub in reversed(
-                _branch_outcomes(lam, d, amp, stream[k])):
+        for j, target, p, sub in reversed(outcomes_fn(k, lam, cur)):
             if p < prune:
                 pruned += p
                 continue
@@ -279,8 +146,83 @@ def branch_distribution(stream: list[np.ndarray], d: int,
     return BranchDistribution(d=d, entries=entries, pruned=pruned)
 
 
-class SizeLimitError(RuntimeError):
-    pass
+@dataclass
+class StreamState:
+    d: int
+    lam: Partition
+    amplitudes: np.ndarray  # vector (pure) or density matrix (mixed)
+    path: list[int] = field(default_factory=list)
+    rng: np.random.Generator = None
+
+    @property
+    def mixed(self) -> bool:
+        return _is_matrix(self.amplitudes)
+
+    def check(self, tol: float = 1e-9) -> None:
+        if self.mixed:
+            if abs(np.trace(self.amplitudes).real - 1.0) > tol:
+                raise NumericalCollapseError("state trace drifted from 1")
+        elif abs(np.linalg.norm(self.amplitudes) - 1.0) > tol:
+            raise NumericalCollapseError("state norm drifted from 1")
+
+
+def init_state(qudit: np.ndarray, d: int, seed: int = 0) -> StreamState:
+    """Absorb the first qudit: lam = (1, 0, ...) and Q^d_(1) = C^d."""
+    qudit = check_state(qudit, d)
+    return StreamState(d=d, lam=one_box(d), amplitudes=qudit.copy(),
+                       rng=make_rng(seed))
+
+
+def step(state: StreamState, qudit: np.ndarray) -> tuple[StreamState, int, float]:
+    """One iteration: couple in the new qudit, measure the block label j by
+    inverse-CDF sampling (j ascending), project and renormalize."""
+    qudit = check_state(qudit, state.d)
+    state.check()
+    (j, target, p, sub), prob = _sample(
+        _product_outcomes(state.lam, state.d, state.amplitudes, qudit), state.rng)
+    state.amplitudes = sub / p if _is_matrix(sub) else sub / math.sqrt(p)
+    state.lam = target
+    state.path.append(j)
+    return state, j, prob
+
+
+@dataclass
+class RunResult:
+    lam: Partition
+    path: LatticePath
+    amplitudes: np.ndarray
+
+    @property
+    def d(self) -> int:
+        return self.lam.d
+
+
+def run_stream(stream: list[np.ndarray], d: int, seed: int = 0,
+               max_steps: int | None = None) -> RunResult:
+    """Run the sampler over a stream of qudits; deterministic in
+    (stream, seed).  `max_steps` truncates the run early (the streaming
+    property): the current label is still a valid output."""
+    if len(stream) < 1:
+        raise InvalidInputError("empty stream")
+    state = init_state(stream[0], d, seed=seed)
+    steps = len(stream) - 1 if max_steps is None else min(max_steps, len(stream) - 1)
+    for k in range(steps):
+        state, _, _ = step(state, stream[k + 1])
+    return RunResult(lam=state.lam, path=LatticePath(tuple(state.path)),
+                     amplitudes=state.amplitudes)
+
+
+def branch_distribution(stream: list[np.ndarray], d: int,
+                        prune: float = DEFAULT_PRUNE,
+                        branch_cap: int = DEFAULT_BRANCH_CAP) -> BranchDistribution:
+    """Every measurement branch of a product stream, with its probability."""
+    if len(stream) < 1:
+        raise InvalidInputError("empty stream")
+    stream = [check_state(q, d) for q in stream]
+    return _enumerate(
+        d, len(stream), stream[0],
+        lambda k, lam, amp: _product_outcomes(lam, d, amp, stream[k]),
+        prune, branch_cap)
 
 
 def run_full_state(state: np.ndarray, d: int,
@@ -296,42 +238,11 @@ def run_full_state(state: np.ndarray, d: int,
     lim = limit if limit is not None else DEFAULT_FULL_LIMITS.get(d, 5)
     if n > lim:
         raise SizeLimitError(f"n={n} exceeds full-state limit {lim} for d={d}")
-    if _is_matrix(state):
-        if abs(np.trace(state).real - 1.0) > 1e-9:
-            raise InvalidInputError("density matrix trace != 1")
-    elif abs(np.linalg.norm(state) - 1.0) > 1e-9:
-        raise InvalidInputError("state vector not normalized")
-
-    entries: dict[tuple[int, ...], float] = {}
-    pruned = 0.0
-    stack = [(1, one_box(d), state, ())]
-    while stack:
-        k, lam, cur, steps = stack.pop()
-        if k == n:
-            prob = float(np.trace(cur).real) if _is_matrix(cur) \
-                else float(np.vdot(cur, cur).real)
-            entries[steps] = prob
-            continue
-        t = cg_transform(lam, d)
-        rest = d ** (n - k - 1)
-        op = np.kron(t.matrix, np.eye(rest))
-        if _is_matrix(cur):
-            rotated = op @ cur @ op.conj().T
-        else:
-            rotated = op @ cur
-        for b in reversed(t.blocks):
-            sl = slice(b.offset * rest, (b.offset + b.dim) * rest)
-            if _is_matrix(cur):
-                sub = rotated[sl, sl]
-                p = float(np.trace(sub).real)
-            else:
-                sub = rotated[sl]
-                p = float(np.vdot(sub, sub).real)
-            if p < prune:
-                pruned += p
-                continue
-            stack.append((k + 1, b.target, sub, steps + (b.j,)))
-    return BranchDistribution(d=d, entries=entries, pruned=pruned)
+    state = check_state(state, size)
+    return _enumerate(
+        d, n, state,
+        lambda k, lam, cur: _outcomes(cg_transform(lam, d), cur, rest=d ** (n - k - 1)),
+        prune, DEFAULT_BRANCH_CAP)
 
 
 # ---------------------------------------------------------------------------
@@ -356,43 +267,48 @@ class RegisterState:
     k: int
     vector: np.ndarray  # length 2^ceil(log2(k+2)), leading dim Q amplitudes
     events: list[RegisterEvent] = field(default_factory=list)
-    tree: PartTree = None
 
 
 def register_init(qubit: np.ndarray) -> RegisterState:
-    qubit = _check_qudit(qubit, 2)
+    qubit = check_state(qubit, 2)
     if _is_matrix(qubit):
         raise InvalidInputError("register mode needs pure qubit states")
     vec = np.zeros(4, dtype=complex)  # ceil(log2(3)) = 2 qubits
     vec[:2] = qubit
-    return RegisterState(lam=one_box(2), k=1, vector=vec, tree=PartTree(2))
+    return RegisterState(lam=one_box(2), k=1, vector=vec)
 
 
 def _register_outcomes(rs: RegisterState, qubit: np.ndarray):
     """CG + rearrangement on the explicit register; returns the width and
     both halves (j, target, probability, unnormalized half vector)."""
-    qubit = _check_qudit(qubit, 2)
-    k = rs.k
+    qubit = check_state(qubit, 2)
     t = cg_transform(rs.lam, 2)
     dimq = t.size // 2
     if np.max(np.abs(rs.vector[dimq:])) > PAD_TOL:
         raise NumericalCollapseError("padding qubits are not exactly zero")
-    vec = np.kron(rs.vector, qubit)  # width ceil(log2(2k+4))
-    width = qubit_width(k)
-    assert len(vec) == 2 ** width
-    out = np.zeros_like(vec)
-    out[:t.size] = t.matrix @ vec[:t.size]
+    width = qubit_width(rs.k)  # of the register with the new qubit
+    assert 2 * len(rs.vector) == 2 ** width
     # rearranging matrix: leading (L) qubit indexes j
-    half = len(vec) // 2
+    half = len(rs.vector)
     halves = []
-    for b in t.blocks:
+    for j, target, p, sub in _outcomes(t, np.kron(rs.vector[:dimq], qubit)):
         h = np.zeros(half, dtype=complex)
-        h[:b.dim] = out[b.offset:b.offset + b.dim]
-        p = float(np.vdot(h, h).real)
-        halves.append((b.j, b.target, p, h))
+        h[:len(sub)] = sub
+        halves.append((j, target, p, h))
     if len(halves) == 1:  # lam0 = lam1: the j=1 half is empty
         halves.append((1, None, 0.0, np.zeros(half, dtype=complex)))
     return width, halves
+
+
+def _register_keep(h: np.ndarray, width: int, removed: bool) -> np.ndarray:
+    """The register after measuring L: the half itself when the L qubit is
+    discarded, else the half on top of a zeroed 2^width register (for j=1
+    the step-6 permutation brings the block up)."""
+    if removed:
+        return h
+    vec = np.zeros(2 ** width, dtype=complex)
+    vec[:len(h)] = h
+    return vec
 
 
 def register_step(rs: RegisterState, qubit: np.ndarray,
@@ -401,32 +317,15 @@ def register_step(rs: RegisterState, qubit: np.ndarray,
     qubit indexes j, measure it, then remove a qubit exactly when the
     width bookkeeping says so."""
     width, halves = _register_outcomes(rs, qubit)
-    k = rs.k
-    probs = [p for _, _, p, _ in halves]
-    total = sum(probs)
-    if total < 1e-12:
-        raise NumericalCollapseError("register state collapsed")
-    r = rng.random() * total
-    j, target, p, h = halves[0] if r < probs[0] else halves[1]
-    if target is None or p < 1e-12:
-        raise NumericalCollapseError("sampled empty register branch")
-    h = h / math.sqrt(p)
-    removal = qubit_width(k) != math.ceil(math.log2(k + 3))
-    rearranged = False
-    if removal:
-        new_vec = h  # the measured L qubit is discarded
-    else:
-        new_vec = np.zeros(2 ** width, dtype=complex)
-        new_vec[:len(h)] = h  # j=1: step-6 permutation brings the block up
-        rearranged = j == 1
-    rs.events.append(RegisterEvent(k=k, width=width, j=j,
-                                   probability=p / total, removal=removal,
-                                   rearranged=rearranged))
-    rs.tree.extend(rs.lam, j, target)
+    (j, target, p, h), prob = _sample(halves, rng)
+    removed = removal(rs.k, 2)
+    rs.events.append(RegisterEvent(k=rs.k, width=width, j=j, probability=prob,
+                                   removal=removed,
+                                   rearranged=j == 1 and not removed))
     rs.lam = target
     rs.k += 1
-    rs.vector = new_vec
-    return rs, j, p / total
+    rs.vector = _register_keep(h / math.sqrt(p), width, removed)
+    return rs, j, prob
 
 
 def register_run(stream: list[np.ndarray], seed: int = 0) -> RunResult:
@@ -435,15 +334,10 @@ def register_run(stream: list[np.ndarray], seed: int = 0) -> RunResult:
         raise InvalidInputError("empty stream")
     rng = make_rng(seed)
     rs = register_init(stream[0])
-    ledger = ResourceLedger(n=len(stream), d=2)
     for k in range(len(stream) - 1):
-        lam_before = rs.lam
         rs, _, _ = register_step(rs, stream[k + 1], rng)
-        t = cg_transform(lam_before, 2)
-        ledger.record(k + 1, cg_size=t.size,
-                      givens_used=cg_givens_count(lam_before, 2))
-    result = RunResult(lam=rs.lam, path=rs.tree.path(), parttree=rs.tree,
-                       amplitudes=rs.vector, ledger=ledger)
+    result = RunResult(lam=rs.lam, path=LatticePath(tuple(e.j for e in rs.events)),
+                       amplitudes=rs.vector)
     result.events = rs.events
     return result
 
@@ -452,33 +346,12 @@ def register_branch_distribution(stream: list[np.ndarray],
                                  prune: float = DEFAULT_PRUNE) -> BranchDistribution:
     """Exhaustive branch enumeration in register mode, for cross-checking
     the abstract mode's measurement law."""
-    entries: dict[tuple[int, ...], float] = {}
-    pruned = 0.0
-    first = _check_qudit(stream[0], 2)
-    init = np.zeros(4, dtype=complex)
-    init[:2] = first
-    stack = [(1, one_box(2), init, (), 1.0)]
-    n = len(stream)
-    while stack:
-        k, lam, vec, steps, prob = stack.pop()
-        if k == n:
-            entries[steps] = prob
-            continue
-        rs = RegisterState(lam=lam, k=k, vector=vec)
-        width, halves = _register_outcomes(rs, stream[k])
-        removal = qubit_width(k) != math.ceil(math.log2(k + 3))
-        for j, target, p, h in reversed(halves):
-            if target is None:
-                continue
-            branch_prob = prob * p
-            if branch_prob < prune:
-                pruned += branch_prob
-                continue
-            hn = h / math.sqrt(p) if p > 0 else h
-            if removal:
-                new_vec = hn
-            else:
-                new_vec = np.zeros(2 ** width, dtype=complex)
-                new_vec[:len(hn)] = hn
-            stack.append((k + 1, target, new_vec, steps + (j,), branch_prob))
-    return BranchDistribution(d=2, entries=entries, pruned=pruned)
+    def outcomes(k, lam, vec):
+        width, halves = _register_outcomes(RegisterState(lam=lam, k=k, vector=vec),
+                                           stream[k])
+        removed = removal(k, 2)
+        return [(j, target, p, _register_keep(h, width, removed))
+                for j, target, p, h in halves if target is not None]
+
+    return _enumerate(2, len(stream), register_init(stream[0]).vector, outcomes,
+                      prune, DEFAULT_BRANCH_CAP)

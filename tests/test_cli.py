@@ -163,6 +163,24 @@ class TestContract:
         assert code == 1
         assert "error" in json.loads(out)
 
+    @pytest.mark.parametrize("command", ["dist", "full", "oracle"])
+    def test_non_psd_exit_1(self, tmp_path, command):
+        # Hermitian with trace 1, eigenvalues 1.5 and -0.5
+        rho = [[1.5, 0], [0, -0.5]]
+        if command == "dist":
+            p = tmp_path / "stream.json"
+            p.write_text(json.dumps({"iid": {"rho": rho, "n": 3}}))
+            argv = ["dist", "--d", "2", "--stream", str(p)]
+        else:
+            p = tmp_path / "state.json"
+            big = np.diag([1.5, -0.5, 0, 0]).tolist()
+            p.write_text(json.dumps({"rho": big}))
+            argv = (["full", "--d", "2", "--state", str(p)] if command == "full"
+                    else ["oracle", "--d", "2", "--n", "2", "--state", str(p)])
+        code, out = run(argv)
+        assert code == 1
+        assert "positive semidefinite" in json.loads(out)["error"]
+
     def test_malformed_json_exit_1(self, tmp_path):
         p = tmp_path / "broken.json"
         p.write_text("{not json")

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from schurstream.cg import cg_qubit
+from schurstream.errors import InvalidInputError
 from schurstream.oracle import (SizeLimitError, copy_projector,
-                                isotypic_projector, perm_rep, schur_transform,
-                                super_cg, tensor_rep, weak_schur_probs)
+                                isotypic_projector, path_probs, perm_rep,
+                                schur_transform, super_cg, tensor_rep,
+                                weak_schur_probs)
 from schurstream.partitions import (LatticePath, Partition, dim_symmetric,
                                     dim_unitary, enumerate_paths, one_box,
                                     partitions_of, schur_weyl_weight)
@@ -120,6 +122,13 @@ class TestWeakSchurProbs:
         probs = weak_schur_probs(np.eye(8) / 8, su)
         for lam, p in probs.items():
             assert abs(p - float(schur_weyl_weight(lam, 2))) < 1e-12
+
+    def test_non_psd_rejected(self):
+        su = schur_transform(2, 2)
+        with pytest.raises(InvalidInputError):
+            weak_schur_probs(np.diag([1.5, -0.5, 0.0, 0.0]), su)
+        with pytest.raises(InvalidInputError):
+            path_probs(np.diag([1.5, -0.5, 0.0, 0.0]), su)
 
     def test_singlet_pair(self):
         su = schur_transform(4, 2)

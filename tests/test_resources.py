@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from schurstream.cg import cg_transform
 from schurstream.partitions import Partition, one_box, partitions_of
@@ -12,7 +13,8 @@ from schurstream.resources import (cg_givens_count, givens_decompose,
                                    peak_width, qubit_gate_count, qubit_width,
                                    qudit_gate_bound, qudit_m_generic_sum,
                                    qudit_m_integral_bound, qudit_m_sum,
-                                   two_level_total, two_level_total_by_sum)
+                                   qudit_width, two_level_total,
+                                   two_level_total_by_sum)
 
 
 def haar_unitary(size, rng):
@@ -46,6 +48,22 @@ class TestMemoryProfile:
         for d in (3, 4):
             ws = [r.width for r in memory_profile(30, d)]
             assert all(a <= b for a, b in zip(ws, ws[1:]))
+
+    def test_qudit_width_exact(self):
+        # smallest m with d^m >= (k+2)^(d-1), by search from m = 0
+        for d in range(3, 8):
+            m = 0
+            for k in range(3000):
+                while d ** m < (k + 2) ** (d - 1):
+                    m += 1
+                assert qudit_width(k, d) == 1 + m, (d, k)
+
+    @given(st.integers(min_value=2, max_value=7), st.integers(min_value=1, max_value=12))
+    def test_qudit_width_at_powers(self, d, e):
+        # k+2 = d^e makes (k+2)^(d-1) = d^(e(d-1)) an exact power of d
+        k = d ** e - 2
+        assert qudit_width(k, d) == 1 + e * (d - 1)
+        assert qudit_width(k + 1, d) == 2 + e * (d - 1)
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):

@@ -66,12 +66,41 @@ class TestStep:
             assert len(state.path) == state.lam.n - 1
 
 
+class TestInputValidation:
+    NON_PSD = np.array([[1.5, 0.0], [0.0, -0.5]])  # Hermitian, trace 1
+
+    def test_non_psd_qudit_rejected(self):
+        with pytest.raises(InvalidInputError):
+            run_stream([self.NON_PSD] * 3, 2)
+        with pytest.raises(InvalidInputError):
+            branch_distribution([self.NON_PSD] * 3, 2)
+        with pytest.raises(InvalidInputError):
+            step(init_state(MIXED, 2), self.NON_PSD)
+
+    def test_non_psd_full_state_rejected(self):
+        with pytest.raises(InvalidInputError):
+            run_full_state(np.diag([1.5, -0.5, 0.0, 0.0]), 2)
+
+    def test_non_hermitian_full_state_rejected(self):
+        rho = np.eye(4, dtype=complex) / 4
+        rho[0, 1] = 0.1
+        with pytest.raises(InvalidInputError):
+            run_full_state(rho, 2)
+
+    def test_psd_not_diagonally_dominant_accepted(self):
+        # a pure state whose off-diagonal entry (0.48) exceeds a diagonal
+        # one (0.36): the Gershgorin bound fails, the eigenvalues pass
+        psi = np.array([0.8, 0.6])
+        dist = branch_distribution([np.outer(psi, psi)] * 3, 2)
+        assert abs(dist.marginal[Partition((3, 0))] - 1.0) < 1e-12
+
+
 class TestRunStream:
     def test_symmetric_stream(self):
         res = run_stream([KET0] * 6, 2, seed=42)
         assert res.lam == Partition((6, 0))
         assert res.path == LatticePath((0,) * 5)
-        assert res.parttree.serialize() == "0,0,0,0,0"
+        assert str(res.path) == "0,0,0,0,0"
 
     def test_determinism(self):
         rng = np.random.default_rng(23)
@@ -92,11 +121,6 @@ class TestRunStream:
         res = run_stream(stream, 2, seed=1, max_steps=3)
         assert res.lam.n == 4
         assert len(res.path.steps) == 3
-
-    def test_ledger_widths(self):
-        res = run_stream([KET0] * 6, 2, seed=0)
-        widths = [r.width for r in res.ledger.records]
-        assert widths == [qubit_width(k) for k in range(1, 6)]
 
     def test_empty_stream_rejected(self):
         with pytest.raises(InvalidInputError):
