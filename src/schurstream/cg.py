@@ -5,13 +5,20 @@ fundamental index fastest-varying.  Output rows are grouped into blocks,
 one per valid j, ordered j ascending; rows within a block follow the GT
 basis order of the target irrep.
 
-For d = 2 the matrix is the closed-form spin-j (x) spin-1/2 coupling with
-Condon-Shortley phases.  For general d the same basis is produced
-numerically: block membership is certified against the analytic Casimir
-eigenvalues, the highest-weight vector of each target irrep is extracted
-from the kernel of the raising generators, and the remaining columns are
-propagated with the lowering generators so that the result is an exact
-GT-basis intertwiner (ladder matrix elements non-negative by construction).
+Every entry is a product of reduced Wigner coefficients along the GT
+chain (Biedenharn-Louck; Bacon-Chuang-Harrow, arXiv:quant-ph/0407082).
+With shifted entries m_k - k on each row, the new box enters the top row
+at position j and walks down, from position i of row t to position k of
+the row b below, with squared factor
+  prod_{s!=k}(b_s - t_i - 1) prod_{s!=i}(t_s - b_k)
+  / [prod_{s!=i}(t_s - t_i) prod_{s!=k}(b_s - b_k - 1)],
+negated when k < i, until it stops on a row of length l, with factor
+prod_s(b_s - t_i - 1) / prod_{s!=i}(t_s - t_i) (1 when l = 1); the stop
+fixes the fundamental index l - 1.  Numerators and denominators are exact
+integers and each entry takes one square root.  For d = 2 this is the
+spin-j (x) spin-1/2 coupling with Condon-Shortley phases, which cg_qubit
+writes out directly.  Ladder matrix elements of the GT basis are
+non-negative (see gt_basis), and the transform intertwines in that basis.
 """
 
 from __future__ import annotations
@@ -22,19 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gt_basis import build_irrep, casimir2
-from .partitions import InvalidPartitionError, Partition, add_box, dim_unitary, valid_rows
+from .gt_basis import enumerate_gt
+from .partitions import Partition, add_box, dim_unitary, valid_rows
 
-CASIMIR_MATCH_TOL = 0.25  # analytic gaps are integers >= 1
 UNITARITY_TOL = 1e-12
 
 
-class EigenvalueClusteringError(RuntimeError):
-    """A numerical Casimir eigenvalue matched no analytic block target."""
-
-
 class DegeneracyError(RuntimeError):
-    """The highest-weight / lowering construction was not uniquely solvable."""
+    """A built CG matrix failed its unitarity check."""
 
 
 @dataclass(frozen=True)
@@ -116,127 +118,54 @@ def cg_qubit(lam: Partition) -> CGTransform:
     return t
 
 
-def _product_generator(rep, a: int, b: int) -> np.ndarray:
-    """E_{a,b} on Q^d_lam (x) C^d (fundamental fastest)."""
-    d = rep.d
-    e = np.zeros((d, d))
-    e[a, b] = 1.0
-    return np.kron(rep.generator(a, b), np.eye(d)) + np.kron(np.eye(rep.dim), e)
-
-
-def _weight_height(w: tuple[int, ...]) -> int:
-    # lowering e_a -> e_{a+1} raises this by exactly 1
-    return sum(a * wa for a, wa in enumerate(w))
-
-
-def _intertwiner(rep, target, raisings, lowerings, prod_weights) -> np.ndarray:
-    """Columns = GT basis of `target` expressed in the product space."""
-    d = rep.d
-    size = rep.dim * d
-    mu = target.lam.parts
-
-    # highest-weight vector: kernel of all raising generators inside the
-    # weight-mu subspace of the product space
-    sel = [i for i, w in enumerate(prod_weights) if w == mu]
-    stacked = np.vstack([r[:, sel] for r in raisings])
-    _, s, vt = np.linalg.svd(stacked, full_matrices=True)
-    null_dim = sum(1 for x in s if x < 1e-9) + (len(sel) - len(s))
-    if null_dim != 1:
-        raise DegeneracyError(
-            f"highest-weight space of {target.lam} has dimension {null_dim}")
-    hw_small = vt[-1].real
-    hw = np.zeros(size)
-    hw[sel] = hw_small
-    # phase convention: first nonzero coordinate (input ordering) positive
-    lead = next(i for i in range(size) if abs(hw[i]) > 1e-9)
-    if hw[lead] < 0:
-        hw = -hw
-
-    cols: dict[int, np.ndarray] = {}
-    by_weight: dict[tuple[int, ...], list[int]] = {}
-    for t, w in enumerate(target.weights):
-        by_weight.setdefault(w, []).append(t)
-    hw_idx = target.index[tuple(tuple(r) for r in _top_pattern(mu, d))]
-    cols[hw_idx] = hw
-
-    for w in sorted(by_weight, key=_weight_height):
-        group = by_weight[w]
-        if group == [hw_idx]:
+def _chains(sh, r: int, i: int, num: int, den: int, sign: int, moved: tuple):
+    """Every way the new box, sitting at position i of row r, can end: it
+    stops on row r or walks down to some position k of row r + 1.  Yields
+    (fundamental index, box position per row, num, den, sign) with the
+    squared coefficient num / den as exact integers."""
+    t = sh[r]
+    l = len(t)
+    moved = moved + (i,)
+    if l == 1:
+        yield 0, moved, num, den, sign
+        return
+    b = sh[r + 1]
+    tden = math.prod(t[s] - t[i] for s in range(l) if s != i)
+    stop = math.prod(bs - t[i] - 1 for bs in b)
+    yield l - 1, moved, num * stop, den * tden, sign
+    for k in range(l - 1):
+        n2 = (math.prod(b[s] - t[i] - 1 for s in range(l - 1) if s != k)
+              * math.prod(t[s] - b[k] for s in range(l) if s != i))
+        d2 = tden * math.prod(b[s] - b[k] - 1 for s in range(l - 1) if s != k)
+        if n2 == 0 or d2 == 0:
             continue
-        rows = []
-        rhs = []
-        for a in range(d - 1):
-            w_src = list(w)
-            w_src[a] += 1
-            w_src[a + 1] -= 1
-            w_src = tuple(w_src)
-            for s_idx in by_weight.get(w_src, []):
-                low = target.raising[a].T  # E_{a+1,a} on the target irrep
-                coeffs = [low[t, s_idx] for t in group]
-                if all(abs(c) < 1e-14 for c in coeffs):
-                    continue
-                rows.append(coeffs)
-                rhs.append(lowerings[a] @ cols[s_idx])
-        a_mat = np.array(rows)
-        b_mat = np.array(rhs)
-        if a_mat.ndim != 2 or a_mat.shape[0] < len(group):
-            raise DegeneracyError(f"under-determined weight space {w} in {target.lam}")
-        sol, _, rank, _ = np.linalg.lstsq(a_mat, b_mat, rcond=None)
-        if rank < len(group):
-            raise DegeneracyError(f"rank-deficient weight space {w} in {target.lam}")
-        for t_local, t in enumerate(group):
-            cols[t] = sol[t_local]
-
-    v = np.zeros((size, target.dim))
-    for t, col in cols.items():
-        v[:, t] = col
-    return v
+        yield from _chains(sh, r + 1, k, num * n2, den * d2,
+                           -sign if k < i else sign, moved)
 
 
-def _top_pattern(mu: tuple[int, ...], d: int):
-    return [mu[:d - k] for k in range(d)]
-
-
-def cg_numeric(lam: Partition, d: int | None = None) -> CGTransform:
-    """Numerical construction valid for any d; for d=2 it reproduces
-    cg_qubit entrywise."""
+def cg_closed(lam: Partition, d: int | None = None) -> CGTransform:
+    """Closed-form transform for any d, from GT patterns and integer
+    arithmetic; for d=2 it reproduces cg_qubit bit for bit."""
     if d is None:
         d = lam.d
-    rep = build_irrep(lam, d)
-    size = rep.dim * d
     blocks = _blocks_for(lam, d)
-
-    raisings = [_product_generator(rep, a, a + 1) for a in range(d - 1)]
-    lowerings = [r.T for r in raisings]
-    fund = [tuple(int(a == b) for b in range(d)) for a in range(d)]
-    prod_weights = [tuple(wg + wf for wg, wf in zip(rep.weights[g], fund[f]))
-                    for g in range(rep.dim) for f in range(d)]
-
-    # certify the Casimir spectrum against the analytic block eigenvalues
-    cas = np.zeros((size, size))
-    for a in range(d):
-        for b in range(d):
-            g = _product_generator(rep, a, b)
-            cas += g @ g.T
-    eigvals = np.linalg.eigvalsh(cas)
-    targets = {b.j: float(casimir2(b.target, d)) for b in blocks}
-    counts = {j: 0 for j in targets}
-    for ev in eigvals:
-        match = [j for j, t in targets.items() if abs(ev - t) <= CASIMIR_MATCH_TOL]
-        if len(match) != 1:
-            raise EigenvalueClusteringError(
-                f"Casimir eigenvalue {ev} matches {len(match)} targets at {lam}")
-        counts[match[0]] += 1
-    for b in blocks:
-        if counts[b.j] != b.dim:
-            raise EigenvalueClusteringError(
-                f"block {b.target} expected dim {b.dim}, spectrum gives {counts[b.j]}")
-
+    source = enumerate_gt(lam, d)
+    size = len(source) * d
     mat = np.zeros((size, size))
-    for b in blocks:
-        target = build_irrep(b.target, d)
-        v = _intertwiner(rep, target, raisings, lowerings, prod_weights)
-        mat[b.offset:b.offset + b.dim, :] = v.T
+    for blk in blocks:
+        index = {pat: r for r, pat in enumerate(enumerate_gt(blk.target, d))}
+        for g, pat in enumerate(source):
+            sh = [[m - s for s, m in enumerate(row)] for row in pat]
+            for a, moved, num, den, sign in _chains(sh, 0, blk.j, 1, 1, 1, ()):
+                if num == 0:
+                    continue
+                rows = [list(row) for row in pat]
+                for r, i in enumerate(moved):
+                    rows[r][i] += 1
+                row = index.get(tuple(map(tuple, rows)))
+                if row is not None:
+                    mat[blk.offset + row, g * d + a] = \
+                        sign * math.sqrt(abs(num) / abs(den))
     t = CGTransform(lam=lam, d=d, matrix=mat, blocks=blocks)
     t.check_unitary()
     return t
@@ -247,7 +176,7 @@ _cache_lock = threading.Lock()
 
 
 def cg_transform(lam: Partition, d: int | None = None) -> CGTransform:
-    """Cached CG transform; closed form for d=2, numeric otherwise."""
+    """Cached CG transform: cg_qubit for d=2, cg_closed otherwise."""
     if d is None:
         d = lam.d
     key = (lam.parts, d)
@@ -256,7 +185,7 @@ def cg_transform(lam: Partition, d: int | None = None) -> CGTransform:
         with _cache_lock:
             t = _cache.get(key)
             if t is None:
-                t = cg_qubit(lam) if d == 2 else cg_numeric(lam, d)
+                t = cg_qubit(lam) if d == 2 else cg_closed(lam, d)
                 _cache[key] = t
     return t
 

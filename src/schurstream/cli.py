@@ -80,8 +80,10 @@ def load_stream(path: str, d: int) -> list[np.ndarray]:
         data = json.load(f)
     if isinstance(data, dict) and "iid" in data:
         spec = data["iid"]
-        rho = _parse_array(spec["rho"], matrix=True)
-        return [rho] * int(spec["n"])
+        if not (isinstance(spec, dict) and "rho" in spec
+                and isinstance(spec.get("n"), int) and not isinstance(spec["n"], bool)):
+            raise InvalidInputError("the iid form needs {'rho': [[...]], 'n': <integer>}")
+        return [_parse_array(spec["rho"], matrix=True)] * spec["n"]
     if not isinstance(data, list):
         raise InvalidInputError("stream file must be a list or {'iid': ...}")
     out = []

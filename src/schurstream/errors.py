@@ -45,9 +45,12 @@ def check_state(state, dim: int) -> np.ndarray:
     if np.max(np.abs(state - state.conj().T)) > STATE_TOL:
         raise InvalidInputError("density matrix not Hermitian")
     # Gershgorin discs certify most inputs (I/dim among them) in O(dim^2);
-    # the eigensolve runs only when they do not.
+    # otherwise state + STATE_TOL*I has a Cholesky factor exactly when no
+    # eigenvalue is below -STATE_TOL.
     radii = np.sum(np.abs(state), axis=1) - np.abs(state.diagonal())
-    if np.min(state.diagonal().real - radii) < -STATE_TOL and \
-            np.linalg.eigvalsh(state)[0] < -STATE_TOL:
-        raise InvalidInputError("density matrix not positive semidefinite")
+    if np.min(state.diagonal().real - radii) < -STATE_TOL:
+        try:
+            np.linalg.cholesky(state + STATE_TOL * np.eye(dim))
+        except np.linalg.LinAlgError:
+            raise InvalidInputError("density matrix not positive semidefinite") from None
     return state

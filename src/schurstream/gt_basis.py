@@ -199,20 +199,6 @@ def build_irrep(lam: Partition, d: int | None = None) -> IrrepRep:
     return rep
 
 
-def irrep_unitary(lam: Partition, d: int, u: np.ndarray) -> np.ndarray:
-    """The image Q_lam(u) of a unitary u in U(d), by exponentiating the
-    GT generators along log(u)."""
-    import scipy.linalg as sla
-
-    h = -1j * sla.logm(u)
-    rep = build_irrep(lam, d)
-    g = np.zeros((rep.dim, rep.dim), dtype=complex)
-    for a in range(d):
-        for b in range(d):
-            g = g + h[a, b] * rep.generator(a, b)
-    return sla.expm(1j * g)
-
-
 def casimir2(lam: Partition, d: int | None = None) -> int:
     """Analytic eigenvalue of sum_{a,b} E_{a,b}E_{b,a} on Q^d_lam:
     sum_i lam_i (lam_i + d + 1 - 2(i+1)), exact integer."""

@@ -45,14 +45,9 @@ class IterationRecord:
     k: int
     width: int
     removal: bool
-    cg_size: int | None = None
-    givens_used: int | None = None
-    two_level_bound: int | None = None
 
     def to_dict(self) -> dict:
-        return {"k": self.k, "width": self.width, "removal": self.removal,
-                "cg_size": self.cg_size, "givens_used": self.givens_used,
-                "two_level_bound": self.two_level_bound}
+        return {"k": self.k, "width": self.width, "removal": self.removal}
 
 
 def memory_profile(n: int, d: int = 2) -> list[IterationRecord]:
@@ -193,11 +188,12 @@ def qudit_m_sum(n: int, d: int) -> int:
     the generic square bound d^2 (k+1)^(2d-2) is used."""
     if d == 2:
         return two_level_total_by_sum(n)
-    return sum(d * d * (k + 1) ** (2 * d - 2) for k in range(1, n))
+    return qudit_m_generic_sum(n, d)
 
 
 def qudit_m_generic_sum(n: int, d: int) -> int:
-    """The generic square bound sum for any d (matches qudit_m_sum for d>2)."""
+    """The generic square bound sum d^2 (k+1)^(2d-2) over k = 1 .. n-1,
+    for any d."""
     return sum(d * d * (k + 1) ** (2 * d - 2) for k in range(1, n))
 
 

@@ -116,9 +116,6 @@ class BranchDistribution:
     def total(self) -> float:
         return sum(self.entries[s] for s in sorted(self.entries))
 
-    def path_probability(self, path: LatticePath) -> float:
-        return self.entries.get(path.steps, 0.0)
-
 
 def _enumerate(d: int, n: int, root: np.ndarray, outcomes_fn,
                prune: float, branch_cap: int) -> BranchDistribution:

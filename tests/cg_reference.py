@@ -1,0 +1,163 @@
+"""Numeric reference constructions that the tests compare against.
+
+`cg_numeric` builds the CG transform without the closed form: block
+membership is certified against the analytic Casimir eigenvalues, the
+highest-weight vector of each target irrep is extracted from the kernel
+of the raising generators, and the remaining columns are propagated with
+the lowering generators so that the result is an exact GT-basis
+intertwiner (ladder matrix elements non-negative by construction).
+`irrep_unitary` exponentiates the GT generators to give Q_lam(u).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import scipy.linalg as sla
+
+from schurstream.cg import CGTransform, DegeneracyError, _blocks_for
+from schurstream.gt_basis import build_irrep, casimir2
+from schurstream.partitions import Partition
+
+CASIMIR_MATCH_TOL = 0.25  # analytic gaps are integers >= 1
+
+
+class EigenvalueClusteringError(RuntimeError):
+    """A numerical Casimir eigenvalue matched no analytic block target."""
+
+
+def _product_generator(rep, a: int, b: int) -> np.ndarray:
+    """E_{a,b} on Q^d_lam (x) C^d (fundamental fastest)."""
+    d = rep.d
+    e = np.zeros((d, d))
+    e[a, b] = 1.0
+    return np.kron(rep.generator(a, b), np.eye(d)) + np.kron(np.eye(rep.dim), e)
+
+
+def _weight_height(w: tuple[int, ...]) -> int:
+    # lowering e_a -> e_{a+1} raises this by exactly 1
+    return sum(a * wa for a, wa in enumerate(w))
+
+
+def _intertwiner(rep, target, raisings, lowerings, prod_weights) -> np.ndarray:
+    """Columns = GT basis of `target` expressed in the product space."""
+    d = rep.d
+    size = rep.dim * d
+    mu = target.lam.parts
+
+    # highest-weight vector: kernel of all raising generators inside the
+    # weight-mu subspace of the product space
+    sel = [i for i, w in enumerate(prod_weights) if w == mu]
+    stacked = np.vstack([r[:, sel] for r in raisings])
+    _, s, vt = np.linalg.svd(stacked, full_matrices=True)
+    null_dim = sum(1 for x in s if x < 1e-9) + (len(sel) - len(s))
+    if null_dim != 1:
+        raise DegeneracyError(
+            f"highest-weight space of {target.lam} has dimension {null_dim}")
+    hw_small = vt[-1].real
+    hw = np.zeros(size)
+    hw[sel] = hw_small
+    # phase convention: first nonzero coordinate (input ordering) positive
+    lead = next(i for i in range(size) if abs(hw[i]) > 1e-9)
+    if hw[lead] < 0:
+        hw = -hw
+
+    cols: dict[int, np.ndarray] = {}
+    by_weight: dict[tuple[int, ...], list[int]] = {}
+    for t, w in enumerate(target.weights):
+        by_weight.setdefault(w, []).append(t)
+    hw_idx = target.index[tuple(tuple(r) for r in _top_pattern(mu, d))]
+    cols[hw_idx] = hw
+
+    for w in sorted(by_weight, key=_weight_height):
+        group = by_weight[w]
+        if group == [hw_idx]:
+            continue
+        rows = []
+        rhs = []
+        for a in range(d - 1):
+            w_src = list(w)
+            w_src[a] += 1
+            w_src[a + 1] -= 1
+            w_src = tuple(w_src)
+            for s_idx in by_weight.get(w_src, []):
+                low = target.raising[a].T  # E_{a+1,a} on the target irrep
+                coeffs = [low[t, s_idx] for t in group]
+                if all(abs(c) < 1e-14 for c in coeffs):
+                    continue
+                rows.append(coeffs)
+                rhs.append(lowerings[a] @ cols[s_idx])
+        a_mat = np.array(rows)
+        b_mat = np.array(rhs)
+        if a_mat.ndim != 2 or a_mat.shape[0] < len(group):
+            raise DegeneracyError(f"under-determined weight space {w} in {target.lam}")
+        sol, _, rank, _ = np.linalg.lstsq(a_mat, b_mat, rcond=None)
+        if rank < len(group):
+            raise DegeneracyError(f"rank-deficient weight space {w} in {target.lam}")
+        for t_local, t in enumerate(group):
+            cols[t] = sol[t_local]
+
+    v = np.zeros((size, target.dim))
+    for t, col in cols.items():
+        v[:, t] = col
+    return v
+
+
+def _top_pattern(mu: tuple[int, ...], d: int):
+    return [mu[:d - k] for k in range(d)]
+
+
+def cg_numeric(lam: Partition, d: int | None = None) -> CGTransform:
+    """Numerical construction valid for any d; for d=2 it reproduces
+    cg_qubit entrywise."""
+    if d is None:
+        d = lam.d
+    rep = build_irrep(lam, d)
+    size = rep.dim * d
+    blocks = _blocks_for(lam, d)
+
+    raisings = [_product_generator(rep, a, a + 1) for a in range(d - 1)]
+    lowerings = [r.T for r in raisings]
+    fund = [tuple(int(a == b) for b in range(d)) for a in range(d)]
+    prod_weights = [tuple(wg + wf for wg, wf in zip(rep.weights[g], fund[f]))
+                    for g in range(rep.dim) for f in range(d)]
+
+    # certify the Casimir spectrum against the analytic block eigenvalues
+    cas = np.zeros((size, size))
+    for a in range(d):
+        for b in range(d):
+            g = _product_generator(rep, a, b)
+            cas += g @ g.T
+    eigvals = np.linalg.eigvalsh(cas)
+    targets = {b.j: float(casimir2(b.target, d)) for b in blocks}
+    counts = {j: 0 for j in targets}
+    for ev in eigvals:
+        match = [j for j, t in targets.items() if abs(ev - t) <= CASIMIR_MATCH_TOL]
+        if len(match) != 1:
+            raise EigenvalueClusteringError(
+                f"Casimir eigenvalue {ev} matches {len(match)} targets at {lam}")
+        counts[match[0]] += 1
+    for b in blocks:
+        if counts[b.j] != b.dim:
+            raise EigenvalueClusteringError(
+                f"block {b.target} expected dim {b.dim}, spectrum gives {counts[b.j]}")
+
+    mat = np.zeros((size, size))
+    for b in blocks:
+        target = build_irrep(b.target, d)
+        v = _intertwiner(rep, target, raisings, lowerings, prod_weights)
+        mat[b.offset:b.offset + b.dim, :] = v.T
+    t = CGTransform(lam=lam, d=d, matrix=mat, blocks=blocks)
+    t.check_unitary()
+    return t
+
+
+def irrep_unitary(lam: Partition, d: int, u: np.ndarray) -> np.ndarray:
+    """The image Q_lam(u) of a unitary u in U(d), by exponentiating the
+    GT generators along log(u)."""
+    h = -1j * sla.logm(u)
+    rep = build_irrep(lam, d)
+    g = np.zeros((rep.dim, rep.dim), dtype=complex)
+    for a in range(d):
+        for b in range(d):
+            g = g + h[a, b] * rep.generator(a, b)
+    return sla.expm(1j * g)

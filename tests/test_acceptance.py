@@ -12,9 +12,9 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from schurstream.cg import cg_numeric, cg_qubit, cg_transform
+from cg_reference import cg_numeric, irrep_unitary
+from schurstream.cg import cg_qubit, cg_transform
 from schurstream.cli import run as cli_run
-from schurstream.gt_basis import irrep_unitary
 from schurstream.oracle import (isotypic_projector, path_probs, perm_rep,
                                 schur_transform, tensor_rep, weak_schur_probs)
 from schurstream.partitions import (Partition, add_box, dim_symmetric,

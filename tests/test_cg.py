@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from schurstream.cg import (CGTransform, cg_numeric, cg_qubit, cg_transform,
+from cg_reference import cg_numeric, irrep_unitary
+from schurstream import cg, gt_basis
+from schurstream.cg import (CGTransform, cg_closed, cg_qubit, cg_transform,
                             verify_sparsity)
-from schurstream.gt_basis import irrep_unitary
 from schurstream.partitions import (Partition, add_box, dim_unitary, one_box,
                                     partitions_of, valid_rows)
 
@@ -147,3 +148,25 @@ class TestSparsity:
         rep = verify_sparsity(cg_transform(Partition((3, 0)), 2))
         assert rep.givens_count >= 1
         assert rep.size == 8
+
+
+class TestCgClosed:
+    @pytest.mark.parametrize("d,n_max", [(3, 6), (4, 5), (5, 4)])
+    def test_matches_numeric_reference(self, d, n_max):
+        for n in range(1, n_max + 1):
+            for lam in partitions_of(n, d):
+                a = cg_closed(lam, d).matrix
+                b = cg_numeric(lam, d).matrix
+                assert np.max(np.abs(a - b)) <= 1e-12, lam
+
+    def test_qubit_is_bit_identical(self):
+        for n in range(1, 41):
+            for lam in partitions_of(n, 2):
+                assert np.array_equal(cg_closed(lam, 2).matrix,
+                                      cg_qubit(lam).matrix), lam
+
+    def test_cold_build_needs_no_dense_irrep(self):
+        cg._cache.clear()
+        gt_basis._cache.clear()
+        cg_transform(Partition((3, 1, 0)), 3)
+        assert gt_basis._cache == {}

@@ -187,6 +187,16 @@ class TestContract:
         code, _ = run(["dist", "--d", "2", "--stream", str(p)])
         assert code == 1
 
+    @pytest.mark.parametrize("spec", [{"n": 3},
+                                      {"rho": [[1, 0], [0, 0]]},
+                                      5])
+    def test_malformed_iid_exit_1(self, tmp_path, spec):
+        p = tmp_path / "iid.json"
+        p.write_text(json.dumps({"iid": spec}))
+        code, out = run(["dist", "--d", "2", "--stream", str(p)])
+        assert code == 1
+        assert "iid" in json.loads(out)["error"]
+
     def test_guardrail_exit_2(self, tmp_path):
         p = tmp_path / "big.json"
         p.write_text(json.dumps({"iid": {"rho": [[0.5, 0], [0, 0.5]],

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from cg_reference import irrep_unitary
 from schurstream.gt_basis import (build_irrep, casimir2, enumerate_gt,
-                                  irrep_unitary, pattern_weight)
+                                  pattern_weight)
 from schurstream.partitions import (Partition, add_box, dim_unitary, one_box,
                                     partitions_of, valid_rows)
 
