@@ -29,10 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SizeLimitError
 from .gt_basis import enumerate_gt
 from .partitions import Partition, add_box, dim_unitary, valid_rows
 
 UNITARITY_TOL = 1e-12
+CG_MAX_SIZE = 4096  # a dense 4096^2 float matrix is 128 MiB
 
 
 class DegeneracyError(RuntimeError):
@@ -176,12 +178,17 @@ _cache_lock = threading.Lock()
 
 
 def cg_transform(lam: Partition, d: int | None = None) -> CGTransform:
-    """Cached CG transform: cg_qubit for d=2, cg_closed otherwise."""
+    """Cached CG transform: cg_qubit for d=2, cg_closed otherwise.  A
+    transform of side above CG_MAX_SIZE is refused before it is built."""
     if d is None:
         d = lam.d
     key = (lam.parts, d)
     t = _cache.get(key)
     if t is None:
+        size = d * dim_unitary(lam, d)
+        if size > CG_MAX_SIZE:
+            raise SizeLimitError(f"CG transform of size {size} at lambda={lam}, "
+                                 f"d={d} exceeds {CG_MAX_SIZE}")
         with _cache_lock:
             t = _cache.get(key)
             if t is None:

@@ -115,20 +115,22 @@ def _emit_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2)
 
 
-def _dist_rows(dist) -> list[tuple[str, str, float]]:
-    rows = []
-    for steps in sorted(dist.entries):
-        path = LatticePath(steps)
-        rows.append((str(path.endpoint(dist.d)), str(path), dist.entries[steps]))
-    return rows
-
-
-def _dist_body(dist) -> dict:
-    return {
-        "paths": {str(LatticePath(s)): dist.entries[s] for s in sorted(dist.entries)},
+def _emit_dist(config: dict, dist, fmt: str) -> tuple[int, str]:
+    """The `dist` and `full` report: every path in sorted order, then the
+    label marginal and the pruned mass."""
+    if fmt == "csv":
+        rows = []
+        for steps, p in dist.entries.items():
+            path = LatticePath(steps)
+            rows.append((str(path.endpoint(dist.d)).replace(",", ";"),
+                         str(path).replace(",", ";"), p))
+        return 0, _csv(["lambda", "path", "probability"], rows)
+    body = {
+        "paths": {str(LatticePath(s)): p for s, p in dist.entries.items()},
         "marginal": {str(lam): p for lam, p in dist.marginal.items()},
         "pruned": dist.pruned,
     }
+    return 0, _emit_json(_report(config, body))
 
 
 def _csv(header: list[str], rows) -> str:
@@ -169,11 +171,7 @@ def cmd_dist(args) -> tuple[int, str]:
               "format": args.format}
     dist = branch_distribution(stream, args.d, prune=args.prune,
                                branch_cap=args.branch_cap)
-    if args.format == "csv":
-        rows = [(lam.replace(",", ";"), path.replace(",", ";"), p)
-                for lam, path, p in _dist_rows(dist)]
-        return 0, _csv(["lambda", "path", "probability"], rows)
-    return 0, _emit_json(_report(config, _dist_body(dist)))
+    return _emit_dist(config, dist, args.format)
 
 
 def cmd_full(args) -> tuple[int, str]:
@@ -181,11 +179,7 @@ def cmd_full(args) -> tuple[int, str]:
     config = {"command": "full", "d": args.d, "state": args.state,
               "prune": args.prune, "limit": args.limit, "format": args.format}
     dist = run_full_state(state, args.d, prune=args.prune, limit=args.limit)
-    if args.format == "csv":
-        rows = [(lam.replace(",", ";"), path.replace(",", ";"), p)
-                for lam, path, p in _dist_rows(dist)]
-        return 0, _csv(["lambda", "path", "probability"], rows)
-    return 0, _emit_json(_report(config, _dist_body(dist)))
+    return _emit_dist(config, dist, args.format)
 
 
 def cmd_oracle(args) -> tuple[int, str]:

@@ -1,9 +1,9 @@
 """Memory and gate-count accounting for the streaming sampler.
 
 Gate totals here are count models parameterized by explicit constants; no
-circuit is ever synthesized.  The Givens decomposition is exact and is run
-on the actual CG matrices to compare measured rotation counts against the
-analytic bounds.
+circuit is ever synthesized.  The Givens decomposition is exact;
+`cg.verify_sparsity` runs it on the actual CG matrices to report the
+measured rotation count next to the analytic bounds.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .partitions import Partition
 
 
 def qubit_width(k: int) -> int:
@@ -89,29 +87,6 @@ def givens_decompose(u: np.ndarray, tol: float = 1e-12
             a[[c, r], :] = g @ rows
             rotations.append((c, r, g))
     return rotations, np.diag(a).copy()
-
-
-def givens_reconstruct(rotations, diagonal) -> np.ndarray:
-    """Multiply a decomposition back together (for verification)."""
-    size = diagonal.shape[0]
-    u = np.diag(diagonal).astype(complex)
-    for c, r, g in reversed(rotations):
-        rows = u[[c, r], :]
-        u[[c, r], :] = g.conj().T @ rows
-    return u
-
-
-_givens_cache: dict = {}
-
-
-def cg_givens_count(lam: Partition, d: int) -> int:
-    """Measured Givens-rotation count for the CG matrix at (lam, d)."""
-    key = (lam.parts, d)
-    if key not in _givens_cache:
-        from .cg import cg_transform
-        rotations, _ = givens_decompose(cg_transform(lam, d).matrix)
-        _givens_cache[key] = len(rotations)
-    return _givens_cache[key]
 
 
 def two_level_total(n: int) -> int:

@@ -8,8 +8,8 @@ measures the block label j.  Four execution modes share that step:
   sampled;
 * exhaustive branch enumeration (`branch_distribution`) over all
   measurement outcomes of a product-state stream;
-* full-state mode (`run_full_state`) applying the identity-padded step
-  maps to a d^n state, which also handles entangled inputs;
+* full-state mode (`run_full_state`) applying each step's CG transform to
+  the leading qudits of a d^n state, which also handles entangled inputs;
 * register-level qubit mode (`register_*`), which lays the state out on an
   explicit ceil(log2(2k+4))-qubit register, measures the leading (L) qubit
   and discards qubits per the width bookkeeping.
@@ -51,14 +51,18 @@ def _weight(x: np.ndarray) -> float:
     return float(np.trace(x).real) if _is_matrix(x) else float(np.vdot(x, x).real)
 
 
-def _outcomes(t: CGTransform, big: np.ndarray, rest: int = 1
+def _outcomes(t: CGTransform, big: np.ndarray
               ) -> list[tuple[int, Partition, float, np.ndarray]]:
-    """Rotate `big` (a vector or a density matrix) by t (x) I_rest and split
-    it along the blocks of t: (j, lam+e_j, weight, unnormalized part) per
-    block, j ascending."""
-    op = t.matrix if rest == 1 else np.kron(t.matrix, np.eye(rest))
+    """Rotate `big` (a vector or a density matrix of side t.size * rest) by
+    t (x) I_rest and split it along the blocks of t: (j, lam+e_j, weight,
+    unnormalized part) per block, j ascending.  t acts on the leading axis
+    by a reshape; its matrix is real, so t^dag = t^T."""
+    def op(x):
+        return (t.matrix @ x.reshape(t.size, -1)).reshape(x.shape)
+
+    rest = len(big) // t.size
     mixed = _is_matrix(big)
-    rotated = op @ big @ op.conj().T if mixed else op @ big
+    rotated = op(op(big).T).T if mixed else op(big)
     out = []
     for b in t.blocks:
         sl = slice(b.offset * rest, (b.offset + b.dim) * rest)
@@ -101,20 +105,13 @@ def _sample(outcomes: list, rng: np.random.Generator) -> tuple[tuple, float]:
 @dataclass
 class BranchDistribution:
     d: int
-    entries: dict[tuple[int, ...], float]  # path steps -> probability
+    entries: dict[tuple[int, ...], float]  # path steps -> probability, sorted
+    marginal: dict[Partition, float]  # label -> probability
     pruned: float = 0.0
 
     @property
-    def marginal(self) -> dict[Partition, float]:
-        out: dict[Partition, float] = {}
-        for steps in sorted(self.entries):  # fixed reduction order
-            lam = LatticePath(steps).endpoint(self.d)
-            out[lam] = out.get(lam, 0.0) + self.entries[steps]
-        return out
-
-    @property
     def total(self) -> float:
-        return sum(self.entries[s] for s in sorted(self.entries))
+        return sum(self.entries.values())
 
 
 def _enumerate(d: int, n: int, root: np.ndarray, outcomes_fn,
@@ -123,8 +120,13 @@ def _enumerate(d: int, n: int, root: np.ndarray, outcomes_fn,
     Nodes carry unnormalized states, whose weight is the accumulated branch
     probability; `outcomes_fn(k, lam, state)` gives the children of a node
     after k qudits.  Children lighter than `prune` are dropped and their
-    weight is added to `pruned`."""
+    weight is added to `pruned`.
+
+    Children are pushed in reverse, so each node's are popped j ascending
+    and the leaves arrive in sorted path order: `entries` is sorted, and
+    each `marginal` sum runs over its paths in that order."""
     entries: dict[tuple[int, ...], float] = {}
+    marginal: dict[Partition, float] = {}
     pruned = 0.0
     # stack entries: (k, lam, unnormalized state, steps)
     stack = [(1, one_box(d), root, ())]
@@ -133,14 +135,16 @@ def _enumerate(d: int, n: int, root: np.ndarray, outcomes_fn,
             raise BranchExplosionError(f"live branch count exceeded {branch_cap}")
         k, lam, cur, steps = stack.pop()
         if k == n:
-            entries[steps] = _weight(cur)
+            w = entries[steps] = _weight(cur)
+            marginal[lam] = marginal.get(lam, 0.0) + w
             continue
         for j, target, p, sub in reversed(outcomes_fn(k, lam, cur)):
             if p < prune:
                 pruned += p
                 continue
             stack.append((k + 1, target, sub, steps + (j,)))
-    return BranchDistribution(d=d, entries=entries, pruned=pruned)
+    return BranchDistribution(d=d, entries=entries, marginal=marginal,
+                              pruned=pruned)
 
 
 @dataclass
@@ -225,20 +229,22 @@ def branch_distribution(stream: list[np.ndarray], d: int,
 def run_full_state(state: np.ndarray, d: int,
                    prune: float = DEFAULT_PRUNE,
                    limit: int | None = None) -> BranchDistribution:
-    """Apply the identity-padded step maps to a full d^n state (vector or
-    density matrix), enumerating all branches; handles entangled inputs."""
+    """Couple the qudits of a full d^n state (vector or density matrix) in
+    one by one, each CG transform acting on the leading qudits and the
+    identity on the rest, enumerating all branches; handles entangled
+    inputs."""
     state = np.asarray(state, dtype=complex)
     size = state.shape[0]
     n = round(math.log(size, d))
-    if d ** n != size:
-        raise InvalidInputError(f"state size {size} is not a power of d={d}")
+    if n < 1 or d ** n != size:
+        raise InvalidInputError(f"state size {size} is not d^n for d={d}, n >= 1")
     lim = limit if limit is not None else DEFAULT_FULL_LIMITS.get(d, 5)
     if n > lim:
         raise SizeLimitError(f"n={n} exceeds full-state limit {lim} for d={d}")
     state = check_state(state, size)
     return _enumerate(
         d, n, state,
-        lambda k, lam, cur: _outcomes(cg_transform(lam, d), cur, rest=d ** (n - k - 1)),
+        lambda k, lam, cur: _outcomes(cg_transform(lam, d), cur),
         prune, DEFAULT_BRANCH_CAP)
 
 

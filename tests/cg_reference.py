@@ -7,16 +7,22 @@ of the raising generators, and the remaining columns are propagated with
 the lowering generators so that the result is an exact GT-basis
 intertwiner (ladder matrix elements non-negative by construction).
 `irrep_unitary` exponentiates the GT generators to give Q_lam(u).
+`givens_reconstruct` multiplies a Givens decomposition back together, and
+`cg_givens_count` measures the rotation count of a CG matrix.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 import scipy.linalg as sla
 
-from schurstream.cg import CGTransform, DegeneracyError, _blocks_for
+from schurstream.cg import (CGTransform, DegeneracyError, _blocks_for,
+                            cg_transform)
 from schurstream.gt_basis import build_irrep, casimir2
 from schurstream.partitions import Partition
+from schurstream.resources import givens_decompose
 
 CASIMIR_MATCH_TOL = 0.25  # analytic gaps are integers >= 1
 
@@ -161,3 +167,19 @@ def irrep_unitary(lam: Partition, d: int, u: np.ndarray) -> np.ndarray:
         for b in range(d):
             g = g + h[a, b] * rep.generator(a, b)
     return sla.expm(1j * g)
+
+
+def givens_reconstruct(rotations, diagonal) -> np.ndarray:
+    """Multiply a decomposition back together (for verification)."""
+    u = np.diag(diagonal).astype(complex)
+    for c, r, g in reversed(rotations):
+        rows = u[[c, r], :]
+        u[[c, r], :] = g.conj().T @ rows
+    return u
+
+
+@lru_cache(maxsize=None)
+def cg_givens_count(lam: Partition, d: int) -> int:
+    """Measured Givens-rotation count for the CG matrix at (lam, d)."""
+    rotations, _ = givens_decompose(cg_transform(lam, d).matrix)
+    return len(rotations)

@@ -170,3 +170,17 @@ class TestCgClosed:
         gt_basis._cache.clear()
         cg_transform(Partition((3, 1, 0)), 3)
         assert gt_basis._cache == {}
+
+
+class TestSizeLimit:
+    @pytest.mark.parametrize("d,parts", [(2, (3, 1)), (3, (2, 1, 0))])
+    def test_limit_is_inclusive_and_checked_before_build(self, monkeypatch, d, parts):
+        lam = Partition(parts)
+        size = d * dim_unitary(lam, d)
+        monkeypatch.setattr(cg, "_cache", {})
+        monkeypatch.setattr(cg, "CG_MAX_SIZE", size - 1)
+        with pytest.raises(cg.SizeLimitError):
+            cg_transform(lam, d)
+        assert cg._cache == {}
+        monkeypatch.setattr(cg, "CG_MAX_SIZE", size)
+        assert cg_transform(lam, d).size == size

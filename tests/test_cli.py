@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from schurstream import cg
 from schurstream.cli import run
 
 IID_MIXED_N3 = {"iid": {"rho": [[0.5, 0], [0, 0.5]], "n": 3}}
@@ -205,6 +206,20 @@ class TestContract:
                          "--branch-cap", "5"])
         assert code == 2
         assert "error" in json.loads(out)
+
+    def test_full_fewer_amplitudes_than_d_exit_1(self, tmp_path):
+        p = tmp_path / "one.json"
+        p.write_text(json.dumps([1]))
+        code, out = run(["full", "--d", "2", "--state", str(p)])
+        assert code == 1
+        assert "error" in json.loads(out)
+
+    def test_cg_size_limit_exit_2_before_build(self, monkeypatch):
+        monkeypatch.setattr(cg, "_cache", {})
+        code, out = run(["cg", "--d", "3", "--lambda", "30,15,0"])  # size 12288
+        assert code == 2
+        assert "12288" in json.loads(out)["error"]
+        assert cg._cache == {}
 
     def test_oracle_size_limit_exit_2(self):
         code, _ = run(["oracle", "--d", "2", "--n", "11"])

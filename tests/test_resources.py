@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from cg_reference import cg_givens_count, givens_reconstruct
 from schurstream.cg import cg_transform
 from schurstream.partitions import Partition, one_box, partitions_of
-from schurstream.resources import (cg_givens_count, givens_decompose,
-                                   givens_reconstruct, memory_profile,
+from schurstream.resources import (givens_decompose, memory_profile,
                                    peak_width, qubit_gate_count, qubit_width,
                                    qudit_gate_bound, qudit_m_generic_sum,
                                    qudit_m_integral_bound, qudit_m_sum,

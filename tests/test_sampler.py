@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from schurstream.cg import cg_transform
 from schurstream.oracle import path_probs, schur_transform, weak_schur_probs
 from schurstream.partitions import LatticePath, Partition, one_box
 from schurstream.resources import qubit_width
@@ -13,7 +14,7 @@ from schurstream.sampler import (BranchExplosionError, InvalidInputError,
                                  NumericalCollapseError, branch_distribution,
                                  init_state, make_rng, register_branch_distribution,
                                  register_init, register_run, register_step,
-                                 run_full_state, run_stream, step)
+                                 run_full_state, run_stream, step, _outcomes)
 
 KET0 = np.array([1.0, 0.0])
 KET1 = np.array([0.0, 1.0])
@@ -235,6 +236,81 @@ class TestRunFullState:
     def test_rejects_bad_size(self):
         with pytest.raises(InvalidInputError):
             run_full_state(np.ones(6) / np.sqrt(6), 2)
+
+
+class TestLeafOrder:
+    """`_enumerate` yields the leaves in sorted path order and sums each
+    label's marginal in that order, whatever the mode and the pruning."""
+
+    @staticmethod
+    def replayed_marginal(dist):
+        out = {}
+        for steps in sorted(dist.entries):
+            lam = LatticePath(steps).endpoint(dist.d)
+            out[lam] = out.get(lam, 0.0) + dist.entries[steps]
+        return out
+
+    def check(self, dist):
+        assert dist.pruned > 0
+        assert list(dist.entries) == sorted(dist.entries)
+        replayed = self.replayed_marginal(dist)
+        assert list(dist.marginal.items()) == list(replayed.items())
+
+    def test_product_mode(self):
+        rng = np.random.default_rng(61)
+        self.check(branch_distribution([random_qubit(rng) for _ in range(9)], 2,
+                                       prune=1e-2))
+        self.check(branch_distribution([haar_state(3, rng) for _ in range(5)], 3,
+                                       prune=1e-2))
+
+    def test_full_state_mode(self):
+        rng = np.random.default_rng(67)
+        self.check(run_full_state(haar_state(2 ** 8, rng), 2, prune=1e-2))
+        vec = haar_state(3 ** 4, rng)
+        self.check(run_full_state(np.outer(vec, vec.conj()), 3, prune=3e-2))
+
+    def test_register_mode(self):
+        rng = np.random.default_rng(71)
+        self.check(register_branch_distribution(
+            [random_qubit(rng) for _ in range(9)], prune=1e-2))
+
+
+class TestOutcomes:
+    """`_outcomes` applies t (x) I_rest on the leading axis by a reshape; a
+    kron-padded operator is the reference."""
+
+    @staticmethod
+    def kron_reference(t, big, rest):
+        op = np.kron(t.matrix, np.eye(rest))
+        mixed = big.ndim == 2
+        rotated = op @ big @ op.conj().T if mixed else op @ big
+        out = []
+        for b in t.blocks:
+            sl = slice(b.offset * rest, (b.offset + b.dim) * rest)
+            out.append((b.j, b.target, rotated[sl, sl] if mixed else rotated[sl]))
+        return out
+
+    @pytest.mark.parametrize("d,parts", [(2, (3, 1)), (3, (2, 1, 0))])
+    @pytest.mark.parametrize("power", [0, 1, 2])
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_matches_kron(self, d, parts, power, mixed):
+        rng = np.random.default_rng(73 + 10 * d + power)
+        t = cg_transform(Partition(parts), d)
+        rest = d ** power
+        big = haar_state(t.size * rest, rng)
+        if mixed:
+            a = rng.normal(size=(len(big), 3)) + 1j * rng.normal(size=(len(big), 3))
+            big = a @ a.conj().T
+            big /= np.trace(big).real
+        got = _outcomes(t, big)
+        want = self.kron_reference(t, big, rest)
+        assert [(j, target) for j, target, _, _ in got] == \
+            [(j, target) for j, target, _ in want]
+        for (_, _, w, sub), (_, _, ref) in zip(got, want):
+            assert sub.shape == ref.shape
+            assert np.max(np.abs(sub - ref)) <= 1e-15
+            ref_w = np.trace(ref).real if mixed else np.vdot(ref, ref).real
+            assert abs(w - ref_w) <= 1e-15
 
 
 class TestRegisterMode:
