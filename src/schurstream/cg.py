@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -59,12 +59,6 @@ class CGTransform:
     @property
     def size(self) -> int:
         return self.matrix.shape[0]
-
-    def block_slice(self, j: int) -> slice:
-        for b in self.blocks:
-            if b.j == j:
-                return slice(b.offset, b.offset + b.dim)
-        raise KeyError(f"no block for j={j} at lambda={self.lam}")
 
     def check_unitary(self, tol: float = UNITARITY_TOL) -> float:
         dev = np.max(np.abs(self.matrix.conj().T @ self.matrix - np.eye(self.size)))
@@ -208,15 +202,9 @@ class SparsityReport:
     givens_count: int
 
     def to_dict(self) -> dict:
-        return {
-            "lambda": str(self.lam),
-            "d": self.d,
-            "size": self.size,
-            "below_diagonal_nonzeros": self.below_diagonal_nonzeros,
-            "max_nonzeros_per_row": self.max_nonzeros_per_row,
-            "two_per_row_claim_holds": self.two_per_row_claim_holds,
-            "givens_count": self.givens_count,
-        }
+        out = asdict(self)
+        del out["lam"]
+        return {"lambda": str(self.lam), **out}
 
 
 def verify_sparsity(t: CGTransform, tol: float = 1e-12) -> SparsityReport:

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 All reports are JSON by default (canonical: sorted keys, no trailing
-whitespace) and include the tool version, the resolved configuration and
-the RNG seed, so identical (config, seed) runs are byte-identical.
-`--format csv` emits a flat projection of the same numbers.
+whitespace) and include the tool version and, as `config`, every parsed
+argument (the RNG seed among them), so identical (config, seed) runs are
+byte-identical.  `--format csv` emits a flat projection of the same
+numbers, with `;` in place of the commas inside a label or path.
 
 Exit codes: 0 success, 1 validation error, 2 guardrail/size-limit error.
 """
@@ -14,6 +15,8 @@ import argparse
 import io
 import json
 import sys
+from collections import Counter
+from dataclasses import asdict
 
 import numpy as np
 
@@ -23,9 +26,10 @@ from .errors import BranchExplosionError, InvalidInputError, SizeLimitError
 from .gt_basis import build_irrep
 from .oracle import schur_transform, weak_schur_probs
 from .partitions import LatticePath, Partition
-from .resources import (memory_profile, qubit_gate_count, qudit_gate_bound,
-                        two_level_total)
-from .sampler import branch_distribution, run_full_state, run_stream
+from .resources import (memory_profile, peak_width, qubit_gate_count,
+                        qudit_gate_bound, two_level_total)
+from .sampler import (DEFAULT_BRANCH_CAP, DEFAULT_PRUNE, branch_distribution,
+                      run_full_state, run_stream)
 
 STREAM_SCHEMA = {
     "stream.json": {
@@ -103,89 +107,71 @@ def load_state(path: str):
     return _parse_array(data)
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
-def _report(config: dict, body: dict) -> dict:
-    return {"version": __version__, "config": config, **body}
-
-
-def _emit_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2)
-
-
-def _emit_dist(config: dict, dist, fmt: str) -> tuple[int, str]:
-    """The `dist` and `full` report: every path in sorted order, then the
-    label marginal and the pruned mass."""
-    if fmt == "csv":
-        rows = []
-        for steps, p in dist.entries.items():
-            path = LatticePath(steps)
-            rows.append((str(path.endpoint(dist.d)).replace(",", ";"),
-                         str(path).replace(",", ";"), p))
-        return 0, _csv(["lambda", "path", "probability"], rows)
-    body = {
-        "paths": {str(LatticePath(s)): p for s, p in dist.entries.items()},
-        "marginal": {str(lam): p for lam, p in dist.marginal.items()},
-        "pruned": dist.pruned,
-    }
-    return 0, _emit_json(_report(config, body))
+def _emit(args, body: dict) -> str:
+    """The canonical JSON report: the version, every parsed argument as the
+    config, then the body."""
+    config = {k: v for k, v in vars(args).items() if k != "schema"}
+    return json.dumps({"version": __version__, "config": config, **body},
+                      sort_keys=True, indent=2)
 
 
 def _csv(header: list[str], rows) -> str:
+    """One line per row: floats to 17 significant digits, and every other
+    cell as text with its commas turned into ';'."""
     buf = io.StringIO()
     buf.write(",".join(header) + "\n")
     for row in rows:
-        buf.write(",".join(_fmt(x) if isinstance(x, float) else str(x)
-                           for x in row) + "\n")
+        buf.write(",".join(format(x, ".17g") if isinstance(x, float)
+                           else str(x).replace(",", ";") for x in row) + "\n")
     return buf.getvalue()
 
 
-def cmd_sample(args) -> tuple[int, str]:
+def _emit_dist(args, dist) -> str:
+    """The `dist` and `full` report: every path in sorted order, then the
+    label marginal and the pruned mass."""
+    if args.format == "csv":
+        rows = []
+        for steps, p in dist.entries.items():
+            path = LatticePath(steps)
+            rows.append((path.endpoint(dist.d), path, p))
+        return _csv(["lambda", "path", "probability"], rows)
+    return _emit(args, {
+        "paths": {str(LatticePath(s)): p for s, p in dist.entries.items()},
+        "marginal": {str(lam): p for lam, p in dist.marginal.items()},
+        "pruned": dist.pruned,
+    })
+
+
+def cmd_sample(args) -> str:
     stream = load_stream(args.stream, args.d)
-    config = {"command": "sample", "d": args.d, "stream": args.stream,
-              "seed": args.seed, "trials": args.trials, "format": args.format}
     trials = []
     for t in range(args.trials):
         res = run_stream(stream, args.d, seed=args.seed + t)
         trials.append({"trial": t, "seed": args.seed + t,
                        "lambda": str(res.lam), "path": str(res.path)})
-    counts: dict[str, int] = {}
-    for t in trials:
-        counts[t["lambda"]] = counts.get(t["lambda"], 0) + 1
     if args.format == "csv":
-        rows = [(t["trial"], t["lambda"].replace(",", ";"),
-                 t["path"].replace(",", ";")) for t in trials]
-        return 0, _csv(["trial", "lambda", "path"], rows)
-    body = {"seed": args.seed, "trials": trials, "counts": counts}
+        return _csv(["trial", "lambda", "path"],
+                    [(t["trial"], t["lambda"], t["path"]) for t in trials])
+    body = {"seed": args.seed, "trials": trials,
+            "counts": Counter(t["lambda"] for t in trials)}
     if args.trials == 1:
         body.update({"lambda": trials[0]["lambda"], "path": trials[0]["path"]})
-    return 0, _emit_json(_report(config, body))
+    return _emit(args, body)
 
 
-def cmd_dist(args) -> tuple[int, str]:
+def cmd_dist(args) -> str:
     stream = load_stream(args.stream, args.d)
-    config = {"command": "dist", "d": args.d, "stream": args.stream,
-              "prune": args.prune, "branch_cap": args.branch_cap,
-              "format": args.format}
-    dist = branch_distribution(stream, args.d, prune=args.prune,
-                               branch_cap=args.branch_cap)
-    return _emit_dist(config, dist, args.format)
+    return _emit_dist(args, branch_distribution(
+        stream, args.d, prune=args.prune, branch_cap=args.branch_cap))
 
 
-def cmd_full(args) -> tuple[int, str]:
+def cmd_full(args) -> str:
     state = load_state(args.state)
-    config = {"command": "full", "d": args.d, "state": args.state,
-              "prune": args.prune, "limit": args.limit, "format": args.format}
-    dist = run_full_state(state, args.d, prune=args.prune, limit=args.limit)
-    return _emit_dist(config, dist, args.format)
+    return _emit_dist(args, run_full_state(state, args.d, prune=args.prune,
+                                           limit=args.limit))
 
 
-def cmd_oracle(args) -> tuple[int, str]:
-    config = {"command": "oracle", "d": args.d, "n": args.n,
-              "state": args.state, "compare": args.compare,
-              "limit": args.limit, "format": args.format}
+def cmd_oracle(args) -> str:
     su = schur_transform(args.n, args.d, limit=args.limit)
     if args.state:
         state = load_state(args.state)
@@ -196,61 +182,53 @@ def cmd_oracle(args) -> tuple[int, str]:
     body = {"marginal": {str(lam): p for lam, p in probs.items()}}
     if args.compare:
         stream = load_stream(args.compare, args.d)
-        dist = branch_distribution(stream, args.d)
-        marg = dist.marginal
-        dev = max(abs(marg.get(lam, 0.0) - p) for lam, p in probs.items())
+        if len(stream) != args.n:
+            raise InvalidInputError(f"compare stream has {len(stream)} qudits, "
+                                    f"not --n {args.n}")
+        marg = branch_distribution(stream, args.d).marginal
         body["sampler_marginal"] = {str(lam): p for lam, p in marg.items()}
-        body["max_deviation"] = dev
+        body["max_deviation"] = max(abs(marg.get(lam, 0.0) - p)
+                                    for lam, p in probs.items())
     if args.format == "csv":
-        rows = [(str(lam).replace(",", ";"), p) for lam, p in probs.items()]
-        return 0, _csv(["lambda", "probability"], rows)
-    return 0, _emit_json(_report(config, body))
+        return _csv(["lambda", "probability"], probs.items())
+    return _emit(args, body)
 
 
-def cmd_cg(args) -> tuple[int, str]:
-    lam = Partition.from_string(args.lam)
-    config = {"command": "cg", "d": args.d, "lambda": args.lam,
-              "dump": args.dump, "dump_irrep": args.dump_irrep}
+def cmd_cg(args) -> str:
+    lam = Partition.from_string(getattr(args, "lambda"))
     t = cg_transform(lam, args.d)
-    report = verify_sparsity(t)
-    body = {
+    out = _emit(args, {
         "size": t.size,
         "blocks": [{"j": b.j, "target": str(b.target), "offset": b.offset,
                     "dim": b.dim} for b in t.blocks],
-        "sparsity": report.to_dict(),
+        "sparsity": verify_sparsity(t).to_dict(),
         "matrix": [[[float(x.real), float(x.imag)] for x in row]
                    for row in t.matrix],
-    }
-    out = _emit_json(_report(config, body))
+    })
     if args.dump:
         with open(args.dump, "w") as f:
             f.write(out)
     if args.dump_irrep:
         with open(args.dump_irrep, "w") as f:
             f.write(build_irrep(lam, args.d).to_json())
-    return 0, out
+    return out
 
 
-def cmd_resources(args) -> tuple[int, str]:
-    config = {"command": "resources", "n": args.n, "d": args.d,
-              "epsilon": args.epsilon, "p": args.p, "c": args.c,
-              "format": args.format}
+def cmd_resources(args) -> str:
     profile = memory_profile(args.n, args.d)
     if args.d == 2:
-        model = qubit_gate_count(args.n, args.epsilon, c=args.c).to_dict()
+        model = qubit_gate_count(args.n, args.epsilon, c=args.c)
     else:
-        model = qudit_gate_bound(args.n, args.d, args.epsilon,
-                                 p=args.p, c=args.c).to_dict()
+        model = qudit_gate_bound(args.n, args.d, args.epsilon, p=args.p, c=args.c)
     if args.format == "csv":
-        rows = [(r.k, r.width, int(r.removal)) for r in profile]
-        return 0, _csv(["k", "width", "removal"], rows)
-    body = {
-        "profile": [r.to_dict() for r in profile],
-        "peak_width": max(r.width for r in profile),
+        return _csv(["k", "width", "removal"],
+                    [(r.k, r.width, int(r.removal)) for r in profile])
+    return _emit(args, {
+        "profile": [asdict(r) for r in profile],
+        "peak_width": peak_width(args.n, args.d),
         "two_level_total": two_level_total(args.n) if args.d == 2 else None,
-        "gate_model": model,
-    }
-    return 0, _emit_json(_report(config, body))
+        "gate_model": asdict(model),
+    })
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -261,9 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the input-file JSON schemas and exit")
     sub = p.add_subparsers(dest="command")
 
-    def common(sp, stream=False, state=False):
+    def common(sp, stream=False, state=False, formats=("json", "csv")):
         sp.add_argument("--d", type=int, default=2)
-        sp.add_argument("--format", choices=["json", "csv"], default="json")
+        sp.add_argument("--format", choices=formats, default="json")
         if stream:
             sp.add_argument("--stream", required=True)
         if state:
@@ -276,36 +254,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("dist", help="exact branch distribution of a stream")
     common(sp, stream=True)
-    sp.add_argument("--prune", type=float, default=1e-12)
-    sp.add_argument("--branch-cap", type=int, default=10 ** 6)
+    sp.add_argument("--prune", type=float, default=DEFAULT_PRUNE)
+    sp.add_argument("--branch-cap", type=int, default=DEFAULT_BRANCH_CAP)
 
     sp = sub.add_parser("full", help="full-state simulation (entangled inputs)")
     common(sp, state=True)
-    sp.add_argument("--prune", type=float, default=1e-12)
+    sp.add_argument("--prune", type=float, default=DEFAULT_PRUNE)
     sp.add_argument("--limit", type=int, default=None)
 
     sp = sub.add_parser("oracle", help="brute-force distribution, optional compare")
-    sp.add_argument("--d", type=int, default=2)
+    common(sp)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--state", default=None)
     sp.add_argument("--compare", default=None)
     sp.add_argument("--limit", type=int, default=None)
-    sp.add_argument("--format", choices=["json", "csv"], default="json")
 
     sp = sub.add_parser("cg", help="emit a Clebsch-Gordan transform")
-    sp.add_argument("--d", type=int, default=2)
-    sp.add_argument("--lambda", dest="lam", required=True)
+    common(sp, formats=("json",))
+    sp.add_argument("--lambda", dest="lambda", required=True)
     sp.add_argument("--dump", default=None)
     sp.add_argument("--dump-irrep", dest="dump_irrep", default=None)
-    sp.add_argument("--format", choices=["json"], default="json")
 
     sp = sub.add_parser("resources", help="memory/gate-count report")
+    common(sp)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--d", type=int, default=2)
     sp.add_argument("--epsilon", type=float, required=True)
     sp.add_argument("--p", type=float, default=4.0)
     sp.add_argument("--c", type=float, default=1.0)
-    sp.add_argument("--format", choices=["json", "csv"], default="json")
 
     return p
 
@@ -329,10 +304,10 @@ def run(argv: list[str]) -> tuple[int, str]:
         parser.print_usage()
         return 1, ""
     try:
-        return COMMANDS[args.command](args)
+        return 0, COMMANDS[args.command](args)
     # InvalidInputError, InvalidPartitionError and json.JSONDecodeError
-    # are ValueErrors
-    except (ValueError, OSError) as e:
+    # are ValueErrors; an OverflowError is a number past the float range
+    except (ValueError, OverflowError, OSError) as e:
         return 1, json.dumps({"error": str(e)})
     except (SizeLimitError, BranchExplosionError) as e:
         return 2, json.dumps({"error": str(e)})

@@ -30,8 +30,11 @@ class NumericalCollapseError(RuntimeError):
 def check_state(state, dim: int) -> np.ndarray:
     """`state` as a complex array once it is checked to be a state on C^dim:
     a unit vector of length dim, or a dim x dim density matrix that is
-    Hermitian, has trace 1 and no eigenvalue below -STATE_TOL."""
+    Hermitian, has trace 1 and no eigenvalue below -STATE_TOL.  Every
+    entry must be finite: the comparisons below are all false on NaN."""
     state = np.asarray(state, dtype=complex)
+    if not np.all(np.isfinite(state)):
+        raise InvalidInputError("state has a non-finite entry")
     if state.ndim == 1:
         if state.shape != (dim,):
             raise InvalidInputError(f"state length {state.shape[0]} != {dim}")

@@ -1,9 +1,7 @@
 """Brute-force ground truth on the full d^n-dimensional space.
 
 Builds the iterated Schur transform as a product of super Clebsch-Gordan
-transforms and keeps a row index table mapping each row of the unitary to
-its (Young label, lattice path, GT index) triple.  Copies of an irrep are
-ordered by the canonical (lexicographic) path order, which makes the
+transforms.  Copies of an irrep are ordered by the canonical (lexicographic) path order, which makes the
 path <-> multiplicity-label correspondence an exact row-index statement.
 
 Only intended for small n; guarded by explicit size limits.
@@ -17,8 +15,7 @@ import numpy as np
 
 from .cg import cg_transform
 from .errors import SizeLimitError, check_state
-from .partitions import (LatticePath, Partition, dim_unitary, one_box,
-                         partitions_of, valid_rows, add_box)
+from .partitions import LatticePath, Partition, one_box, partitions_of
 
 DEFAULT_LIMITS = {2: 10, 3: 6}  # max n per d before we refuse to build
 
@@ -45,8 +42,6 @@ class SchurUnitary:
     d: int
     matrix: np.ndarray
     sectors: list[Sector]
-    # rows[r] = (lam, path, gt_index)
-    rows: list[tuple[Partition, tuple[int, ...], int]]
 
     def rows_for(self, lam: Partition) -> list[int]:
         out = []
@@ -108,11 +103,7 @@ def schur_transform(n: int, d: int, limit: int | None = None) -> SchurUnitary:
     for _ in range(n - 1):
         s_mat, sectors = _expand(sectors, d)
         u = s_mat @ np.kron(u, np.eye(d))
-    rows: list[tuple[Partition, tuple[int, ...], int]] = [None] * (d ** n)
-    for s in sectors:
-        for q in range(s.dim):
-            rows[s.offset + q] = (s.lam, s.path, q)
-    return SchurUnitary(n=n, d=d, matrix=u, sectors=sectors, rows=rows)
+    return SchurUnitary(n=n, d=d, matrix=u, sectors=sectors)
 
 
 def isotypic_projector(su: SchurUnitary, lam: Partition) -> np.ndarray:

@@ -23,8 +23,6 @@ def qudit_width(k: int, d: int) -> int:
     """Qudits needed during iteration k: one L qudit plus the smallest Q
     register of m qudits with d^m >= (k+2)^(d-1), the dimension bound after
     the new qudit; exact integer arithmetic."""
-    if d == 2:
-        return qubit_width(k)
     bound = (k + 2) ** (d - 1)
     m = 0
     while d ** m < bound:
@@ -43,9 +41,6 @@ class IterationRecord:
     k: int
     width: int
     removal: bool
-
-    def to_dict(self) -> dict:
-        return {"k": self.k, "width": self.width, "removal": self.removal}
 
 
 def memory_profile(n: int, d: int = 2) -> list[IterationRecord]:
@@ -98,6 +93,23 @@ def two_level_total_by_sum(n: int) -> int:
     return sum(4 * (k + 1) for k in range(1, n))
 
 
+def _model_delta(n: int, epsilon: float, c: float, factors: tuple[int, ...],
+                 p: float | None = None) -> float:
+    """The one argument check of the gate-count models (n >= 2,
+    0 < epsilon < 1, finite c > 0 and, where the model uses it, finite
+    p > 0), then the per-gate precision delta = epsilon / (c * factors...),
+    which must lie in (0, 1) for its gate depth log2(1/delta) to count."""
+    if (n < 2 or not 0 < epsilon < 1 or not 0 < c < math.inf
+            or p is not None and not 0 < p < math.inf):
+        raise ValueError("need n >= 2, 0 < epsilon < 1, 0 < c < inf "
+                         "and 0 < p < inf")
+    delta = epsilon / math.prod(factors, start=c)
+    if not 0 < delta < 1:
+        raise ValueError(f"the per-gate precision delta = {delta!r} "
+                         "must lie in (0, 1)")
+    return delta
+
+
 @dataclass
 class GateCountModel:
     n: int
@@ -112,23 +124,13 @@ class GateCountModel:
     note: str = ("count model with explicit constants, "
                  "not a synthesized circuit")
 
-    def to_dict(self) -> dict:
-        return {"n": self.n, "d": self.d, "epsilon": self.epsilon, "c": self.c,
-                "p": self.p, "two_level_total": self.two_level_total,
-                "delta": self.delta,
-                "single_qubit_depth": self.single_qubit_depth,
-                "clifford_t_estimate": self.clifford_t_estimate,
-                "note": self.note}
-
 
 def qubit_gate_count(n: int, epsilon: float, c: float = 1.0) -> GateCountModel:
     """Two-level total 2n^2+2n-4, expanded to a Clifford+T estimate:
     each two-level unitary costs n CNOT/single-qubit slots, each
     single-qubit gate ceil(log2(1/delta)) with delta = epsilon/(c n^2)."""
-    if n < 2 or not 0 < epsilon < 1 or c <= 0:
-        raise ValueError("need n >= 2, 0 < epsilon < 1, c > 0")
+    delta = _model_delta(n, epsilon, c, (n, n))
     total = two_level_total(n)
-    delta = epsilon / (c * n * n)
     depth = math.ceil(math.log2(1 / delta))
     return GateCountModel(n=n, d=2, epsilon=epsilon, c=c, p=None,
                           two_level_total=total, delta=delta,
@@ -149,12 +151,6 @@ class QuditGateBound:
     total_estimate: int
     note: str = ("count model with explicit constants, "
                  "not a synthesized circuit")
-
-    def to_dict(self) -> dict:
-        return {"n": self.n, "d": self.d, "epsilon": self.epsilon, "p": self.p,
-                "c": self.c, "m_exact": self.m_exact,
-                "m_integral_bound": self.m_integral_bound, "delta": self.delta,
-                "total_estimate": self.total_estimate, "note": self.note}
 
 
 def qudit_m_sum(n: int, d: int) -> int:
@@ -182,10 +178,10 @@ def qudit_gate_bound(n: int, d: int, epsilon: float, p: float = 4.0,
                      c: float = 1.0) -> QuditGateBound:
     """Total gate-count model M * n * ceil(log2(1/delta))^p with
     delta = epsilon / (c d n^(2d-1))."""
-    if d < 2 or p <= 0:
-        raise ValueError("need d >= 2, p > 0")
+    if d < 2:
+        raise ValueError("need d >= 2")
+    delta = _model_delta(n, epsilon, c, (d, n ** (2 * d - 1)), p)
     m_exact = qudit_m_sum(n, d)
-    delta = epsilon / (c * d * n ** (2 * d - 1))
     depth = math.ceil(math.log2(1 / delta)) ** p
     return QuditGateBound(n=n, d=d, epsilon=epsilon, p=p, c=c,
                           m_exact=m_exact,

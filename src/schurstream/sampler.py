@@ -193,10 +193,6 @@ class RunResult:
     path: LatticePath
     amplitudes: np.ndarray
 
-    @property
-    def d(self) -> int:
-        return self.lam.d
-
 
 def run_stream(stream: list[np.ndarray], d: int, seed: int = 0,
                max_steps: int | None = None) -> RunResult:
@@ -233,10 +229,14 @@ def run_full_state(state: np.ndarray, d: int,
     one by one, each CG transform acting on the leading qudits and the
     identity on the rest, enumerating all branches; handles entangled
     inputs."""
+    if d < 2:
+        raise InvalidInputError(f"d={d}: need d >= 2")
     state = np.asarray(state, dtype=complex)
     size = state.shape[0]
-    n = round(math.log(size, d))
-    if n < 1 or d ** n != size:
+    n, power = 0, 1
+    while power < size:
+        n, power = n + 1, power * d
+    if n < 1 or power != size:
         raise InvalidInputError(f"state size {size} is not d^n for d={d}, n >= 1")
     lim = limit if limit is not None else DEFAULT_FULL_LIMITS.get(d, 5)
     if n > lim:

@@ -230,3 +230,66 @@ class TestContract:
         assert code == 0
         schema = json.loads(out)
         assert "stream.json" in schema and "state.json" in schema
+
+
+class TestRefusedInputs:
+    @pytest.mark.parametrize("extra", [["--epsilon", "0"],
+                                       ["--epsilon", "-1"],
+                                       ["--epsilon", "2"],
+                                       ["--epsilon", "0.1", "--c", "0"],
+                                       ["--epsilon", "0.1", "--c", "inf"]])
+    @pytest.mark.parametrize("d", ["2", "3"])
+    def test_resources_bad_model_args_exit_1(self, d, extra):
+        code, out = run(["resources", "--n", "5", "--d", d] + extra)
+        assert code == 1
+        assert "epsilon" in json.loads(out)["error"]
+
+    # delta underflows to 0; delta > 1 gives a negative gate depth
+    @pytest.mark.parametrize("extra", [["--epsilon", "5e-324"],
+                                       ["--epsilon", "0.1", "--c", "1e-300"]])
+    @pytest.mark.parametrize("d", ["2", "3"])
+    def test_resources_delta_outside_unit_interval_exit_1(self, d, extra):
+        code, out = run(["resources", "--n", "5", "--d", d] + extra)
+        assert code == 1
+        assert "delta" in json.loads(out)["error"]
+
+    @pytest.mark.parametrize("p", ["0", "nan", "1000"])  # 1000 overflows
+    def test_resources_bad_p_exit_1(self, p):
+        code, out = run(["resources", "--n", "5", "--d", "3",
+                         "--epsilon", "0.1", "--p", p])
+        assert code == 1
+        assert "error" in json.loads(out)
+
+    @pytest.mark.parametrize("command", ["dist", "sample", "full", "oracle"])
+    @pytest.mark.parametrize("form", ["vector", "rho"])
+    def test_nan_state_exit_1(self, tmp_path, command, form):
+        nan = float("nan")
+        if command in ("dist", "sample"):
+            stream = ([[nan, 0], [1, 0]] if form == "vector"
+                      else {"iid": {"rho": [[nan, 0], [0, 1]], "n": 2}})
+            p = tmp_path / "stream.json"
+            p.write_text(json.dumps(stream))
+            argv = [command, "--stream", str(p)]
+        else:
+            state = ({"vector": [nan, 0, 0, 1]} if form == "vector"
+                     else {"rho": np.diag([nan, 0, 0, 1]).tolist()})
+            p = tmp_path / "state.json"
+            p.write_text(json.dumps(state))
+            argv = (["full", "--state", str(p)] if command == "full"
+                    else ["oracle", "--n", "2", "--state", str(p)])
+        code, out = run(argv)
+        assert code == 1
+        assert "non-finite" in json.loads(out)["error"]
+
+    @pytest.mark.parametrize("d", ["1", "0"])
+    def test_full_d_below_2_exit_1(self, tmp_path, d):
+        p = tmp_path / "state.json"
+        p.write_text(json.dumps({"vector": [0.5, 0.5, 0.5, 0.5]}))
+        code, out = run(["full", "--d", d, "--state", str(p)])
+        assert code == 1
+        assert "d >= 2" in json.loads(out)["error"]
+
+    def test_oracle_compare_length_mismatch_exit_1(self, zeros_file):
+        code, out = run(["oracle", "--n", "2", "--compare", zeros_file])
+        assert code == 1
+        assert "--n 2" in json.loads(out)["error"]

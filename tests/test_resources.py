@@ -51,7 +51,7 @@ class TestMemoryProfile:
 
     def test_qudit_width_exact(self):
         # smallest m with d^m >= (k+2)^(d-1), by search from m = 0
-        for d in range(3, 8):
+        for d in range(2, 8):
             m = 0
             for k in range(3000):
                 while d ** m < (k + 2) ** (d - 1):
