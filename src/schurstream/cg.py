@@ -29,12 +29,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import SizeLimitError
+from . import errors
 from .gt_basis import enumerate_gt
 from .partitions import Partition, add_box, dim_unitary, valid_rows
 
 UNITARITY_TOL = 1e-12
-CG_MAX_SIZE = 4096  # a dense 4096^2 float matrix is 128 MiB
 
 
 class DegeneracyError(RuntimeError):
@@ -168,26 +167,38 @@ def cg_closed(lam: Partition, d: int | None = None) -> CGTransform:
 
 
 _cache: dict = {}
+_cache_bytes = 0  # matrix bytes the cache holds
 _cache_lock = threading.Lock()
 
 
+def _build_bytes(size: int) -> int:
+    """Peak bytes of a build: the matrix and check_unitary's temporaries
+    (measured 24.0 size^2 at sides 802 to 2002), and GT patterns per row."""
+    return 32 * size * size + 4096 * size
+
+
 def cg_transform(lam: Partition, d: int | None = None) -> CGTransform:
-    """Cached CG transform: cg_qubit for d=2, cg_closed otherwise.  A
-    transform of side above CG_MAX_SIZE is refused before it is built."""
+    """Cached CG transform: cg_qubit for d=2, cg_closed otherwise.  A build
+    over the memory budget is refused; one that would take the cache over
+    it empties the cache first."""
+    global _cache_bytes
     if d is None:
         d = lam.d
     key = (lam.parts, d)
     t = _cache.get(key)
     if t is None:
         size = d * dim_unitary(lam, d)
-        if size > CG_MAX_SIZE:
-            raise SizeLimitError(f"CG transform of size {size} at lambda={lam}, "
-                                 f"d={d} exceeds {CG_MAX_SIZE}")
+        need = _build_bytes(size)
+        errors.check_budget(f"CG transform of size {size} at lambda={lam}", need)
         with _cache_lock:
             t = _cache.get(key)
             if t is None:
+                if _cache_bytes + need > errors.MEMORY_BUDGET:
+                    _cache.clear()
+                    _cache_bytes = 0
                 t = cg_qubit(lam) if d == 2 else cg_closed(lam, d)
                 _cache[key] = t
+                _cache_bytes += t.matrix.nbytes
     return t
 
 

@@ -6,7 +6,7 @@ argument (the RNG seed among them), so identical (config, seed) runs are
 byte-identical.  `--format csv` emits a flat projection of the same
 numbers, with `;` in place of the commas inside a label or path.
 
-Exit codes: 0 success, 1 validation error, 2 guardrail/size-limit error.
+Exit codes: 0 success, 1 validation error, 2 over the memory budget.
 """
 
 from __future__ import annotations
@@ -22,14 +22,14 @@ import numpy as np
 
 from . import __version__
 from .cg import cg_transform, verify_sparsity
-from .errors import BranchExplosionError, InvalidInputError, SizeLimitError
+from .errors import InvalidInputError, SizeLimitError, check_budget
 from .gt_basis import build_irrep
 from .oracle import schur_transform, weak_schur_probs
-from .partitions import LatticePath, Partition
+from .partitions import LatticePath, Partition, dim_unitary
 from .resources import (memory_profile, peak_width, qubit_gate_count,
                         qudit_gate_bound, two_level_total)
-from .sampler import (DEFAULT_BRANCH_CAP, DEFAULT_PRUNE, branch_distribution,
-                      run_full_state, run_stream)
+from .sampler import (DEFAULT_PRUNE, branch_distribution, run_full_state,
+                      run_stream)
 
 STREAM_SCHEMA = {
     "stream.json": {
@@ -161,8 +161,7 @@ def cmd_sample(args) -> str:
 
 def cmd_dist(args) -> str:
     stream = load_stream(args.stream, args.d)
-    return _emit_dist(args, branch_distribution(
-        stream, args.d, prune=args.prune, branch_cap=args.branch_cap))
+    return _emit_dist(args, branch_distribution(stream, args.d, prune=args.prune))
 
 
 def cmd_full(args) -> str:
@@ -179,23 +178,28 @@ def cmd_oracle(args) -> str:
         size = args.d ** args.n
         state = np.eye(size) / size
     probs = weak_schur_probs(state, su)
-    body = {"marginal": {str(lam): p for lam, p in probs.items()}}
     if args.compare:
         stream = load_stream(args.compare, args.d)
         if len(stream) != args.n:
             raise InvalidInputError(f"compare stream has {len(stream)} qudits, "
                                     f"not --n {args.n}")
+    if args.format == "csv":
+        return _csv(["lambda", "probability"], probs.items())
+    body = {"marginal": {str(lam): p for lam, p in probs.items()}}
+    if args.compare:
         marg = branch_distribution(stream, args.d).marginal
         body["sampler_marginal"] = {str(lam): p for lam, p in marg.items()}
         body["max_deviation"] = max(abs(marg.get(lam, 0.0) - p)
                                     for lam, p in probs.items())
-    if args.format == "csv":
-        return _csv(["lambda", "probability"], probs.items())
     return _emit(args, body)
 
 
 def cmd_cg(args) -> str:
     lam = Partition.from_string(getattr(args, "lambda"))
+    size = args.d * dim_unitary(lam, args.d)
+    # the JSON matrix report (measured 407 B per entry) and the build's rows
+    check_budget(f"cg report of size {size} at lambda={lam}",
+                 440 * size * size + 4096 * size)
     t = cg_transform(lam, args.d)
     out = _emit(args, {
         "size": t.size,
@@ -255,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("dist", help="exact branch distribution of a stream")
     common(sp, stream=True)
     sp.add_argument("--prune", type=float, default=DEFAULT_PRUNE)
-    sp.add_argument("--branch-cap", type=int, default=DEFAULT_BRANCH_CAP)
 
     sp = sub.add_parser("full", help="full-state simulation (entangled inputs)")
     common(sp, state=True)
@@ -309,8 +312,8 @@ def run(argv: list[str]) -> tuple[int, str]:
     # are ValueErrors; an OverflowError is a number past the float range
     except (ValueError, OverflowError, OSError) as e:
         return 1, json.dumps({"error": str(e)})
-    except (SizeLimitError, BranchExplosionError) as e:
-        return 2, json.dumps({"error": str(e)})
+    except (SizeLimitError, MemoryError) as e:  # MemoryError: a backstop
+        return 2, json.dumps({"error": str(e) or "out of memory"})
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,7 +1,8 @@
-"""The error taxonomy and the one check that an input is a physical state.
+"""The error taxonomy, the one check that an input is a physical state, and
+the one memory budget that every allocator checks its byte estimate against.
 
 The CLI maps `InvalidInputError` (and every other `ValueError`) to exit
-code 1, and `SizeLimitError` and `BranchExplosionError` to exit code 2.
+code 1, and `SizeLimitError` to exit code 2.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 STATE_TOL = 1e-9
+MEMORY_BUDGET = 1 << 30  # bytes
 
 
 class InvalidInputError(ValueError):
@@ -16,15 +18,22 @@ class InvalidInputError(ValueError):
 
 
 class SizeLimitError(RuntimeError):
-    """A request above a guardrail, refused before it allocates."""
-
-
-class BranchExplosionError(RuntimeError):
-    """More live branches than the enumeration's branch cap."""
+    """A request over the memory budget, refused before it allocates."""
 
 
 class NumericalCollapseError(RuntimeError):
     """All branch probabilities vanished; the state is corrupted."""
+
+
+def check_budget(request: str, estimate: int, n: int = 0,
+                 limit: int | None = None) -> None:
+    """Refuse `request` when `estimate`, the bytes it will hold, is over
+    MEMORY_BUDGET; an explicit `limit` replaces the budget by n <= limit."""
+    if limit is None and estimate > MEMORY_BUDGET:
+        raise SizeLimitError(f"{request} needs about {estimate} bytes, over the "
+                             f"memory budget of {MEMORY_BUDGET} bytes")
+    if limit is not None and n > limit:
+        raise SizeLimitError(f"{request}: n={n} exceeds the limit {limit}")
 
 
 def check_state(state, dim: int) -> np.ndarray:

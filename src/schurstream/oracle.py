@@ -4,7 +4,7 @@ Builds the iterated Schur transform as a product of super Clebsch-Gordan
 transforms.  Copies of an irrep are ordered by the canonical (lexicographic) path order, which makes the
 path <-> multiplicity-label correspondence an exact row-index statement.
 
-Only intended for small n; guarded by explicit size limits.
+Only intended for small n; guarded by the memory budget.
 """
 
 from __future__ import annotations
@@ -14,17 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cg import cg_transform
-from .errors import SizeLimitError, check_state
+from .errors import check_budget, check_state
 from .partitions import LatticePath, Partition, one_box, partitions_of
 
-DEFAULT_LIMITS = {2: 10, 3: 6}  # max n per d before we refuse to build
 
-
-def _check_size(n: int, d: int, limit: int | None):
-    if limit is None:
-        limit = DEFAULT_LIMITS.get(d, 4)
-    if n > limit:
-        raise SizeLimitError(f"oracle for n={n}, d={d} exceeds limit {limit}")
+def _transform_bytes(n: int, d: int) -> int:
+    """Bytes the oracle on D = d^n holds with its report (measured 88 D^2 at
+    D = 1024 and 729); d^64 is over any budget, so the power stops there."""
+    return 96 * d ** (2 * min(n, 64))
 
 
 @dataclass(frozen=True)
@@ -79,13 +76,13 @@ def _expand(sectors: list[Sector], d: int) -> tuple[np.ndarray, list[Sector]]:
     return mat, new_sectors
 
 
-def super_cg(k: int, d: int, limit: int | None = None) -> np.ndarray:
+def super_cg(k: int, d: int) -> np.ndarray:
     """The super Clebsch-Gordan transform mapping the running Schur basis
     of k qudits (canonical sector order) plus one new qudit to that of k+1
     qudits; size d^(k+1)."""
     if k < 1:
         raise ValueError("k >= 1 required")
-    _check_size(k + 1, d, limit)
+    check_budget(f"super CG for n={k + 1}, d={d}", _transform_bytes(k + 1, d))
     sectors = _initial_sectors(d)
     for _ in range(k - 1):
         _, sectors = _expand(sectors, d)
@@ -97,7 +94,7 @@ def schur_transform(n: int, d: int, limit: int | None = None) -> SchurUnitary:
     """U_Sch(n) = S(n-1) (S(n-2) (x) I_d) ... (S(1) (x) I_d^(n-2))."""
     if n < 1:
         raise ValueError("n >= 1 required")
-    _check_size(n, d, limit)
+    check_budget(f"oracle for n={n}, d={d}", _transform_bytes(n, d), n, limit)
     u = np.eye(d)
     sectors = _initial_sectors(d)
     for _ in range(n - 1):
@@ -130,7 +127,7 @@ def weak_schur_probs(rho: np.ndarray, su: SchurUnitary) -> dict[Partition, float
     rho_sch = su.matrix @ rho @ su.matrix.conj().T
     out = {}
     for lam in partitions_of(su.n, su.d):
-        p_std = float(np.real(np.trace(rho @ isotypic_projector(su, lam))))
+        p_std = float(np.real(np.sum(rho * isotypic_projector(su, lam).T)))
         idx = su.rows_for(lam)
         p_sch = float(np.real(np.sum(np.diag(rho_sch)[idx])))
         if abs(p_std - p_sch) > 1e-10:
@@ -150,40 +147,4 @@ def path_probs(rho: np.ndarray, su: SchurUnitary) -> dict[tuple[Partition, tuple
     out = {}
     for s in su.sectors:
         out[(s.lam, s.path)] = float(np.sum(diag[s.offset:s.offset + s.dim]))
-    return out
-
-
-def perm_rep(sigma: list[int] | tuple[int, ...], n: int, d: int) -> np.ndarray:
-    """P(sigma)|i_1...i_n> = |i_{sigma^{-1}(1)}...i_{sigma^{-1}(n)}>, a
-    d^n permutation matrix; sigma is 0-based (sigma[k] = image of slot k)."""
-    sigma = list(sigma)
-    if sorted(sigma) != list(range(n)):
-        raise ValueError(f"not a permutation of {n} elements: {sigma}")
-    size = d ** n
-    mat = np.zeros((size, size))
-    for col in range(size):
-        digits = []
-        x = col
-        for _ in range(n):
-            digits.append(x % d)
-            x //= d
-        digits.reverse()  # digits[k] = i_{k+1}
-        new_digits = [0] * n
-        for k in range(n):
-            new_digits[sigma[k]] = digits[k]
-        row = 0
-        for dig in new_digits:
-            row = row * d + dig
-        mat[row, col] = 1.0
-    return mat
-
-
-def tensor_rep(u: np.ndarray, n: int) -> np.ndarray:
-    """U^(x)n acting on (C^d)^(x)n."""
-    u = np.asarray(u, dtype=complex)
-    if np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) > 1e-10:
-        raise ValueError("input is not unitary")
-    out = np.eye(1, dtype=complex)
-    for _ in range(n):
-        out = np.kron(out, u)
     return out

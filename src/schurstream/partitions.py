@@ -94,15 +94,18 @@ class LatticePath:
             return cls(())
         return cls(tuple(int(t) for t in s.split(",")))
 
-    def partitions(self, d: int) -> list[Partition]:
-        """The induced sequence lam^1 = (1,0,...), ..., lam^n."""
-        seq = [one_box(d)]
-        for j in self.steps:
-            seq.append(add_box(seq[-1], j))
-        return seq
-
     def endpoint(self, d: int) -> Partition:
-        return self.partitions(d)[-1]
+        """The label lam^n the path reaches from (1,0,...); a step off
+        Young's lattice raises InvalidPartitionError, as add_box does."""
+        parts = [1] + [0] * (d - 1)
+        for j in self.steps:
+            if not 0 <= j < d:
+                raise InvalidPartitionError(f"row index {j} out of range for d={d}")
+            if j >= 1 and parts[j - 1] == parts[j]:
+                raise InvalidPartitionError(
+                    f"{','.join(map(str, parts))} + e_{j} is not a valid partition")
+            parts[j] += 1
+        return Partition(tuple(parts))
 
 
 def _hooks(lam: Partition) -> Iterator[int]:

@@ -27,14 +27,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cg import CGTransform, cg_transform
-from .errors import (BranchExplosionError, InvalidInputError,
-                     NumericalCollapseError, SizeLimitError, check_state)
+from .errors import (InvalidInputError, NumericalCollapseError, check_budget,
+                     check_state)
 from .partitions import LatticePath, Partition, one_box
 from .resources import qubit_width, removal
 
 DEFAULT_PRUNE = 1e-12
-DEFAULT_BRANCH_CAP = 10 ** 6
-DEFAULT_FULL_LIMITS = {2: 12, 3: 7}
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -114,13 +112,20 @@ class BranchDistribution:
         return sum(self.entries.values())
 
 
+def _leaf_bytes(n: int) -> int:
+    """Bytes a leaf holds with its share of the `dist` or `full` report
+    (measured 573 B in JSON and 675 B in CSV at n=16)."""
+    return 512 + 32 * n
+
+
 def _enumerate(d: int, n: int, root: np.ndarray, outcomes_fn,
-               prune: float, branch_cap: int) -> BranchDistribution:
+               prune: float, held: int = 0) -> BranchDistribution:
     """Depth-first enumeration of every measurement branch of n qudits.
     Nodes carry unnormalized states, whose weight is the accumulated branch
     probability; `outcomes_fn(k, lam, state)` gives the children of a node
     after k qudits.  Children lighter than `prune` are dropped and their
-    weight is added to `pruned`.
+    weight is added to `pruned`.  Each leaf, on top of the `held` bytes
+    of the walk's states, is checked against the memory budget.
 
     Children are pushed in reverse, so each node's are popped j ascending
     and the leaves arrive in sorted path order: `entries` is sorted, and
@@ -130,13 +135,13 @@ def _enumerate(d: int, n: int, root: np.ndarray, outcomes_fn,
     pruned = 0.0
     # stack entries: (k, lam, unnormalized state, steps)
     stack = [(1, one_box(d), root, ())]
+    leaf = _leaf_bytes(n)
     while stack:
-        if len(stack) > branch_cap:
-            raise BranchExplosionError(f"live branch count exceeded {branch_cap}")
         k, lam, cur, steps = stack.pop()
         if k == n:
             w = entries[steps] = _weight(cur)
             marginal[lam] = marginal.get(lam, 0.0) + w
+            check_budget(f"a walk of {len(entries)} leaves", held + len(entries) * leaf)
             continue
         for j, target, p, sub in reversed(outcomes_fn(k, lam, cur)):
             if p < prune:
@@ -210,8 +215,7 @@ def run_stream(stream: list[np.ndarray], d: int, seed: int = 0,
 
 
 def branch_distribution(stream: list[np.ndarray], d: int,
-                        prune: float = DEFAULT_PRUNE,
-                        branch_cap: int = DEFAULT_BRANCH_CAP) -> BranchDistribution:
+                        prune: float = DEFAULT_PRUNE) -> BranchDistribution:
     """Every measurement branch of a product stream, with its probability."""
     if len(stream) < 1:
         raise InvalidInputError("empty stream")
@@ -219,7 +223,7 @@ def branch_distribution(stream: list[np.ndarray], d: int,
     return _enumerate(
         d, len(stream), stream[0],
         lambda k, lam, amp: _product_outcomes(lam, d, amp, stream[k]),
-        prune, branch_cap)
+        prune)
 
 
 def run_full_state(state: np.ndarray, d: int,
@@ -238,14 +242,15 @@ def run_full_state(state: np.ndarray, d: int,
         n, power = n + 1, power * d
     if n < 1 or power != size:
         raise InvalidInputError(f"state size {size} is not d^n for d={d}, n >= 1")
-    lim = limit if limit is not None else DEFAULT_FULL_LIMITS.get(d, 5)
-    if n > lim:
-        raise SizeLimitError(f"n={n} exceeds full-state limit {lim} for d={d}")
+    # the state, check_state's copies and each level's rotation: measured
+    # 3.0 times the state (a vector at n=16, a density matrix at n=10)
+    held = 64 * state.size
+    check_budget(f"full state of n={n}, d={d}", held, n, limit)
     state = check_state(state, size)
     return _enumerate(
         d, n, state,
         lambda k, lam, cur: _outcomes(cg_transform(lam, d), cur),
-        prune, DEFAULT_BRANCH_CAP)
+        prune, 0 if limit is not None else held)
 
 
 # ---------------------------------------------------------------------------
@@ -357,4 +362,4 @@ def register_branch_distribution(stream: list[np.ndarray],
                 for j, target, p, h in halves if target is not None]
 
     return _enumerate(2, len(stream), register_init(stream[0]).vector, outcomes,
-                      prune, DEFAULT_BRANCH_CAP)
+                      prune)

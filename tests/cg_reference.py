@@ -7,8 +7,11 @@ of the raising generators, and the remaining columns are propagated with
 the lowering generators so that the result is an exact GT-basis
 intertwiner (ladder matrix elements non-negative by construction).
 `irrep_unitary` exponentiates the GT generators to give Q_lam(u).
-`givens_reconstruct` multiplies a Givens decomposition back together, and
-`cg_givens_count` measures the rotation count of a CG matrix.
+`givens_reconstruct` multiplies a Givens decomposition back together,
+`cg_givens_count` measures the rotation count of a CG matrix, and
+`two_level_total_by_sum` sums the qubit two-level bound term by term.
+`perm_rep` and `tensor_rep` are the S_n and U^(x)n actions on the d^n
+space that the symmetry checks apply.
 """
 
 from __future__ import annotations
@@ -183,3 +186,43 @@ def cg_givens_count(lam: Partition, d: int) -> int:
     """Measured Givens-rotation count for the CG matrix at (lam, d)."""
     rotations, _ = givens_decompose(cg_transform(lam, d).matrix)
     return len(rotations)
+
+
+def two_level_total_by_sum(n: int) -> int:
+    return sum(4 * (k + 1) for k in range(1, n))
+
+
+def perm_rep(sigma: list[int] | tuple[int, ...], n: int, d: int) -> np.ndarray:
+    """P(sigma)|i_1...i_n> = |i_{sigma^{-1}(1)}...i_{sigma^{-1}(n)}>, a
+    d^n permutation matrix; sigma is 0-based (sigma[k] = image of slot k)."""
+    sigma = list(sigma)
+    if sorted(sigma) != list(range(n)):
+        raise ValueError(f"not a permutation of {n} elements: {sigma}")
+    size = d ** n
+    mat = np.zeros((size, size))
+    for col in range(size):
+        digits = []
+        x = col
+        for _ in range(n):
+            digits.append(x % d)
+            x //= d
+        digits.reverse()  # digits[k] = i_{k+1}
+        new_digits = [0] * n
+        for k in range(n):
+            new_digits[sigma[k]] = digits[k]
+        row = 0
+        for dig in new_digits:
+            row = row * d + dig
+        mat[row, col] = 1.0
+    return mat
+
+
+def tensor_rep(u: np.ndarray, n: int) -> np.ndarray:
+    """U^(x)n acting on (C^d)^(x)n."""
+    u = np.asarray(u, dtype=complex)
+    if np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) > 1e-10:
+        raise ValueError("input is not unitary")
+    out = np.eye(1, dtype=complex)
+    for _ in range(n):
+        out = np.kron(out, u)
+    return out

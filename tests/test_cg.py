@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cg_reference import cg_numeric, irrep_unitary
-from schurstream import cg, gt_basis
+from schurstream import cg, errors, gt_basis
 from schurstream.cg import (CGTransform, cg_closed, cg_qubit, cg_transform,
                             verify_sparsity)
 from schurstream.partitions import (Partition, add_box, dim_unitary, one_box,
@@ -178,9 +178,9 @@ class TestSizeLimit:
         lam = Partition(parts)
         size = d * dim_unitary(lam, d)
         monkeypatch.setattr(cg, "_cache", {})
-        monkeypatch.setattr(cg, "CG_MAX_SIZE", size - 1)
-        with pytest.raises(cg.SizeLimitError):
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", cg._build_bytes(size) - 1)
+        with pytest.raises(errors.SizeLimitError, match=f"size {size}"):
             cg_transform(lam, d)
         assert cg._cache == {}
-        monkeypatch.setattr(cg, "CG_MAX_SIZE", size)
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", cg._build_bytes(size))
         assert cg_transform(lam, d).size == size

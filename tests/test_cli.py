@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from schurstream import cg
+from schurstream import cg, cli, errors
 from schurstream.cli import run
+from schurstream.sampler import _leaf_bytes
 
 IID_MIXED_N3 = {"iid": {"rho": [[0.5, 0], [0, 0.5]], "n": 3}}
 ZEROS_N5 = [[1, 0]] * 5
@@ -99,6 +100,18 @@ class TestOracle:
         assert code == 0
         report = json.loads(out)
         assert report["max_deviation"] <= 1e-9
+
+    def test_csv_compare_checks_length_without_enumerating(self, iid_file,
+                                                           zeros_file, monkeypatch):
+        def enumerate_(*args, **kwargs):
+            raise AssertionError("the CSV report holds no sampler marginal")
+
+        monkeypatch.setattr(cli, "branch_distribution", enumerate_)
+        argv = ["oracle", "--n", "3", "--format", "csv", "--compare"]
+        assert run(argv + [iid_file])[0] == 0
+        code, out = run(argv + [zeros_file])
+        assert code == 1
+        assert "--n 3" in json.loads(out)["error"]
 
 
 class TestCg:
@@ -198,12 +211,13 @@ class TestContract:
         assert code == 1
         assert "iid" in json.loads(out)["error"]
 
-    def test_guardrail_exit_2(self, tmp_path):
+    def test_guardrail_exit_2(self, tmp_path, monkeypatch):
         p = tmp_path / "big.json"
         p.write_text(json.dumps({"iid": {"rho": [[0.5, 0], [0, 0.5]],
                                          "n": 12}}))
-        code, out = run(["dist", "--d", "2", "--stream", str(p),
-                         "--branch-cap", "5"])
+        assert run(["dist", "--d", "2", "--stream", str(p)])[0] == 0
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", 5 * _leaf_bytes(12))
+        code, out = run(["dist", "--d", "2", "--stream", str(p)])
         assert code == 2
         assert "error" in json.loads(out)
 
@@ -222,7 +236,7 @@ class TestContract:
         assert cg._cache == {}
 
     def test_oracle_size_limit_exit_2(self):
-        code, _ = run(["oracle", "--d", "2", "--n", "11"])
+        code, _ = run(["oracle", "--d", "2", "--n", "12"])
         assert code == 2
 
     def test_schema_flag(self):

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+from cg_reference import perm_rep, tensor_rep
+from schurstream import errors
 from schurstream.cg import cg_qubit
-from schurstream.errors import InvalidInputError
-from schurstream.oracle import (SizeLimitError, copy_projector,
-                                isotypic_projector, path_probs, perm_rep,
-                                schur_transform, super_cg, tensor_rep,
-                                weak_schur_probs)
+from schurstream.errors import InvalidInputError, SizeLimitError
+from schurstream.oracle import (copy_projector, isotypic_projector, path_probs,
+                                schur_transform, super_cg, weak_schur_probs)
 from schurstream.partitions import (LatticePath, Partition, dim_symmetric,
                                     dim_unitary, enumerate_paths, one_box,
                                     partitions_of, schur_weyl_weight)
@@ -69,10 +69,13 @@ class TestSchurTransform:
                                 np.eye(d ** n)))
             assert dev <= 1e-10
 
-    def test_size_guardrail(self):
+    def test_size_guardrail(self, monkeypatch):
         with pytest.raises(SizeLimitError):
-            schur_transform(11, 2)
-        schur_transform(11, 2, limit=11)  # explicit override allowed
+            schur_transform(12, 2)
+        with pytest.raises(SizeLimitError):
+            schur_transform(4, 2, limit=3)
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", 0)
+        schur_transform(4, 2, limit=4)  # explicit override allowed
 
 
 class TestProjectors:
@@ -138,6 +141,19 @@ class TestWeakSchurProbs:
         probs = weak_schur_probs(vec, su)
         # total spin zero lives entirely in the (2,2) component
         assert abs(probs[Partition((2, 2))] - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("n,d", [(8, 2), (5, 3)])
+    def test_elementwise_trace_equals_product_trace(self, n, d):
+        """The standard-basis route sums rho * P^T elementwise; it equals
+        tr(rho P) through the dense product to rounding."""
+        rng = np.random.default_rng(n)
+        size = d ** n
+        a = rng.normal(size=(size, 4)) + 1j * rng.normal(size=(size, 4))
+        su = schur_transform(n, d)
+        for rho in (a @ a.conj().T / np.trace(a @ a.conj().T), np.eye(size) / size):
+            for lam, p in weak_schur_probs(rho, su).items():
+                want = np.trace(rho @ isotypic_projector(su, lam)).real
+                assert abs(p - want) <= 1e-15
 
 
 class TestGroupActions:

@@ -1,6 +1,7 @@
 """Young-label combinatorics: validity, dimensions, path enumeration."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -188,3 +189,34 @@ class TestPaths:
     def test_wrong_endpoint_rejected(self):
         with pytest.raises(ValueError):
             path_index(Partition((2, 1)), LatticePath((0, 0)))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_endpoint_equals_replay(self, d):
+        """endpoint walks a list of ints: on every path with n <= 8 it
+        ends where the replay through add_box ends, and on every step
+        sequence with n <= 6 (row index d included) it raises the same
+        InvalidPartitionError at the same step."""
+        def replay(steps):
+            lam = one_box(d)
+            for j in steps:
+                lam = add_box(lam, j)
+            return lam
+
+        for n in range(1, 9):
+            for lam in partitions_of(n, d):
+                for path in enumerate_paths(lam):
+                    assert path.endpoint(d) == replay(path.steps) == lam
+        for n in range(1, 7):
+            for steps in itertools.product(range(d + 1), repeat=n - 1):
+                try:
+                    want = replay(steps)
+                except InvalidPartitionError as e:
+                    with pytest.raises(InvalidPartitionError, match=f"^{re.escape(str(e))}$"):
+                        LatticePath(steps).endpoint(d)
+                else:
+                    assert LatticePath(steps).endpoint(d) == want
+
+    def test_endpoint_invalid_middle_step(self):
+        with pytest.raises(InvalidPartitionError,
+                           match=r"^1,1 \+ e_1 is not a valid partition$"):
+            LatticePath((1, 1, 0)).endpoint(2)

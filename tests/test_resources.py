@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cg_reference import cg_givens_count, givens_reconstruct
+from cg_reference import (cg_givens_count, givens_reconstruct,
+                          two_level_total_by_sum)
 from schurstream.cg import cg_transform
 from schurstream.partitions import Partition, one_box, partitions_of
 from schurstream.resources import (givens_decompose, memory_profile,
                                    peak_width, qubit_gate_count, qubit_width,
                                    qudit_gate_bound, qudit_m_generic_sum,
                                    qudit_m_integral_bound, qudit_m_sum,
-                                   qudit_width, two_level_total,
-                                   two_level_total_by_sum)
+                                   qudit_width, two_level_total)
 
 
 def haar_unitary(size, rng):
@@ -144,7 +144,7 @@ class TestQubitCounts:
 class TestQuditCounts:
     def test_d2_sum_matches_qubit_path(self):
         for n in range(2, 21):
-            assert qudit_m_sum(n, 2) == two_level_total(n)
+            assert qudit_m_sum(n, 2) == two_level_total_by_sum(n)
 
     def test_exact_sum_below_integral_bound(self):
         for d in (2, 3, 4):

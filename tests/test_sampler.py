@@ -6,12 +6,14 @@ import math
 import numpy as np
 import pytest
 
+from schurstream import errors
 from schurstream.cg import cg_transform
+from schurstream.errors import SizeLimitError
 from schurstream.oracle import path_probs, schur_transform, weak_schur_probs
 from schurstream.partitions import LatticePath, Partition, one_box
 from schurstream.resources import qubit_width
-from schurstream.sampler import (BranchExplosionError, InvalidInputError,
-                                 NumericalCollapseError, branch_distribution,
+from schurstream.sampler import (InvalidInputError, NumericalCollapseError,
+                                 _leaf_bytes, branch_distribution,
                                  init_state, make_rng, register_branch_distribution,
                                  register_init, register_run, register_step,
                                  run_full_state, run_stream, step, _outcomes)
@@ -173,9 +175,12 @@ class TestBranchDistribution:
         for (lam, steps), p in path_probs(rho, su).items():
             assert abs(dist.entries.get(steps, 0.0) - p) <= 1e-9
 
-    def test_branch_cap(self):
-        with pytest.raises(BranchExplosionError):
-            branch_distribution([MIXED] * 10, 2, branch_cap=3)
+    def test_branch_cap(self, monkeypatch):
+        # the leaves held replace the branch cap: 10 mixed qubits have 252
+        branch_distribution([MIXED] * 10, 2)  # builds every CG transform
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", 3 * _leaf_bytes(10))
+        with pytest.raises(SizeLimitError, match="4 leaves"):
+            branch_distribution([MIXED] * 10, 2)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(41)
