@@ -51,30 +51,33 @@ class Block:
 @dataclass
 class CGTransform:
     lam: Partition
-    d: int
     matrix: np.ndarray  # (d*dimQ) x (d*dimQ), unitary
     blocks: list[Block]
+
+    @property
+    def d(self) -> int:
+        return self.lam.d
 
     @property
     def size(self) -> int:
         return self.matrix.shape[0]
 
-    def check_unitary(self, tol: float = UNITARITY_TOL) -> float:
+    def check_unitary(self) -> float:
         dev = np.max(np.abs(self.matrix.conj().T @ self.matrix - np.eye(self.size)))
-        if dev > tol:
+        if dev > UNITARITY_TOL:
             raise DegeneracyError(f"CG matrix not unitary: deviation {dev}")
         return float(dev)
 
 
-def _blocks_for(lam: Partition, d: int) -> list[Block]:
+def _blocks_for(lam: Partition) -> list[Block]:
     blocks = []
     off = 0
     for j in valid_rows(lam):
         target = add_box(lam, j)
-        dim = dim_unitary(target, d)
+        dim = dim_unitary(target)
         blocks.append(Block(j=j, target=target, offset=off, dim=dim))
         off += dim
-    assert off == d * dim_unitary(lam, d)
+    assert off == lam.d * dim_unitary(lam)
     return blocks
 
 
@@ -86,7 +89,7 @@ def cg_qubit(lam: Partition) -> CGTransform:
     twoj = dimq - 1  # 2j
     size = 2 * dimq
     mat = np.zeros((size, size))
-    blocks = _blocks_for(lam, 2)
+    blocks = _blocks_for(lam)
 
     # Input column for spin projection m1 = j - s and qubit eps: 2*s + eps.
     # Upper block: total spin j + 1/2; row r has m' = (twoj+1)/2 - r.
@@ -108,7 +111,7 @@ def cg_qubit(lam: Partition) -> CGTransform:
             # down: s = r, coefficient sqrt((j+m'+1/2)/(2j+1))
             mat[row, 2 * r + 1] = math.sqrt((twoj - r) / (twoj + 1))
             row += 1
-    t = CGTransform(lam=lam, d=2, matrix=mat, blocks=blocks)
+    t = CGTransform(lam=lam, matrix=mat, blocks=blocks)
     t.check_unitary()
     return t
 
@@ -138,17 +141,16 @@ def _chains(sh, r: int, i: int, num: int, den: int, sign: int, moved: tuple):
                            -sign if k < i else sign, moved)
 
 
-def cg_closed(lam: Partition, d: int | None = None) -> CGTransform:
+def cg_closed(lam: Partition) -> CGTransform:
     """Closed-form transform for any d, from GT patterns and integer
     arithmetic; for d=2 it reproduces cg_qubit bit for bit."""
-    if d is None:
-        d = lam.d
-    blocks = _blocks_for(lam, d)
-    source = enumerate_gt(lam, d)
+    d = lam.d
+    blocks = _blocks_for(lam)
+    source = enumerate_gt(lam)
     size = len(source) * d
     mat = np.zeros((size, size))
     for blk in blocks:
-        index = {pat: r for r, pat in enumerate(enumerate_gt(blk.target, d))}
+        index = {pat: r for r, pat in enumerate(enumerate_gt(blk.target))}
         for g, pat in enumerate(source):
             sh = [[m - s for s, m in enumerate(row)] for row in pat]
             for a, moved, num, den, sign in _chains(sh, 0, blk.j, 1, 1, 1, ()):
@@ -161,7 +163,7 @@ def cg_closed(lam: Partition, d: int | None = None) -> CGTransform:
                 if row is not None:
                     mat[blk.offset + row, g * d + a] = \
                         sign * math.sqrt(abs(num) / abs(den))
-    t = CGTransform(lam=lam, d=d, matrix=mat, blocks=blocks)
+    t = CGTransform(lam=lam, matrix=mat, blocks=blocks)
     t.check_unitary()
     return t
 
@@ -177,17 +179,15 @@ def _build_bytes(size: int) -> int:
     return 32 * size * size + 4096 * size
 
 
-def cg_transform(lam: Partition, d: int | None = None) -> CGTransform:
+def cg_transform(lam: Partition) -> CGTransform:
     """Cached CG transform: cg_qubit for d=2, cg_closed otherwise.  A build
     over the memory budget is refused; one that would take the cache over
     it empties the cache first."""
     global _cache_bytes
-    if d is None:
-        d = lam.d
-    key = (lam.parts, d)
+    key = lam.parts
     t = _cache.get(key)
     if t is None:
-        size = d * dim_unitary(lam, d)
+        size = lam.d * dim_unitary(lam)
         need = _build_bytes(size)
         errors.check_budget(f"CG transform of size {size} at lambda={lam}", need)
         with _cache_lock:
@@ -196,7 +196,7 @@ def cg_transform(lam: Partition, d: int | None = None) -> CGTransform:
                 if _cache_bytes + need > errors.MEMORY_BUDGET:
                     _cache.clear()
                     _cache_bytes = 0
-                t = cg_qubit(lam) if d == 2 else cg_closed(lam, d)
+                t = cg_qubit(lam) if lam.d == 2 else cg_closed(lam)
                 _cache[key] = t
                 _cache_bytes += t.matrix.nbytes
     return t
@@ -218,14 +218,14 @@ class SparsityReport:
         return {"lambda": str(self.lam), **out}
 
 
-def verify_sparsity(t: CGTransform, tol: float = 1e-12) -> SparsityReport:
+def verify_sparsity(t: CGTransform) -> SparsityReport:
     """Empirical check of the <=2-nonzeros-per-row structure under this
     module's row ordering, plus the exact Givens count the decomposer uses."""
-    from .resources import givens_decompose
+    from .resources import ZERO_TOL, givens_decompose
 
     m = t.matrix
-    below = int(np.sum(np.abs(np.tril(m, -1)) > tol))
-    per_row = int(np.max(np.sum(np.abs(m) > tol, axis=1)))
+    below = int(np.sum(np.abs(np.tril(m, -1)) > ZERO_TOL))
+    per_row = int(np.max(np.sum(np.abs(m) > ZERO_TOL, axis=1)))
     rotations, _ = givens_decompose(m)
     return SparsityReport(
         lam=t.lam, d=t.d, size=t.size,

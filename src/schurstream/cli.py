@@ -196,11 +196,13 @@ def cmd_oracle(args) -> str:
 
 def cmd_cg(args) -> str:
     lam = Partition.from_string(getattr(args, "lambda"))
-    size = args.d * dim_unitary(lam, args.d)
+    if lam.d != args.d:
+        raise InvalidInputError(f"partition has {lam.d} rows, expected {args.d}")
+    size = args.d * dim_unitary(lam)
     # the JSON matrix report (measured 407 B per entry) and the build's rows
     check_budget(f"cg report of size {size} at lambda={lam}",
                  440 * size * size + 4096 * size)
-    t = cg_transform(lam, args.d)
+    t = cg_transform(lam)
     out = _emit(args, {
         "size": t.size,
         "blocks": [{"j": b.j, "target": str(b.target), "offset": b.offset,
@@ -214,7 +216,7 @@ def cmd_cg(args) -> str:
             f.write(out)
     if args.dump_irrep:
         with open(args.dump_irrep, "w") as f:
-            f.write(build_irrep(lam, args.d).to_json())
+            f.write(build_irrep(lam).to_json())
     return out
 
 

@@ -23,11 +23,9 @@ import numpy as np
 from .partitions import Partition, dim_unitary
 
 
-def enumerate_gt(lam: Partition, d: int | None = None) -> list[tuple[tuple[int, ...], ...]]:
+def enumerate_gt(lam: Partition) -> list[tuple[tuple[int, ...], ...]]:
     """All GT patterns with top row lam, lexicographically descending on
     the flattened rows."""
-    if d is not None and d != lam.d:
-        raise ValueError(f"partition has {lam.d} rows, expected {d}")
     patterns = [(lam.parts,)]
     for _ in range(lam.d - 1):
         new = []
@@ -88,11 +86,14 @@ class IrrepRep:
     """A concrete U(d) irrep: ordered GT basis plus generator matrices."""
 
     lam: Partition
-    d: int
     basis: list[tuple[tuple[int, ...], ...]]
     index: dict = field(repr=False, default_factory=dict)
     weights: list[tuple[int, ...]] = field(default_factory=list)
     raising: list[np.ndarray] = field(default_factory=list)  # E_{a,a+1}, a=0..d-2
+
+    @property
+    def d(self) -> int:
+        return self.lam.d
 
     @property
     def dim(self) -> int:
@@ -135,12 +136,13 @@ class IrrepRep:
         }, sort_keys=True)
 
 
-def _build(lam: Partition, d: int) -> IrrepRep:
-    basis = enumerate_gt(lam, d)
+def _build(lam: Partition) -> IrrepRep:
+    d = lam.d
+    basis = enumerate_gt(lam)
     index = {pat: i for i, pat in enumerate(basis)}
     weights = [pattern_weight(p) for p in basis]
     dim = len(basis)
-    if dim != dim_unitary(lam, d):
+    if dim != dim_unitary(lam):
         raise ConsistencyError(f"GT count {dim} != hook-content dim for {lam}")
     raising = []
     for a in range(d - 1):
@@ -160,7 +162,7 @@ def _build(lam: Partition, d: int) -> IrrepRep:
                     continue
                 m[dst, src] = coeff
         raising.append(m)
-    rep = IrrepRep(lam=lam, d=d, basis=basis, index=index,
+    rep = IrrepRep(lam=lam, basis=basis, index=index,
                    weights=weights, raising=raising)
     _check(rep)
     return rep
@@ -175,7 +177,7 @@ def _check(rep: IrrepRep) -> None:
         if np.max(np.abs(h - want)) > 1e-10:
             raise ConsistencyError(f"[E,F] check failed at a={a} for {rep.lam}")
     c = rep.casimir_matrix()
-    target = float(casimir2(rep.lam, rep.d))
+    target = float(casimir2(rep.lam))
     if np.max(np.abs(c - target * np.eye(rep.dim))) > 1e-9:
         raise ConsistencyError(f"Casimir not scalar {target} for {rep.lam}")
 
@@ -184,24 +186,20 @@ _cache: dict = {}
 _cache_lock = threading.Lock()
 
 
-def build_irrep(lam: Partition, d: int | None = None) -> IrrepRep:
+def build_irrep(lam: Partition) -> IrrepRep:
     """Cached irrep construction; safe for concurrent readers."""
-    if d is None:
-        d = lam.d
-    key = (lam.parts, d)
+    key = lam.parts
     rep = _cache.get(key)
     if rep is None:
         with _cache_lock:
             rep = _cache.get(key)
             if rep is None:
-                rep = _build(lam, d)
+                rep = _build(lam)
                 _cache[key] = rep
     return rep
 
 
-def casimir2(lam: Partition, d: int | None = None) -> int:
-    """Analytic eigenvalue of sum_{a,b} E_{a,b}E_{b,a} on Q^d_lam:
+def casimir2(lam: Partition) -> int:
+    """Analytic eigenvalue of sum_{a,b} E_{a,b}E_{b,a} on Q^d_lam, d = lam.d:
     sum_i lam_i (lam_i + d + 1 - 2(i+1)), exact integer."""
-    if d is None:
-        d = lam.d
-    return sum(p * (p + d + 1 - 2 * (i + 1)) for i, p in enumerate(lam.parts))
+    return sum(p * (p + lam.d + 1 - 2 * (i + 1)) for i, p in enumerate(lam.parts))

@@ -67,7 +67,7 @@ def _expand(sectors: list[Sector], d: int) -> tuple[np.ndarray, list[Sector]]:
     mat = np.zeros((size, size))
     new_sectors = []
     for s in sectors:
-        t = cg_transform(s.lam, d)
+        t = cg_transform(s.lam)
         off = s.offset * d
         mat[off:off + t.size, off:off + t.size] = t.matrix
         for b in t.blocks:
@@ -120,16 +120,21 @@ def _as_density(state: np.ndarray, dim: int) -> np.ndarray:
     return np.outer(state, state.conj()) if state.ndim == 1 else state
 
 
+def _schur_diagonal(rho: np.ndarray, su: SchurUnitary) -> np.ndarray:
+    """diag(U rho U^dag)_i = sum_k (U rho)_ik conj(U_ik), one D^3 product."""
+    u = su.matrix
+    return np.real(np.sum((u @ rho) * u.conj(), axis=1))
+
+
 def weak_schur_probs(rho: np.ndarray, su: SchurUnitary) -> dict[Partition, float]:
     """tr[rho Pi^Std_lam] for every lam |- n, via both the standard-basis
     and Schur-basis routes (asserted equal within 1e-10)."""
     rho = _as_density(rho, su.d ** su.n)
-    rho_sch = su.matrix @ rho @ su.matrix.conj().T
+    diag = _schur_diagonal(rho, su)
     out = {}
     for lam in partitions_of(su.n, su.d):
         p_std = float(np.real(np.sum(rho * isotypic_projector(su, lam).T)))
-        idx = su.rows_for(lam)
-        p_sch = float(np.real(np.sum(np.diag(rho_sch)[idx])))
+        p_sch = float(np.sum(diag[su.rows_for(lam)]))
         if abs(p_std - p_sch) > 1e-10:
             raise AssertionError(f"basis-change mismatch at {lam}: {p_std} vs {p_sch}")
         out[lam] = p_std
@@ -142,8 +147,7 @@ def weak_schur_probs(rho: np.ndarray, su: SchurUnitary) -> dict[Partition, float
 def path_probs(rho: np.ndarray, su: SchurUnitary) -> dict[tuple[Partition, tuple[int, ...]], float]:
     """tr[rho Pi^Std_{lam, p_lam}] for every copy, keyed by (lam, path)."""
     rho = _as_density(rho, su.d ** su.n)
-    rho_sch = su.matrix @ rho @ su.matrix.conj().T
-    diag = np.real(np.diag(rho_sch))
+    diag = _schur_diagonal(rho, su)
     out = {}
     for s in su.sectors:
         out[(s.lam, s.path)] = float(np.sum(diag[s.offset:s.offset + s.dim]))

@@ -131,16 +131,12 @@ def dim_symmetric(lam: Partition) -> int:
     return q
 
 
-def dim_unitary(lam: Partition, d: int | None = None) -> int:
-    """dim Q^d_lam by the hook-content product formula, exact."""
-    if d is None:
-        d = lam.d
-    if d != lam.d:
-        raise ValueError(f"partition has {lam.d} rows, expected {d}")
+def dim_unitary(lam: Partition) -> int:
+    """dim Q^d_lam, d = lam.d, by the hook-content product formula, exact."""
     num = 1
     den = 1
-    for i in range(d):
-        for j in range(i + 1, d):
+    for i in range(lam.d):
+        for j in range(i + 1, lam.d):
             num *= lam.parts[i] - lam.parts[j] + j - i
             den *= j - i
     q, rem = divmod(num, den)
@@ -207,9 +203,7 @@ def path_index(lam: Partition, path: LatticePath) -> int:
     return idx
 
 
-def schur_weyl_weight(lam: Partition, d: int | None = None) -> Fraction:
+def schur_weyl_weight(lam: Partition) -> Fraction:
     """Probability of lam under the maximally mixed n-qudit state:
-    dim P_lam * dim Q^d_lam / d^n, exact."""
-    if d is None:
-        d = lam.d
-    return Fraction(dim_symmetric(lam) * dim_unitary(lam, d), d ** lam.n)
+    dim P_lam * dim Q^d_lam / d^n with d = lam.d, exact."""
+    return Fraction(dim_symmetric(lam) * dim_unitary(lam), lam.d ** lam.n)

@@ -15,10 +15,7 @@ import numpy as np
 
 from .errors import check_budget
 
-
-def qubit_width(k: int) -> int:
-    """Qubits needed during iteration k (d=2): ceil(log2(2k+4))."""
-    return (2 * k + 3).bit_length()
+ZERO_TOL = 1e-12  # a matrix entry at or below this magnitude is zero
 
 
 def qudit_width(k: int, d: int) -> int:
@@ -60,7 +57,7 @@ def peak_width(n: int, d: int = 2) -> int:
     return qudit_width(n - 1, d)
 
 
-def givens_decompose(u: np.ndarray, tol: float = 1e-12
+def givens_decompose(u: np.ndarray
                      ) -> tuple[list[tuple[int, int, np.ndarray]], np.ndarray]:
     """Reduce a unitary to a diagonal by two-level (Givens) rotations.
 
@@ -76,7 +73,7 @@ def givens_decompose(u: np.ndarray, tol: float = 1e-12
     rotations = []
     for c in range(size - 1):
         for r in range(c + 1, size):
-            if abs(a[r, c]) <= tol:
+            if abs(a[r, c]) <= ZERO_TOL:
                 continue
             x, y = a[c, c], a[r, c]
             nrm = math.hypot(abs(x), abs(y))

@@ -30,7 +30,7 @@ from .cg import CGTransform, cg_transform
 from .errors import (InvalidInputError, NumericalCollapseError, check_budget,
                      check_state)
 from .partitions import LatticePath, Partition, one_box
-from .resources import qubit_width, removal
+from .resources import qudit_width, removal
 
 DEFAULT_PRUNE = 1e-12
 
@@ -69,16 +69,19 @@ def _outcomes(t: CGTransform, big: np.ndarray
     return out
 
 
-def _product_outcomes(lam: Partition, d: int, amplitudes: np.ndarray,
-                      qudit: np.ndarray) -> list[tuple[int, Partition, float, np.ndarray]]:
+def _couple(state: np.ndarray, qudit: np.ndarray) -> np.ndarray:
+    """The Kronecker product state (x) qudit, qudit index fastest, formed by
+    broadcasting; a pure factor is promoted when the other one is mixed."""
+    if not (_is_matrix(state) or _is_matrix(qudit)):
+        return (state[:, None] * qudit).ravel()
+    a, q = (x if _is_matrix(x) else np.outer(x, x.conj()) for x in (state, qudit))
+    return (a[:, None, :, None] * q[None, :, None, :]).reshape(len(a) * len(q), -1)
+
+
+def _product_outcomes(lam: Partition, amplitudes: np.ndarray, qudit: np.ndarray
+                      ) -> list[tuple[int, Partition, float, np.ndarray]]:
     """The outcomes of coupling a product-state qudit into Q^d_lam."""
-    if _is_matrix(amplitudes) or _is_matrix(qudit):
-        if not _is_matrix(amplitudes):
-            amplitudes = np.outer(amplitudes, amplitudes.conj())
-        if not _is_matrix(qudit):
-            qudit = np.outer(qudit, qudit.conj())
-    # fundamental index fastest
-    return _outcomes(cg_transform(lam, d), np.kron(amplitudes, qudit))
+    return _outcomes(cg_transform(lam), _couple(amplitudes, qudit))
 
 
 def _sample(outcomes: list, rng: np.random.Generator) -> tuple[tuple, float]:
@@ -154,29 +157,30 @@ def _enumerate(d: int, n: int, root: np.ndarray, outcomes_fn,
 
 @dataclass
 class StreamState:
-    d: int
     lam: Partition
     amplitudes: np.ndarray  # vector (pure) or density matrix (mixed)
     path: list[int] = field(default_factory=list)
     rng: np.random.Generator = None
 
     @property
+    def d(self) -> int:
+        return self.lam.d
+
+    @property
     def mixed(self) -> bool:
         return _is_matrix(self.amplitudes)
 
-    def check(self, tol: float = 1e-9) -> None:
-        if self.mixed:
-            if abs(np.trace(self.amplitudes).real - 1.0) > tol:
-                raise NumericalCollapseError("state trace drifted from 1")
-        elif abs(np.linalg.norm(self.amplitudes) - 1.0) > tol:
-            raise NumericalCollapseError("state norm drifted from 1")
+    def check(self) -> None:
+        a, mixed = self.amplitudes, self.mixed
+        if abs((np.trace(a).real if mixed else np.linalg.norm(a)) - 1.0) > 1e-9:
+            raise NumericalCollapseError(
+                f"state {'trace' if mixed else 'norm'} drifted from 1")
 
 
 def init_state(qudit: np.ndarray, d: int, seed: int = 0) -> StreamState:
     """Absorb the first qudit: lam = (1, 0, ...) and Q^d_(1) = C^d."""
     qudit = check_state(qudit, d)
-    return StreamState(d=d, lam=one_box(d), amplitudes=qudit.copy(),
-                       rng=make_rng(seed))
+    return StreamState(lam=one_box(d), amplitudes=qudit.copy(), rng=make_rng(seed))
 
 
 def step(state: StreamState, qudit: np.ndarray) -> tuple[StreamState, int, float]:
@@ -185,7 +189,7 @@ def step(state: StreamState, qudit: np.ndarray) -> tuple[StreamState, int, float
     qudit = check_state(qudit, state.d)
     state.check()
     (j, target, p, sub), prob = _sample(
-        _product_outcomes(state.lam, state.d, state.amplitudes, qudit), state.rng)
+        _product_outcomes(state.lam, state.amplitudes, qudit), state.rng)
     state.amplitudes = sub / p if _is_matrix(sub) else sub / math.sqrt(p)
     state.lam = target
     state.path.append(j)
@@ -222,7 +226,7 @@ def branch_distribution(stream: list[np.ndarray], d: int,
     stream = [check_state(q, d) for q in stream]
     return _enumerate(
         d, len(stream), stream[0],
-        lambda k, lam, amp: _product_outcomes(lam, d, amp, stream[k]),
+        lambda k, lam, amp: _product_outcomes(lam, amp, stream[k]),
         prune)
 
 
@@ -249,7 +253,7 @@ def run_full_state(state: np.ndarray, d: int,
     state = check_state(state, size)
     return _enumerate(
         d, n, state,
-        lambda k, lam, cur: _outcomes(cg_transform(lam, d), cur),
+        lambda k, lam, cur: _outcomes(cg_transform(lam), cur),
         prune, 0 if limit is not None else held)
 
 
@@ -272,9 +276,12 @@ class RegisterEvent:
 @dataclass
 class RegisterState:
     lam: Partition
-    k: int
     vector: np.ndarray  # length 2^ceil(log2(k+2)), leading dim Q amplitudes
     events: list[RegisterEvent] = field(default_factory=list)
+
+    @property
+    def k(self) -> int:  # the qubits coupled in so far
+        return self.lam.n
 
 
 def register_init(qubit: np.ndarray) -> RegisterState:
@@ -283,26 +290,23 @@ def register_init(qubit: np.ndarray) -> RegisterState:
         raise InvalidInputError("register mode needs pure qubit states")
     vec = np.zeros(4, dtype=complex)  # ceil(log2(3)) = 2 qubits
     vec[:2] = qubit
-    return RegisterState(lam=one_box(2), k=1, vector=vec)
+    return RegisterState(lam=one_box(2), vector=vec)
 
 
 def _register_outcomes(rs: RegisterState, qubit: np.ndarray):
     """CG + rearrangement on the explicit register; returns the width and
     both halves (j, target, probability, unnormalized half vector)."""
     qubit = check_state(qubit, 2)
-    t = cg_transform(rs.lam, 2)
+    t = cg_transform(rs.lam)
     dimq = t.size // 2
     if np.max(np.abs(rs.vector[dimq:])) > PAD_TOL:
         raise NumericalCollapseError("padding qubits are not exactly zero")
-    width = qubit_width(rs.k)  # of the register with the new qubit
+    width = qudit_width(rs.k, 2)  # of the register with the new qubit
     assert 2 * len(rs.vector) == 2 ** width
     # rearranging matrix: leading (L) qubit indexes j
     half = len(rs.vector)
-    halves = []
-    for j, target, p, sub in _outcomes(t, np.kron(rs.vector[:dimq], qubit)):
-        h = np.zeros(half, dtype=complex)
-        h[:len(sub)] = sub
-        halves.append((j, target, p, h))
+    halves = [(j, target, p, np.pad(sub, (0, half - len(sub))))
+              for j, target, p, sub in _outcomes(t, _couple(rs.vector[:dimq], qubit))]
     if len(halves) == 1:  # lam0 = lam1: the j=1 half is empty
         halves.append((1, None, 0.0, np.zeros(half, dtype=complex)))
     return width, halves
@@ -331,7 +335,6 @@ def register_step(rs: RegisterState, qubit: np.ndarray,
                                    removal=removed,
                                    rearranged=j == 1 and not removed))
     rs.lam = target
-    rs.k += 1
     rs.vector = _register_keep(h / math.sqrt(p), width, removed)
     return rs, j, prob
 
@@ -355,8 +358,7 @@ def register_branch_distribution(stream: list[np.ndarray],
     """Exhaustive branch enumeration in register mode, for cross-checking
     the abstract mode's measurement law."""
     def outcomes(k, lam, vec):
-        width, halves = _register_outcomes(RegisterState(lam=lam, k=k, vector=vec),
-                                           stream[k])
+        width, halves = _register_outcomes(RegisterState(lam, vec), stream[k])
         removed = removal(k, 2)
         return [(j, target, p, _register_keep(h, width, removed))
                 for j, target, p, h in halves if target is not None]

@@ -115,14 +115,13 @@ def _top_pattern(mu: tuple[int, ...], d: int):
     return [mu[:d - k] for k in range(d)]
 
 
-def cg_numeric(lam: Partition, d: int | None = None) -> CGTransform:
+def cg_numeric(lam: Partition) -> CGTransform:
     """Numerical construction valid for any d; for d=2 it reproduces
     cg_qubit entrywise."""
-    if d is None:
-        d = lam.d
-    rep = build_irrep(lam, d)
+    d = lam.d
+    rep = build_irrep(lam)
     size = rep.dim * d
-    blocks = _blocks_for(lam, d)
+    blocks = _blocks_for(lam)
 
     raisings = [_product_generator(rep, a, a + 1) for a in range(d - 1)]
     lowerings = [r.T for r in raisings]
@@ -137,7 +136,7 @@ def cg_numeric(lam: Partition, d: int | None = None) -> CGTransform:
             g = _product_generator(rep, a, b)
             cas += g @ g.T
     eigvals = np.linalg.eigvalsh(cas)
-    targets = {b.j: float(casimir2(b.target, d)) for b in blocks}
+    targets = {b.j: float(casimir2(b.target)) for b in blocks}
     counts = {j: 0 for j in targets}
     for ev in eigvals:
         match = [j for j, t in targets.items() if abs(ev - t) <= CASIMIR_MATCH_TOL]
@@ -152,22 +151,22 @@ def cg_numeric(lam: Partition, d: int | None = None) -> CGTransform:
 
     mat = np.zeros((size, size))
     for b in blocks:
-        target = build_irrep(b.target, d)
+        target = build_irrep(b.target)
         v = _intertwiner(rep, target, raisings, lowerings, prod_weights)
         mat[b.offset:b.offset + b.dim, :] = v.T
-    t = CGTransform(lam=lam, d=d, matrix=mat, blocks=blocks)
+    t = CGTransform(lam=lam, matrix=mat, blocks=blocks)
     t.check_unitary()
     return t
 
 
-def irrep_unitary(lam: Partition, d: int, u: np.ndarray) -> np.ndarray:
+def irrep_unitary(lam: Partition, u: np.ndarray) -> np.ndarray:
     """The image Q_lam(u) of a unitary u in U(d), by exponentiating the
     GT generators along log(u)."""
     h = -1j * sla.logm(u)
-    rep = build_irrep(lam, d)
+    rep = build_irrep(lam)
     g = np.zeros((rep.dim, rep.dim), dtype=complex)
-    for a in range(d):
-        for b in range(d):
+    for a in range(rep.d):
+        for b in range(rep.d):
             g = g + h[a, b] * rep.generator(a, b)
     return sla.expm(1j * g)
 
@@ -182,9 +181,9 @@ def givens_reconstruct(rotations, diagonal) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def cg_givens_count(lam: Partition, d: int) -> int:
-    """Measured Givens-rotation count for the CG matrix at (lam, d)."""
-    rotations, _ = givens_decompose(cg_transform(lam, d).matrix)
+def cg_givens_count(lam: Partition) -> int:
+    """Measured Givens-rotation count for the CG matrix at lam."""
+    rotations, _ = givens_decompose(cg_transform(lam).matrix)
     return len(rotations)
 
 

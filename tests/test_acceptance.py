@@ -114,14 +114,14 @@ def test_criterion_3_dimension_identities():
     ok = True
     for d in (2, 3, 4):
         for n in range(1, 11):
-            total = sum(dim_symmetric(lam) * dim_unitary(lam, d)
+            total = sum(dim_symmetric(lam) * dim_unitary(lam)
                         for lam in partitions_of(n, d))
             ok &= total == d ** n
     # qubit closed forms, exact for n <= 12
     for n in range(1, 13):
         for lam in partitions_of(n, 2):
             l0, l1 = lam.parts
-            ok &= dim_unitary(lam, 2) == l0 - l1 + 1
+            ok &= dim_unitary(lam) == l0 - l1 + 1
             ok &= dim_symmetric(lam) == \
                 math.comb(l0 + l1, l0) * (l0 - l1 + 1) // (l0 + 1)
     _emit(3, ok, "sum dimP*dimQ = d^n for n<=10, d<=4; "
@@ -141,7 +141,7 @@ def test_criterion_4_register_layout_and_measurement_law():
         rs, _, _ = register_step(rs, np.array([1.0, 0.0]), gen)
     assert rs.lam == Partition((3, 0)) and rs.k == 3
     width, halves = _register_outcomes(rs, haar_state(2, rng))
-    dims = [dim_unitary(t, 2) for _, t, _, _ in halves if t is not None]
+    dims = [dim_unitary(t) for _, t, _, _ in halves if t is not None]
     ok &= width == 4 and dims == [5, 3]
     detail.append(f"k=3 blocks {dims} on 2^{width} register")
 
@@ -150,7 +150,7 @@ def test_criterion_4_register_layout_and_measurement_law():
         if t is None:
             continue
         ok &= len(h) == 8
-        ok &= np.max(np.abs(h[dim_unitary(t, 2):])) <= 1e-12
+        ok &= np.max(np.abs(h[dim_unitary(t):])) <= 1e-12
 
     # register measurement law == abstract law within 1e-10
     max_dev = 0.0
@@ -182,7 +182,7 @@ def test_criterion_5_resource_claims():
     detail.append("2n^2+2n-4 identity for n<=1000")
 
     for n in range(2, 11):
-        measured = sum(max(cg_givens_count(lam, 2)
+        measured = sum(max(cg_givens_count(lam)
                            for lam in partitions_of(k, 2))
                        for k in range(1, n))
         ok &= measured <= two_level_total(n)
@@ -213,22 +213,22 @@ def test_criterion_6_cg_structural_suite():
     for n in range(1, 9):
         for d in (2, 3, 4):
             for lam in partitions_of(n, d):
-                total = sum(dim_unitary(add_box(lam, j), d)
+                total = sum(dim_unitary(add_box(lam, j))
                             for j in valid_rows(lam))
-                ok &= total == d * dim_unitary(lam, d)
+                ok &= total == d * dim_unitary(lam)
     for n in range(1, 7):
         for lam in partitions_of(n, 2):
-            max_unit = max(max_unit, cg_transform(lam, 2).check_unitary())
+            max_unit = max(max_unit, cg_transform(lam).check_unitary())
     for n in range(1, 5):
         for lam in partitions_of(n, 3):
-            max_unit = max(max_unit, cg_transform(lam, 3).check_unitary())
+            max_unit = max(max_unit, cg_transform(lam).check_unitary())
     ok &= max_unit <= 1e-12
 
     # numeric vs closed form, d=2
     max_cf = 0.0
     for n in range(1, 6):
         for lam in partitions_of(n, 2):
-            dev = np.max(np.abs(cg_numeric(lam, 2).matrix -
+            dev = np.max(np.abs(cg_numeric(lam).matrix -
                                 cg_qubit(lam).matrix))
             max_cf = max(max_cf, dev)
     ok &= max_cf <= 1e-10
@@ -237,15 +237,15 @@ def test_criterion_6_cg_structural_suite():
     rng = np.random.default_rng(99)
     max_eq = 0.0
     for lam, d in ((Partition((2, 1)), 2), (Partition((1, 1, 0)), 3)):
-        t = cg_transform(lam, d)
+        t = cg_transform(lam)
         for _ in range(10):
             u = haar_unitary(d, rng)
-            rotated = t.matrix @ np.kron(irrep_unitary(lam, d, u), u) @ \
+            rotated = t.matrix @ np.kron(irrep_unitary(lam, u), u) @ \
                 t.matrix.conj().T
             for b in t.blocks:
                 sl = slice(b.offset, b.offset + b.dim)
                 dev = np.max(np.abs(rotated[sl, sl] -
-                                    irrep_unitary(b.target, d, u)))
+                                    irrep_unitary(b.target, u)))
                 max_eq = max(max_eq, dev)
     ok &= max_eq <= 1e-8
     _emit(6, ok, f"unitarity {max_unit:.2e} <= 1e-12; "

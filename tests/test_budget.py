@@ -37,7 +37,7 @@ def traced_peak(fn, *args):
 
 
 def cg_side(d, parts):
-    return d * dim_unitary(Partition(parts), d)
+    return d * dim_unitary(Partition(parts))
 
 
 def cg_report_bytes(size):
@@ -65,7 +65,7 @@ class TestEstimatesAreUpperBounds:
     @pytest.mark.parametrize("d,parts", [(2, (200, 0)), (3, (6, 3, 0))])
     def test_cg_build(self, monkeypatch, d, parts):
         monkeypatch.setattr(cg, "_cache", {})
-        peak, t = traced_peak(cg.cg_transform, Partition(parts), d)
+        peak, t = traced_peak(cg.cg_transform, Partition(parts))
         assert peak <= cg._build_bytes(t.size)
 
     @pytest.mark.parametrize("d,lam", [(2, "60,0"), (3, "5,2,0")])

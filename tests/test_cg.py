@@ -54,37 +54,37 @@ class TestBlockStructure:
         # sum_j dim Q^d_{lam+e_j} = d * dim Q^d_lam, exactly
         for n in range(1, 9):
             for lam in partitions_of(n, d):
-                total = sum(dim_unitary(add_box(lam, j), d)
+                total = sum(dim_unitary(add_box(lam, j))
                             for j in valid_rows(lam))
-                assert total == d * dim_unitary(lam, d)
+                assert total == d * dim_unitary(lam)
 
     def test_blocks_ascending_and_contiguous(self):
-        t = cg_transform(Partition((2, 1, 0)), 3)
+        t = cg_transform(Partition((2, 1, 0)))
         js = [b.j for b in t.blocks]
         assert js == sorted(js)
         off = 0
         for b in t.blocks:
             assert b.offset == off
-            assert b.dim == dim_unitary(b.target, 3)
+            assert b.dim == dim_unitary(b.target)
             off += b.dim
         assert off == t.size
 
     def test_1_0_0_block_dims(self):
-        t = cg_numeric(one_box(3), 3)
+        t = cg_numeric(one_box(3))
         assert [(str(b.target), b.dim) for b in t.blocks] == \
             [("2,0,0", 6), ("1,1,0", 3)]
 
 
 class TestCgNumeric:
     def test_matches_closed_form_fundamental(self):
-        a = cg_numeric(one_box(2), 2).matrix
+        a = cg_numeric(one_box(2)).matrix
         b = cg_qubit(one_box(2)).matrix
         assert np.max(np.abs(a - b)) <= 1e-10
 
     def test_matches_closed_form_all_small_shapes(self):
         for n in range(1, 7):
             for lam in partitions_of(n, 2):
-                a = cg_numeric(lam, 2).matrix
+                a = cg_numeric(lam).matrix
                 b = cg_qubit(lam).matrix
                 assert np.max(np.abs(a - b)) <= 1e-10, lam
 
@@ -92,12 +92,12 @@ class TestCgNumeric:
     def test_unitarity(self, d):
         for n in range(1, 5):
             for lam in partitions_of(n, d):
-                assert cg_numeric(lam, d).check_unitary() <= 1e-12
+                assert cg_numeric(lam).check_unitary() <= 1e-12
 
     def test_deterministic_reconstruction(self):
         lam = Partition((2, 1, 0))
-        a = cg_numeric(lam, 3).matrix
-        b = cg_numeric(lam, 3).matrix
+        a = cg_numeric(lam).matrix
+        b = cg_numeric(lam).matrix
         assert np.array_equal(a, b)
 
 
@@ -111,14 +111,14 @@ class TestEquivariance:
     def test_intertwines_group_action(self, lam, d):
         # U_CG (Q_lam(u) (x) u) U_CG^dag is block diagonal with Q_{lam+e_j}(u)
         rng = np.random.default_rng(11)
-        t = cg_transform(lam, d)
+        t = cg_transform(lam)
         for _ in range(20):
             u = haar_unitary(d, rng)
-            left = np.kron(irrep_unitary(lam, d, u), u)
+            left = np.kron(irrep_unitary(lam, u), u)
             rotated = t.matrix @ left @ t.matrix.conj().T
             for b in t.blocks:
                 sl = slice(b.offset, b.offset + b.dim)
-                want = irrep_unitary(b.target, d, u)
+                want = irrep_unitary(b.target, u)
                 assert np.max(np.abs(rotated[sl, sl] - want)) <= 1e-8
             # off-diagonal blocks vanish
             mask = np.ones_like(rotated)
@@ -130,22 +130,22 @@ class TestEquivariance:
 
 class TestSparsity:
     def test_fundamental_claim_holds(self):
-        rep = verify_sparsity(cg_transform(one_box(2), 2))
+        rep = verify_sparsity(cg_transform(one_box(2)))
         assert rep.two_per_row_claim_holds
         assert rep.max_nonzeros_per_row <= 2
 
     def test_qubit_rows_always_two_sparse(self):
         for n in range(1, 8):
             for lam in partitions_of(n, 2):
-                rep = verify_sparsity(cg_transform(lam, 2))
+                rep = verify_sparsity(cg_transform(lam))
                 assert rep.two_per_row_claim_holds, lam
 
     def test_degenerate_block_is_permutation_like(self):
-        rep = verify_sparsity(cg_transform(Partition((2, 2)), 2))
+        rep = verify_sparsity(cg_transform(Partition((2, 2))))
         assert rep.max_nonzeros_per_row <= 2
 
     def test_givens_count_recorded(self):
-        rep = verify_sparsity(cg_transform(Partition((3, 0)), 2))
+        rep = verify_sparsity(cg_transform(Partition((3, 0))))
         assert rep.givens_count >= 1
         assert rep.size == 8
 
@@ -155,20 +155,20 @@ class TestCgClosed:
     def test_matches_numeric_reference(self, d, n_max):
         for n in range(1, n_max + 1):
             for lam in partitions_of(n, d):
-                a = cg_closed(lam, d).matrix
-                b = cg_numeric(lam, d).matrix
+                a = cg_closed(lam).matrix
+                b = cg_numeric(lam).matrix
                 assert np.max(np.abs(a - b)) <= 1e-12, lam
 
     def test_qubit_is_bit_identical(self):
         for n in range(1, 41):
             for lam in partitions_of(n, 2):
-                assert np.array_equal(cg_closed(lam, 2).matrix,
+                assert np.array_equal(cg_closed(lam).matrix,
                                       cg_qubit(lam).matrix), lam
 
     def test_cold_build_needs_no_dense_irrep(self):
         cg._cache.clear()
         gt_basis._cache.clear()
-        cg_transform(Partition((3, 1, 0)), 3)
+        cg_transform(Partition((3, 1, 0)))
         assert gt_basis._cache == {}
 
 
@@ -176,11 +176,11 @@ class TestSizeLimit:
     @pytest.mark.parametrize("d,parts", [(2, (3, 1)), (3, (2, 1, 0))])
     def test_limit_is_inclusive_and_checked_before_build(self, monkeypatch, d, parts):
         lam = Partition(parts)
-        size = d * dim_unitary(lam, d)
+        size = d * dim_unitary(lam)
         monkeypatch.setattr(cg, "_cache", {})
         monkeypatch.setattr(errors, "MEMORY_BUDGET", cg._build_bytes(size) - 1)
         with pytest.raises(errors.SizeLimitError, match=f"size {size}"):
-            cg_transform(lam, d)
+            cg_transform(lam)
         assert cg._cache == {}
         monkeypatch.setattr(errors, "MEMORY_BUDGET", cg._build_bytes(size))
-        assert cg_transform(lam, d).size == size
+        assert cg_transform(lam).size == size

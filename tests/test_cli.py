@@ -135,6 +135,13 @@ class TestCg:
         assert json.loads(dump.read_text())["size"] == 6
         assert json.loads(irrep.read_text())["lambda"] == "2,0"
 
+    @pytest.mark.parametrize("d,lam,rows", [("3", "2,1", 2), ("2", "2,1,0", 3)])
+    def test_row_count_must_match_d(self, d, lam, rows):
+        code, out = run(["cg", "--d", d, "--lambda", lam])
+        assert code == 1
+        assert json.loads(out) == {
+            "error": f"partition has {rows} rows, expected {d}"}
+
 
 class TestResources:
     def test_two_level_bound_n2(self):

@@ -7,8 +7,9 @@ from cg_reference import perm_rep, tensor_rep
 from schurstream import errors
 from schurstream.cg import cg_qubit
 from schurstream.errors import InvalidInputError, SizeLimitError
-from schurstream.oracle import (copy_projector, isotypic_projector, path_probs,
-                                schur_transform, super_cg, weak_schur_probs)
+from schurstream.oracle import (_schur_diagonal, copy_projector,
+                                isotypic_projector, path_probs, schur_transform,
+                                super_cg, weak_schur_probs)
 from schurstream.partitions import (LatticePath, Partition, dim_symmetric,
                                     dim_unitary, enumerate_paths, one_box,
                                     partitions_of, schur_weyl_weight)
@@ -58,9 +59,9 @@ class TestSchurTransform:
         su = schur_transform(n, d)
         for lam in partitions_of(n, d):
             assert len(su.rows_for(lam)) == \
-                dim_symmetric(lam) * dim_unitary(lam, d)
+                dim_symmetric(lam) * dim_unitary(lam)
             for path in enumerate_paths(lam):
-                assert len(su.rows_for_path(lam, path)) == dim_unitary(lam, d)
+                assert len(su.rows_for_path(lam, path)) == dim_unitary(lam)
 
     def test_unitarity(self):
         for n, d in [(5, 2), (3, 3)]:
@@ -124,7 +125,7 @@ class TestWeakSchurProbs:
         su = schur_transform(3, 2)
         probs = weak_schur_probs(np.eye(8) / 8, su)
         for lam, p in probs.items():
-            assert abs(p - float(schur_weyl_weight(lam, 2))) < 1e-12
+            assert abs(p - float(schur_weyl_weight(lam))) < 1e-12
 
     def test_non_psd_rejected(self):
         su = schur_transform(2, 2)
@@ -154,6 +155,19 @@ class TestWeakSchurProbs:
             for lam, p in weak_schur_probs(rho, su).items():
                 want = np.trace(rho @ isotypic_projector(su, lam)).real
                 assert abs(p - want) <= 1e-15
+
+    @pytest.mark.parametrize("n,d", [(8, 2), (5, 3)])
+    def test_schur_diagonal_is_the_two_product_diagonal(self, n, d):
+        """diag(U rho U^dag) by one product equals the diagonal of the two
+        dense products to rounding."""
+        rng = np.random.default_rng(n + d)
+        size = d ** n
+        a = rng.normal(size=(size, 4)) + 1j * rng.normal(size=(size, 4))
+        rho = a @ a.conj().T / np.trace(a @ a.conj().T)
+        su = schur_transform(n, d)
+        u = su.matrix
+        want = np.real(np.diag(u @ rho @ u.conj().T))
+        assert np.max(np.abs(_schur_diagonal(rho, su) - want)) <= 1e-15
 
 
 class TestGroupActions:

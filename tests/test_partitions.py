@@ -119,34 +119,34 @@ class TestDimUnitary:
     def test_two_row_closed_form(self):
         for n in range(0, 10):
             for lam in partitions_of(n, 2):
-                assert dim_unitary(lam, 2) == lam[0] - lam[1] + 1
+                assert dim_unitary(lam) == lam[0] - lam[1] + 1
 
     def test_single_row_bound(self):
         for d in range(2, 6):
             for k in range(0, 21):
                 lam = Partition((k,) + (0,) * (d - 1))
-                assert dim_unitary(lam, d) <= (k + 1) ** (d - 1)
+                assert dim_unitary(lam) <= (k + 1) ** (d - 1)
 
     def test_antisymmetric_is_one_dimensional(self):
-        assert dim_unitary(Partition((1, 1, 1)), 3) == 1
+        assert dim_unitary(Partition((1, 1, 1))) == 1
 
     def test_fundamental(self):
         for d in range(2, 6):
-            assert dim_unitary(one_box(d), d) == d
+            assert dim_unitary(one_box(d)) == d
 
 
 class TestSchurWeylDuality:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_dimension_identity(self, d):
         for n in range(1, 11):
-            total = sum(dim_symmetric(lam) * dim_unitary(lam, d)
+            total = sum(dim_symmetric(lam) * dim_unitary(lam)
                         for lam in partitions_of(n, d))
             assert total == d ** n
 
     def test_weights_sum_to_one(self):
         for d in (2, 3, 4):
             for n in range(1, 11):
-                assert sum(schur_weyl_weight(lam, d)
+                assert sum(schur_weyl_weight(lam)
                            for lam in partitions_of(n, d)) == 1
 
     def test_weight_values(self):

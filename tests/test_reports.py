@@ -39,6 +39,8 @@ EXACT = {
     "resources-d3-csv": ["resources", "--n", "6", "--d", "3",
                          "--epsilon", "0.01", "--format", "csv"],
     "cg-d2": ["cg", "--d", "2", "--lambda", "2,1"],
+    "sample-iid-json": ["sample", "--stream", "iid.json", "--seed", "5",
+                        "--trials", "4"],
     "schema": ["--schema"],
 }
 
@@ -46,6 +48,7 @@ CLOSE = {
     "dist-json": ["dist", "--stream", "qubits.json"],
     "dist-csv": ["dist", "--stream", "qubits.json", "--format", "csv"],
     "dist-d3-json": ["dist", "--d", "3", "--stream", "qutrits.json"],
+    "dist-iid-json": ["dist", "--stream", "iid.json"],
     "full-json": ["full", "--state", "state.json"],
     "full-csv": ["full", "--state", "state.json", "--format", "csv"],
     "oracle-json": ["oracle", "--n", "3", "--state", "state.json",

@@ -11,7 +11,7 @@ from cg_reference import (cg_givens_count, givens_reconstruct,
 from schurstream.cg import cg_transform
 from schurstream.partitions import Partition, one_box, partitions_of
 from schurstream.resources import (givens_decompose, memory_profile,
-                                   peak_width, qubit_gate_count, qubit_width,
+                                   peak_width, qubit_gate_count,
                                    qudit_gate_bound, qudit_m_generic_sum,
                                    qudit_m_integral_bound, qudit_m_sum,
                                    qudit_width, two_level_total)
@@ -27,10 +27,12 @@ class TestMemoryProfile:
     def test_qubit_widths_n10(self):
         widths = [r.width for r in memory_profile(10, 2)]
         assert widths == [3, 3, 4, 4, 4, 4, 5, 5, 5]
+        for k in range(1, 2000):
+            assert qudit_width(k, 2) == math.ceil(math.log2(2 * k + 4))
 
     def test_removals_fire_by_rule(self):
         for r in memory_profile(40, 2):
-            want = qubit_width(r.k) != math.ceil(math.log2(r.k + 3))
+            want = qudit_width(r.k, 2) != math.ceil(math.log2(r.k + 3))
             assert r.removal == want
 
     def test_removal_count_logarithmic(self):
@@ -77,7 +79,7 @@ class TestGivens:
         assert np.allclose(diag, 1.0)
 
     def test_fundamental_cg_rotation_budget(self):
-        count = cg_givens_count(one_box(2), 2)
+        count = cg_givens_count(one_box(2))
         assert 1 <= count <= 8  # <= 2 * (2 * dim Q) for dim Q = 2
 
     def test_reconstruction_random_unitaries(self):
@@ -91,7 +93,7 @@ class TestGivens:
     def test_reconstruction_cg_matrices(self):
         for n in range(1, 7):
             for lam in partitions_of(n, 2):
-                m = cg_transform(lam, 2).matrix
+                m = cg_transform(lam).matrix
                 rotations, diag = givens_decompose(m)
                 err = np.max(np.abs(givens_reconstruct(rotations, diag) - m))
                 assert err <= 1e-10
@@ -101,7 +103,7 @@ class TestGivens:
         for n in range(1, 10):
             for lam in partitions_of(n, 2):
                 dimq = lam[0] - lam[1] + 1
-                assert cg_givens_count(lam, 2) <= 2 * (2 * dimq)
+                assert cg_givens_count(lam) <= 2 * (2 * dimq)
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
@@ -118,7 +120,7 @@ class TestQubitCounts:
 
     def test_run_totals_within_bound(self):
         for n in range(2, 11):
-            total = sum(cg_givens_count(Partition((k, 0)), 2)
+            total = sum(cg_givens_count(Partition((k, 0)))
                         for k in range(1, n))
             assert total <= two_level_total(n)
 

@@ -9,14 +9,17 @@ import pytest
 from schurstream import errors
 from schurstream.cg import cg_transform
 from schurstream.errors import SizeLimitError
+from schurstream.gt_basis import enumerate_gt, pattern_weight
 from schurstream.oracle import path_probs, schur_transform, weak_schur_probs
-from schurstream.partitions import LatticePath, Partition, one_box
-from schurstream.resources import qubit_width
+from schurstream.partitions import (LatticePath, Partition, dim_symmetric, one_box,
+                                    partitions_of)
+from schurstream.resources import qudit_width
 from schurstream.sampler import (InvalidInputError, NumericalCollapseError,
                                  _leaf_bytes, branch_distribution,
                                  init_state, make_rng, register_branch_distribution,
                                  register_init, register_run, register_step,
-                                 run_full_state, run_stream, step, _outcomes)
+                                 run_full_state, run_stream, step, _couple,
+                                 _outcomes)
 
 KET0 = np.array([1.0, 0.0])
 KET1 = np.array([0.0, 1.0])
@@ -30,6 +33,12 @@ def haar_state(size, rng):
 
 def random_qubit(rng):
     return haar_state(2, rng)
+
+
+def random_density(size, rng, rank=2):
+    a = rng.normal(size=(size, rank)) + 1j * rng.normal(size=(size, rank))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
 
 
 class TestStep:
@@ -300,7 +309,7 @@ class TestOutcomes:
     @pytest.mark.parametrize("mixed", [False, True])
     def test_matches_kron(self, d, parts, power, mixed):
         rng = np.random.default_rng(73 + 10 * d + power)
-        t = cg_transform(Partition(parts), d)
+        t = cg_transform(Partition(parts))
         rest = d ** power
         big = haar_state(t.size * rest, rng)
         if mixed:
@@ -316,6 +325,62 @@ class TestOutcomes:
             assert np.max(np.abs(sub - ref)) <= 1e-15
             ref_w = np.trace(ref).real if mixed else np.vdot(ref, ref).real
             assert abs(w - ref_w) <= 1e-15
+
+
+class TestCouple:
+    """`_couple` broadcasts the product that np.kron forms from the
+    promoted factors, bit for bit."""
+
+    @staticmethod
+    def promoted(x, mixed):
+        return np.outer(x, x.conj()) if mixed and x.ndim == 1 else x
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("state_mixed", [False, True])
+    @pytest.mark.parametrize("qudit_mixed", [False, True])
+    def test_matches_kron(self, d, state_mixed, qudit_mixed):
+        rng = np.random.default_rng(79 + d)
+        state, qudit = haar_state(4 * d, rng), haar_state(d, rng)
+        if state_mixed:
+            state = random_density(len(state), rng)
+        if qudit_mixed:
+            qudit = random_density(d, rng)
+        mixed = state_mixed or qudit_mixed
+        want = np.kron(self.promoted(state, mixed), self.promoted(qudit, mixed))
+        assert np.array_equal(_couple(state, qudit), want)
+
+    def test_register_vector(self):
+        rng = np.random.default_rng(83)
+        rs = register_init(random_qubit(rng))
+        for _ in range(4):
+            rs, _, _ = register_step(rs, random_qubit(rng), make_rng(3))
+        amplitudes, qubit = rs.vector[:rs.lam[0] - rs.lam[1] + 1], random_qubit(rng)
+        assert np.array_equal(_couple(amplitudes, qubit), np.kron(amplitudes, qubit))
+
+
+def schur_polynomial(lam, r):
+    """s_lam(r) as the sum over the GT patterns of lam of r^weight."""
+    return sum(np.prod(r ** np.array(pattern_weight(p))) for p in enumerate_gt(lam))
+
+
+class TestIidLaw:
+    """For rho^(x)n every lattice path to lam has probability s_lam(spec rho)
+    (Keyl-Werner), at n beyond the brute-force oracle's reach."""
+
+    @pytest.mark.parametrize("d,n", [(2, 15), (3, 9)])
+    def test_every_path_is_a_schur_polynomial(self, d, n):
+        rng = np.random.default_rng(89 + d)
+        # mixed with I/d, so no path falls under the pruning threshold
+        rho = (random_density(d, rng, rank=d) + np.eye(d) / d) / 2
+        r = np.linalg.eigvalsh(rho)
+        dist = branch_distribution([rho] * n, d)
+        assert 0.0 <= dist.pruned <= 1.0
+        assert abs(dist.total + dist.pruned - 1.0) <= 1e-12
+        assert len(dist.entries) == sum(dim_symmetric(lam)
+                                        for lam in partitions_of(n, d))
+        for steps, p in dist.entries.items():
+            lam = LatticePath(steps).endpoint(d)
+            assert abs(p - schur_polynomial(lam, r)) <= n * 1e-15
 
 
 class TestRegisterMode:
@@ -335,7 +400,7 @@ class TestRegisterMode:
             for q in forced:
                 rs, _, _ = register_step(rs, q, gen)
         assert rs.k == 3
-        assert qubit_width(3) == 4  # 16-dim register during the step
+        assert qudit_width(3, 2) == 4  # 16-dim register during the step
         rs, j, _ = register_step(rs, stream[3], gen)
         ev = rs.events[-1]
         assert ev.width == 4
