@@ -171,10 +171,11 @@ class StreamState:
         return _is_matrix(self.amplitudes)
 
     def check(self) -> None:
-        a, mixed = self.amplitudes, self.mixed
-        if abs((np.trace(a).real if mixed else np.linalg.norm(a)) - 1.0) > 1e-9:
-            raise NumericalCollapseError(
-                f"state {'trace' if mixed else 'norm'} drifted from 1")
+        if self.mixed:
+            if abs(np.trace(self.amplitudes).real - 1.0) > 1e-9:
+                raise NumericalCollapseError("state trace drifted from 1")
+        elif abs(np.linalg.norm(self.amplitudes) - 1.0) > 1e-9:
+            raise NumericalCollapseError("state norm drifted from 1")
 
 
 def init_state(qudit: np.ndarray, d: int, seed: int = 0) -> StreamState:
