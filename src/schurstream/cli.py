@@ -143,6 +143,8 @@ def _emit_dist(args, dist) -> str:
 
 
 def cmd_sample(args) -> str:
+    if args.trials < 1:
+        raise InvalidInputError(f"trials={args.trials}: need trials >= 1")
     stream = load_stream(args.stream, args.d)
     trials = []
     for t in range(args.trials):

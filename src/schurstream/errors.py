@@ -28,7 +28,10 @@ class NumericalCollapseError(RuntimeError):
 def check_budget(request: str, estimate: int, n: int = 0,
                  limit: int | None = None) -> None:
     """Refuse `request` when `estimate`, the bytes it will hold, is over
-    MEMORY_BUDGET; an explicit `limit` replaces the budget by n <= limit."""
+    MEMORY_BUDGET; an explicit `limit` (at least 1) replaces the budget by
+    n <= limit."""
+    if limit is not None and limit < 1:
+        raise InvalidInputError(f"limit={limit}: need limit >= 1")
     if limit is None and estimate > MEMORY_BUDGET:
         raise SizeLimitError(f"{request} needs about {estimate} bytes, over the "
                              f"memory budget of {MEMORY_BUDGET} bytes")

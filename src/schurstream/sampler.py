@@ -127,12 +127,15 @@ def _enumerate(d: int, n: int, root: np.ndarray, outcomes_fn,
     Nodes carry unnormalized states, whose weight is the accumulated branch
     probability; `outcomes_fn(k, lam, state)` gives the children of a node
     after k qudits.  Children lighter than `prune` are dropped and their
-    weight is added to `pruned`.  Each leaf, on top of the `held` bytes
-    of the walk's states, is checked against the memory budget.
+    weight is added to `pruned`; `prune` must lie in [0, 1).  Each leaf, on
+    top of the `held` bytes of the walk's states, is checked against the
+    memory budget.
 
     Children are pushed in reverse, so each node's are popped j ascending
     and the leaves arrive in sorted path order: `entries` is sorted, and
     each `marginal` sum runs over its paths in that order."""
+    if not 0.0 <= prune < 1.0:  # NaN fails both comparisons
+        raise InvalidInputError(f"prune={prune}: need 0 <= prune < 1")
     entries: dict[tuple[int, ...], float] = {}
     marginal: dict[Partition, float] = {}
     pruned = 0.0

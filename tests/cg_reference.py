@@ -11,7 +11,10 @@ intertwiner (ladder matrix elements non-negative by construction).
 `cg_givens_count` measures the rotation count of a CG matrix, and
 `two_level_total_by_sum` sums the qubit two-level bound term by term.
 `perm_rep` and `tensor_rep` are the S_n and U^(x)n actions on the d^n
-space that the symmetry checks apply.
+space that the symmetry checks apply.  `super_cg` is one level of the
+oracle's Schur transform as a single block-diagonal matrix, and
+`rows_for_path`, `copy_projector` and `path_probs` read single copies of
+an irrep off that transform.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ import scipy.linalg as sla
 from schurstream.cg import (CGTransform, DegeneracyError, _blocks_for,
                             cg_transform)
 from schurstream.gt_basis import build_irrep, casimir2
-from schurstream.partitions import Partition
+from schurstream.oracle import SchurUnitary, _as_density, _schur_diagonal, schur_transform
+from schurstream.partitions import LatticePath, Partition
 from schurstream.resources import givens_decompose
 
 CASIMIR_MATCH_TOL = 0.25  # analytic gaps are integers >= 1
@@ -224,4 +228,37 @@ def tensor_rep(u: np.ndarray, n: int) -> np.ndarray:
     out = np.eye(1, dtype=complex)
     for _ in range(n):
         out = np.kron(out, u)
+    return out
+
+
+def super_cg(k: int, d: int) -> np.ndarray:
+    """The super Clebsch-Gordan transform mapping the running Schur basis
+    of k qudits (canonical sector order) plus one new qudit to that of k+1
+    qudits: block diagonal over the sectors, one CG transform each, with
+    exact zeros off the blocks; size d^(k+1)."""
+    return sla.block_diag(*(cg_transform(s.lam).matrix
+                            for s in schur_transform(k, d).sectors))
+
+
+def rows_for_path(su: SchurUnitary, lam: Partition, path: LatticePath) -> list[int]:
+    """The rows of U_Sch that carry the copy of Q^d_lam reached along `path`."""
+    for s in su.sectors:
+        if s.lam == lam and s.path == path.steps:
+            return list(range(s.offset, s.offset + s.dim))
+    raise KeyError(f"no sector for {lam} via path {path}")
+
+
+def copy_projector(su: SchurUnitary, lam: Partition, path: LatticePath) -> np.ndarray:
+    """Projector onto the copy of Q^d_lam reached along `path`."""
+    sel = su.matrix[rows_for_path(su, lam, path), :]
+    return sel.conj().T @ sel
+
+
+def path_probs(rho: np.ndarray, su: SchurUnitary) -> dict[tuple[Partition, tuple[int, ...]], float]:
+    """tr[rho Pi^Std_{lam, p_lam}] for every copy, keyed by (lam, path)."""
+    rho = _as_density(rho, su.d ** su.n)
+    diag = _schur_diagonal(rho, su)
+    out = {}
+    for s in su.sectors:
+        out[(s.lam, s.path)] = float(np.sum(diag[s.offset:s.offset + s.dim]))
     return out

@@ -12,12 +12,11 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from cg_reference import (cg_givens_count, cg_numeric, irrep_unitary,
+from cg_reference import (cg_givens_count, cg_numeric, irrep_unitary, path_probs,
                           perm_rep, tensor_rep, two_level_total_by_sum)
 from schurstream.cg import cg_qubit, cg_transform
 from schurstream.cli import run as cli_run
-from schurstream.oracle import (isotypic_projector, path_probs,
-                                schur_transform, weak_schur_probs)
+from schurstream.oracle import isotypic_projector, schur_transform, weak_schur_probs
 from schurstream.partitions import (Partition, add_box, dim_symmetric,
                                     dim_unitary, enumerate_paths, one_box,
                                     partitions_of, valid_rows)

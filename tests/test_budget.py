@@ -18,7 +18,7 @@ import pytest
 from schurstream import cg, cli, errors
 from schurstream.cli import run
 from schurstream.errors import SizeLimitError
-from schurstream.oracle import _transform_bytes, schur_transform, super_cg
+from schurstream.oracle import _transform_bytes, schur_transform
 from schurstream.partitions import Partition, dim_unitary
 from schurstream.sampler import _leaf_bytes, branch_distribution, run_full_state
 
@@ -99,10 +99,6 @@ class TestEstimatesAreUpperBounds:
         peak, (code, _) = traced_peak(run, argv)
         assert code == 0
         assert peak <= _transform_bytes(n, d)
-
-    def test_super_cg(self):
-        peak, _ = traced_peak(super_cg, 7, 2)
-        assert peak <= _transform_bytes(8, 2)
 
     @pytest.mark.parametrize("n,d", [(2000, 2), (5000, 3)])
     def test_resources(self, n, d):

@@ -314,3 +314,34 @@ class TestRefusedInputs:
         code, out = run(["oracle", "--n", "2", "--compare", zeros_file])
         assert code == 1
         assert "--n 2" in json.loads(out)["error"]
+
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_sample_trials_below_1_exit_1(self, zeros_file, trials):
+        code, out = run(["sample", "--stream", zeros_file, "--trials", trials])
+        assert code == 1
+        assert "trials" in json.loads(out)["error"]
+
+    @pytest.mark.parametrize("prune", ["nan", "inf", "-1", "1", "2"])
+    @pytest.mark.parametrize("command", ["dist", "full"])
+    def test_prune_outside_unit_interval_exit_1(self, tmp_path, zeros_file,
+                                                 command, prune):
+        if command == "dist":
+            argv = ["dist", "--stream", zeros_file]
+        else:
+            p = tmp_path / "state.json"
+            p.write_text(json.dumps({"vector": [1, 0, 0, 0]}))
+            argv = ["full", "--state", str(p)]
+        code, out = run(argv + ["--prune", prune])
+        assert code == 1
+        assert "prune" in json.loads(out)["error"]
+
+    @pytest.mark.parametrize("command", ["full", "oracle"])
+    @pytest.mark.parametrize("limit", ["0", "-1", "-5"])
+    def test_limit_below_1_exit_1(self, tmp_path, command, limit):
+        p = tmp_path / "state.json"
+        p.write_text(json.dumps({"vector": [1] + [0] * 7}))
+        argv = (["full", "--state", str(p)] if command == "full"
+                else ["oracle", "--n", "3"])
+        code, out = run(argv + ["--limit", limit])
+        assert code == 1
+        assert "limit" in json.loads(out)["error"]

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from cg_reference import perm_rep, tensor_rep
+from cg_reference import (copy_projector, path_probs, perm_rep, rows_for_path,
+                          super_cg, tensor_rep)
 from schurstream import errors
 from schurstream.cg import cg_qubit
 from schurstream.errors import InvalidInputError, SizeLimitError
-from schurstream.oracle import (_schur_diagonal, copy_projector,
-                                isotypic_projector, path_probs, schur_transform,
-                                super_cg, weak_schur_probs)
+from schurstream.oracle import (_schur_diagonal, isotypic_projector, schur_transform,
+                                weak_schur_probs)
 from schurstream.partitions import (LatticePath, Partition, dim_symmetric,
                                     dim_unitary, enumerate_paths, one_box,
                                     partitions_of, schur_weyl_weight)
@@ -37,6 +37,13 @@ class TestSuperCG:
         m = super_cg(k, d)
         assert np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= 1e-10
 
+    @pytest.mark.parametrize("k,d", [(k, 2) for k in range(1, 10)] +
+                             [(k, 3) for k in range(2, 6)] + [(3, 4)])
+    def test_schur_transform_is_the_super_cg_product(self, k, d):
+        """U_Sch(k+1) = S(k) (U_Sch(k) (x) I_d) to rounding."""
+        want = super_cg(k, d) @ np.kron(schur_transform(k, d).matrix, np.eye(d))
+        assert np.max(np.abs(schur_transform(k + 1, d).matrix - want)) <= 1e-15
+
 
 class TestSchurTransform:
     def test_n2_symmetric_antisymmetric_split(self):
@@ -61,7 +68,7 @@ class TestSchurTransform:
             assert len(su.rows_for(lam)) == \
                 dim_symmetric(lam) * dim_unitary(lam)
             for path in enumerate_paths(lam):
-                assert len(su.rows_for_path(lam, path)) == dim_unitary(lam)
+                assert len(rows_for_path(su, lam, path)) == dim_unitary(lam)
 
     def test_unitarity(self):
         for n, d in [(5, 2), (3, 3)]:

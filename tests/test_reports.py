@@ -55,6 +55,8 @@ CLOSE = {
                     "--compare", "iid.json"],
     "oracle-csv": ["oracle", "--n", "3", "--compare", "iid.json",
                    "--format", "csv"],
+    "oracle-d3-json": ["oracle", "--d", "3", "--n", "4", "--state", "state_d3.json",
+                       "--compare", "qutrits.json"],
 }
 
 

@@ -2,15 +2,17 @@
 full-state mode and the explicit qubit-register mode."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from cg_reference import path_probs
 from schurstream import errors
 from schurstream.cg import cg_transform
 from schurstream.errors import SizeLimitError
 from schurstream.gt_basis import enumerate_gt, pattern_weight
-from schurstream.oracle import path_probs, schur_transform, weak_schur_probs
+from schurstream.oracle import schur_transform, weak_schur_probs
 from schurstream.partitions import (LatticePath, Partition, dim_symmetric, one_box,
                                     partitions_of)
 from schurstream.resources import qudit_width
@@ -29,6 +31,12 @@ MIXED = np.eye(2) / 2
 def haar_state(size, rng):
     v = rng.normal(size=size) + 1j * rng.normal(size=size)
     return v / np.linalg.norm(v)
+
+
+def haar_unitary(d, rng):
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def random_qubit(rng):
@@ -381,6 +389,25 @@ class TestIidLaw:
         for steps, p in dist.entries.items():
             lam = LatticePath(steps).endpoint(d)
             assert abs(p - schur_polynomial(lam, r)) <= n * 1e-15
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_step_is_the_schur_polynomial_ratio(self, seed):
+        """Along a trajectory of rho^(x)n each step moves lam to lam+e_j with
+        probability s_(lam+e_j)(r)/s_lam(r), with the two-row s_(a,b)(x, y) =
+        (xy)^b (x^(m+1) - y^(m+1))/(x - y), m = a - b, in exact fractions."""
+        def s2(lam, x, y):
+            a, b = lam.parts
+            return (x * y) ** b * (x ** (a - b + 1) - y ** (a - b + 1)) / (x - y)
+
+        n, spectrum = 201, (Fraction(41, 50), Fraction(9, 50))
+        u = haar_unitary(2, np.random.default_rng(seed))
+        rho = u @ np.diag([float(r) for r in spectrum]) @ u.conj().T
+        state = init_state(rho, 2, seed=seed)
+        for _ in range(n - 1):
+            lam = state.lam
+            state, _, p = step(state, rho)
+            want = float(s2(state.lam, *spectrum) / s2(lam, *spectrum))
+            assert abs(p - want) <= n * 1e-16 * want
 
 
 class TestRegisterMode:
