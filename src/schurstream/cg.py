@@ -179,10 +179,19 @@ def _build_bytes(size: int) -> int:
     return 32 * size * size + 4096 * size
 
 
+def _step_bytes(size: int) -> int:
+    """Peak bytes of a trajectory step on a density matrix of side `size`
+    over the cache's other transforms: this matrix, the previous state, the
+    coupled state and the three complex temporaries of its rotation
+    (measured 76 size^2 + 900 size at sides 60 to 384)."""
+    return 80 * size * size + 4096 * size
+
+
 def cg_transform(lam: Partition) -> CGTransform:
     """Cached CG transform: cg_qubit for d=2, cg_closed otherwise.  A build
     over the memory budget is refused; one that would take the cache over
-    it empties the cache first."""
+    it, or leave no room for a density-matrix step at its size, empties the
+    cache first."""
     global _cache_bytes
     key = lam.parts
     t = _cache.get(key)
@@ -193,7 +202,7 @@ def cg_transform(lam: Partition) -> CGTransform:
         with _cache_lock:
             t = _cache.get(key)
             if t is None:
-                if _cache_bytes + need > errors.MEMORY_BUDGET:
+                if _cache_bytes + max(need, _step_bytes(size)) > errors.MEMORY_BUDGET:
                     _cache.clear()
                     _cache_bytes = 0
                 t = cg_qubit(lam) if lam.d == 2 else cg_closed(lam)

@@ -87,6 +87,8 @@ def load_stream(path: str, d: int) -> list[np.ndarray]:
         if not (isinstance(spec, dict) and "rho" in spec
                 and isinstance(spec.get("n"), int) and not isinstance(spec["n"], bool)):
             raise InvalidInputError("the iid form needs {'rho': [[...]], 'n': <integer>}")
+        # the list holds n references, 8 bytes each
+        check_budget(f"iid stream of n={spec['n']}", 8 * spec["n"])
         return [_parse_array(spec["rho"], matrix=True)] * spec["n"]
     if not isinstance(data, list):
         raise InvalidInputError("stream file must be a list or {'iid': ...}")
@@ -173,6 +175,11 @@ def cmd_full(args) -> str:
 
 
 def cmd_oracle(args) -> str:
+    if args.compare:  # refused before the D^3 work
+        stream = load_stream(args.compare, args.d)
+        if len(stream) != args.n:
+            raise InvalidInputError(f"compare stream has {len(stream)} qudits, "
+                                    f"not --n {args.n}")
     su = schur_transform(args.n, args.d, limit=args.limit)
     if args.state:
         state = load_state(args.state)
@@ -180,11 +187,6 @@ def cmd_oracle(args) -> str:
         size = args.d ** args.n
         state = np.eye(size) / size
     probs = weak_schur_probs(state, su)
-    if args.compare:
-        stream = load_stream(args.compare, args.d)
-        if len(stream) != args.n:
-            raise InvalidInputError(f"compare stream has {len(stream)} qudits, "
-                                    f"not --n {args.n}")
     if args.format == "csv":
         return _csv(["lambda", "probability"], probs.items())
     body = {"marginal": {str(lam): p for lam, p in probs.items()}}

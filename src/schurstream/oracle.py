@@ -3,6 +3,8 @@
 Builds the iterated Schur transform level by level, one CG transform per copy
 of an irrep.  Copies are in canonical (lexicographic) path order, which makes
 the path <-> multiplicity-label correspondence an exact row-index statement.
+Every CG coefficient is real, so U is real orthogonal, and each product of U
+with a state runs in real arithmetic on Re rho.
 
 Only intended for small n; guarded by the memory budget.
 """
@@ -68,7 +70,11 @@ def schur_transform(n: int, d: int, limit: int | None = None) -> SchurUnitary:
         rows, spawned = [], []
         for s in sectors:
             t = cg_transform(s.lam)
-            rows.append(t.matrix @ np.kron(u[s.offset:s.offset + s.dim], np.eye(d)))
+            # t (u_s (x) I_d) without the kron: contract t's (a, e) columns
+            # with u_s's rows a, then order the columns (c, e)
+            part = np.tensordot(t.matrix.reshape(t.size, s.dim, d),
+                                u[s.offset:s.offset + s.dim], axes=(1, 0))
+            rows.append(part.transpose(0, 2, 1).reshape(t.size, -1))
             spawned.extend(Sector(lam=b.target, path=s.path + (b.j,),
                                   offset=s.offset * d + b.offset, dim=b.dim)
                            for b in t.blocks)
@@ -77,9 +83,9 @@ def schur_transform(n: int, d: int, limit: int | None = None) -> SchurUnitary:
 
 
 def isotypic_projector(su: SchurUnitary, lam: Partition) -> np.ndarray:
-    """Pi^Std_lam = U^dag Pi^Sch_lam U."""
+    """Pi^Std_lam = U^T Pi^Sch_lam U, real symmetric."""
     sel = su.matrix[su.rows_for(lam), :]
-    return sel.conj().T @ sel
+    return sel.T @ sel
 
 
 def _as_density(state: np.ndarray, dim: int) -> np.ndarray:
@@ -88,19 +94,22 @@ def _as_density(state: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _schur_diagonal(rho: np.ndarray, su: SchurUnitary) -> np.ndarray:
-    """diag(U rho U^dag)_i = sum_k (U rho)_ik conj(U_ik), one D^3 product."""
+    """diag(U rho U^T)_i = sum_k (U Re rho)_ik U_ik, one real D^3 product:
+    U (Im rho) U^T is antisymmetric, so its diagonal is zero."""
     u = su.matrix
-    return np.real(np.sum((u @ rho) * u.conj(), axis=1))
+    return np.sum((u @ rho.real) * u, axis=1)
 
 
 def weak_schur_probs(rho: np.ndarray, su: SchurUnitary) -> dict[Partition, float]:
     """tr[rho Pi^Std_lam] for every lam |- n, via both the standard-basis
-    and Schur-basis routes (asserted equal within 1e-10)."""
-    rho = _as_density(rho, su.d ** su.n)
+    and Schur-basis routes (asserted equal within 1e-10).  Pi^Std_lam is
+    real symmetric, so only Re rho enters; the complex rho is released
+    before the products."""
+    rho = np.ascontiguousarray(_as_density(rho, su.d ** su.n).real)
     diag = _schur_diagonal(rho, su)
     out = {}
     for lam in partitions_of(su.n, su.d):
-        p_std = float(np.real(np.sum(rho * isotypic_projector(su, lam).T)))
+        p_std = float(np.sum(rho * isotypic_projector(su, lam)))
         p_sch = float(np.sum(diag[su.rows_for(lam)]))
         if abs(p_std - p_sch) > 1e-10:
             raise AssertionError(f"basis-change mismatch at {lam}: {p_std} vs {p_sch}")

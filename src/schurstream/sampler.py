@@ -54,9 +54,13 @@ def _outcomes(t: CGTransform, big: np.ndarray
     """Rotate `big` (a vector or a density matrix of side t.size * rest) by
     t (x) I_rest and split it along the blocks of t: (j, lam+e_j, weight,
     unnormalized part) per block, j ascending.  t acts on the leading axis
-    by a reshape; its matrix is real, so t^dag = t^T."""
+    by a reshape; its matrix is real, so t^dag = t^T, and it acts on the
+    interleaved real and imaginary parts of x by one real product, with no
+    complex copy of the matrix.  `big` must be complex128, as every state
+    from check_state is."""
     def op(x):
-        return (t.matrix @ x.reshape(t.size, -1)).reshape(x.shape)
+        re_im = np.ascontiguousarray(x).reshape(t.size, -1).view(float)
+        return (t.matrix @ re_im).view(complex).reshape(x.shape)
 
     rest = len(big) // t.size
     mixed = _is_matrix(big)

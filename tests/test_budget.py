@@ -228,3 +228,40 @@ def test_oversized_request_exits_2_under_address_limit(argv):
     assert proc.returncode == 2, proc.stderr
     assert "memory budget" in json.loads(proc.stdout)["error"]
     assert time.monotonic() - start < 20
+
+
+def test_density_steps_stay_in_budget(tmp_path, monkeypatch):
+    """A trajectory on an iid density stream holds each step's temporaries
+    on top of the CG cache: the cache is emptied early enough that the
+    traced peak stays within the budget, and the report is unchanged."""
+    rng = np.random.default_rng(17)
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    rho = a @ a.conj().T
+    rho /= np.trace(rho).real
+    p = tmp_path / "iid.json"
+    p.write_text(json.dumps({"iid": {
+        "rho": [[[x.real, x.imag] for x in row] for row in rho], "n": 300}}))
+    argv = ["sample", "--stream", str(p), "--seed", "3"]
+    monkeypatch.setattr(cg, "_cache", {})
+    monkeypatch.setattr(cg, "_cache_bytes", 0)
+    want = run(argv)
+    largest = max(t.size for t in cg._cache.values())
+    monkeypatch.setattr(cg, "_cache", CountingCache())
+    monkeypatch.setattr(cg, "_cache_bytes", 0)
+    monkeypatch.setattr(CountingCache, "clears", 0)
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", cg._step_bytes(largest))
+    peak, got = traced_peak(run, argv)
+    assert got == want
+    assert peak <= errors.MEMORY_BUDGET
+    assert CountingCache.clears > 0
+
+
+def test_iid_stream_refused_before_the_list(tmp_path, monkeypatch):
+    p = tmp_path / "iid.json"
+    p.write_text(json.dumps({"iid": {"rho": [[1, 0], [0, 0]], "n": 1000}}))
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", 8 * 1000 - 1)
+    code, out = run(["sample", "--stream", str(p)])
+    assert code == 2
+    assert "iid stream of n=1000" in json.loads(out)["error"]
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", 8 * 1000)
+    assert len(cli.load_stream(str(p), 2)) == 1000

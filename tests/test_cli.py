@@ -113,6 +113,18 @@ class TestOracle:
         assert code == 1
         assert "--n 3" in json.loads(out)["error"]
 
+    def test_compare_is_checked_before_the_transform(self, tmp_path, zeros_file,
+                                                     monkeypatch):
+        def transform(*args, **kwargs):
+            raise AssertionError("the compare stream is checked first")
+
+        monkeypatch.setattr(cli, "schur_transform", transform)
+        for stream, says in [(str(tmp_path / "missing.json"), "missing.json"),
+                             (zeros_file, "--n 3")]:
+            code, out = run(["oracle", "--n", "3", "--compare", stream])
+            assert code == 1
+            assert says in json.loads(out)["error"]
+
 
 class TestCg:
     def test_report_structure(self):

@@ -77,6 +77,10 @@ class TestSchurTransform:
                                 np.eye(d ** n)))
             assert dev <= 1e-10
 
+    @pytest.mark.parametrize("n,d", [(8, 2), (5, 3), (4, 4)])
+    def test_matrix_is_real(self, n, d):
+        assert schur_transform(n, d).matrix.dtype == np.float64
+
     def test_size_guardrail(self, monkeypatch):
         with pytest.raises(SizeLimitError):
             schur_transform(12, 2)
@@ -162,6 +166,20 @@ class TestWeakSchurProbs:
             for lam, p in weak_schur_probs(rho, su).items():
                 want = np.trace(rho @ isotypic_projector(su, lam)).real
                 assert abs(p - want) <= 1e-15
+
+    @pytest.mark.parametrize("n,d", [(6, 2), (4, 3)])
+    def test_imaginary_part_of_rho_drops_out(self, n, d):
+        """On a Hermitian rho whose off-diagonal entries are purely
+        imaginary, the real-arithmetic routes still give tr(rho P)."""
+        rng = np.random.default_rng(10 * n + d)
+        size = d ** n
+        b = rng.normal(size=(size, size))
+        anti = b - b.T
+        rho = (np.eye(size) + 1j * anti / np.linalg.norm(anti, 2)) / size
+        su = schur_transform(n, d)
+        for lam, p in weak_schur_probs(rho, su).items():
+            want = np.trace(rho @ isotypic_projector(su, lam)).real
+            assert abs(p - want) <= 1e-15
 
     @pytest.mark.parametrize("n,d", [(8, 2), (5, 3)])
     def test_schur_diagonal_is_the_two_product_diagonal(self, n, d):
