@@ -37,7 +37,7 @@ UNITARITY_TOL = 1e-12
 
 
 class DegeneracyError(RuntimeError):
-    """A built CG matrix failed its unitarity check."""
+    """A built CG matrix is not unitary, or its blocks do not tile it."""
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,8 @@ def _blocks_for(lam: Partition) -> list[Block]:
         dim = dim_unitary(target)
         blocks.append(Block(j=j, target=target, offset=off, dim=dim))
         off += dim
-    assert off == lam.d * dim_unitary(lam)
+    if off != lam.d * dim_unitary(lam):
+        raise DegeneracyError(f"the blocks of {lam} span {off} rows, not d * dim Q")
     return blocks
 
 

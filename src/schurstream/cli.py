@@ -75,6 +75,8 @@ def _parse_array(data, matrix: bool = False):
     if not isinstance(data, list) or not data:
         raise InvalidInputError("expected a non-empty list")
     if matrix:
+        if not all(isinstance(row, list) and row for row in data):
+            raise InvalidInputError("each density matrix row must be a non-empty list")
         return np.array([[_complex_entry(x) for x in row] for row in data])
     return np.array([_complex_entry(x) for x in data])
 

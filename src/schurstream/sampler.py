@@ -10,13 +10,15 @@ measures the block label j.  Four execution modes share that step:
   measurement outcomes of a product-state stream;
 * full-state mode (`run_full_state`) applying each step's CG transform to
   the leading qudits of a d^n state, which also handles entangled inputs;
-* register-level qubit mode (`register_*`), which lays the state out on an
-  explicit ceil(log2(2k+4))-qubit register, measures the leading (L) qubit
-  and discards qubits per the width bookkeeping.
+* register-level qubit mode (`register_run`, `register_branch_distribution`),
+  whose outcomes (`_register_outcomes`) lay the state out on an explicit
+  ceil(log2(2k+4))-qubit register, let the leading (L) qubit index j and
+  keep the qubits the width bookkeeping keeps.
 
 The modes differ only in how they form one step's outcomes: `_outcomes`
 couples and projects, `_enumerate` walks every branch depth first and
-`_sample` draws one.
+`_sample` draws one.  Register mode is one more outcomes function on the
+same walk and draw.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 from .cg import CGTransform, cg_transform
 from .errors import (InvalidInputError, NumericalCollapseError, check_budget,
                      check_state)
-from .partitions import LatticePath, Partition, one_box
+from .partitions import LatticePath, Partition, dim_unitary, one_box
 from .resources import qudit_width, removal
 
 DEFAULT_PRUNE = 1e-12
@@ -271,105 +273,58 @@ def run_full_state(state: np.ndarray, d: int,
 PAD_TOL = 1e-12
 
 
-@dataclass
-class RegisterEvent:
-    k: int
-    width: int
-    j: int
-    probability: float
-    removal: bool
-    rearranged: bool  # step-6 permutation applied (j=1, no removal)
-
-
-@dataclass
-class RegisterState:
-    lam: Partition
-    vector: np.ndarray  # length 2^ceil(log2(k+2)), leading dim Q amplitudes
-    events: list[RegisterEvent] = field(default_factory=list)
-
-    @property
-    def k(self) -> int:  # the qubits coupled in so far
-        return self.lam.n
-
-
-def register_init(qubit: np.ndarray) -> RegisterState:
-    qubit = check_state(qubit, 2)
-    if _is_matrix(qubit):
+def _register_stream(stream: list[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
+    """The checked qubits of a register-mode stream, each a pure state, and
+    the first one on the register held after k = 1: 2^(qudit_width(1, 2)
+    - 1) = 4 amplitudes."""
+    if len(stream) < 1:
+        raise InvalidInputError("empty stream")
+    stream = [check_state(q, 2) for q in stream]
+    if any(_is_matrix(q) for q in stream):
         raise InvalidInputError("register mode needs pure qubit states")
-    vec = np.zeros(4, dtype=complex)  # ceil(log2(3)) = 2 qubits
-    vec[:2] = qubit
-    return RegisterState(lam=one_box(2), vector=vec)
+    return stream, np.pad(stream[0], (0, 2))
 
 
-def _register_outcomes(rs: RegisterState, qubit: np.ndarray):
-    """CG + rearrangement on the explicit register; returns the width and
-    both halves (j, target, probability, unnormalized half vector)."""
-    qubit = check_state(qubit, 2)
-    t = cg_transform(rs.lam)
-    dimq = t.size // 2
-    if np.max(np.abs(rs.vector[dimq:])) > PAD_TOL:
+def _register_outcomes(k: int, lam: Partition, vec: np.ndarray, qubit: np.ndarray
+                       ) -> list[tuple[int, Partition, float, np.ndarray]]:
+    """One Algorithm-2 iteration on the explicit register after k qubits.
+    `vec` holds 2^(width-1) amplitudes, width = qudit_width(k, 2), of which
+    the leading dim Q^2_lam carry the state and the rest are zero padding.
+    The qubit is coupled in by the CG transform, the rearrangement lets the
+    leading (L) qubit index j, and each block comes back on top of the
+    register kept once L is measured: 2^(width - removal(k, 2)) amplitudes,
+    the half itself when L is discarded, else a zeroed 2^width register
+    (for j = 1 the step-6 permutation brings the block up)."""
+    width = qudit_width(k, 2)
+    if 2 * len(vec) != 2 ** width:
+        raise NumericalCollapseError(
+            f"register of {len(vec)} amplitudes after k={k} qubits, not 2^{width - 1}")
+    dimq = dim_unitary(lam)
+    if np.max(np.abs(vec[dimq:])) > PAD_TOL:
         raise NumericalCollapseError("padding qubits are not exactly zero")
-    width = qudit_width(rs.k, 2)  # of the register with the new qubit
-    assert 2 * len(rs.vector) == 2 ** width
-    # rearranging matrix: leading (L) qubit indexes j
-    half = len(rs.vector)
-    halves = [(j, target, p, np.pad(sub, (0, half - len(sub))))
-              for j, target, p, sub in _outcomes(t, _couple(rs.vector[:dimq], qubit))]
-    if len(halves) == 1:  # lam0 = lam1: the j=1 half is empty
-        halves.append((1, None, 0.0, np.zeros(half, dtype=complex)))
-    return width, halves
-
-
-def _register_keep(h: np.ndarray, width: int, removed: bool) -> np.ndarray:
-    """The register after measuring L: the half itself when the L qubit is
-    discarded, else the half on top of a zeroed 2^width register (for j=1
-    the step-6 permutation brings the block up)."""
-    if removed:
-        return h
-    vec = np.zeros(2 ** width, dtype=complex)
-    vec[:len(h)] = h
-    return vec
-
-
-def register_step(rs: RegisterState, qubit: np.ndarray,
-                  rng: np.random.Generator) -> tuple[RegisterState, int, float]:
-    """One Algorithm-2 iteration: embed the CG, rearrange so the leading
-    qubit indexes j, measure it, then remove a qubit exactly when the
-    width bookkeeping says so."""
-    width, halves = _register_outcomes(rs, qubit)
-    (j, target, p, h), prob = _sample(halves, rng)
-    removed = removal(rs.k, 2)
-    rs.events.append(RegisterEvent(k=rs.k, width=width, j=j, probability=prob,
-                                   removal=removed,
-                                   rearranged=j == 1 and not removed))
-    rs.lam = target
-    rs.vector = _register_keep(h / math.sqrt(p), width, removed)
-    return rs, j, prob
+    kept = 2 ** (width - removal(k, 2))
+    return [(j, target, p, np.pad(sub, (0, kept - len(sub))))
+            for j, target, p, sub in _product_outcomes(lam, vec[:dimq], qubit)]
 
 
 def register_run(stream: list[np.ndarray], seed: int = 0) -> RunResult:
     """Register-level analogue of run_stream (d = 2, pure states only)."""
-    if len(stream) < 1:
-        raise InvalidInputError("empty stream")
+    stream, vec = _register_stream(stream)
     rng = make_rng(seed)
-    rs = register_init(stream[0])
-    for k in range(len(stream) - 1):
-        rs, _, _ = register_step(rs, stream[k + 1], rng)
-    result = RunResult(lam=rs.lam, path=LatticePath(tuple(e.j for e in rs.events)),
-                       amplitudes=rs.vector)
-    result.events = rs.events
-    return result
+    lam, path = one_box(2), []
+    for k in range(1, len(stream)):
+        (j, lam, p, sub), _ = _sample(_register_outcomes(k, lam, vec, stream[k]), rng)
+        vec = sub / math.sqrt(p)
+        path.append(j)
+    return RunResult(lam=lam, path=LatticePath(tuple(path)), amplitudes=vec)
 
 
 def register_branch_distribution(stream: list[np.ndarray],
                                  prune: float = DEFAULT_PRUNE) -> BranchDistribution:
     """Exhaustive branch enumeration in register mode, for cross-checking
     the abstract mode's measurement law."""
-    def outcomes(k, lam, vec):
-        width, halves = _register_outcomes(RegisterState(lam, vec), stream[k])
-        removed = removal(k, 2)
-        return [(j, target, p, _register_keep(h, width, removed))
-                for j, target, p, h in halves if target is not None]
-
-    return _enumerate(2, len(stream), register_init(stream[0]).vector, outcomes,
-                      prune)
+    stream, root = _register_stream(stream)
+    return _enumerate(
+        2, len(stream), root,
+        lambda k, lam, vec: _register_outcomes(k, lam, vec, stream[k]),
+        prune)

@@ -14,7 +14,8 @@ intertwiner (ladder matrix elements non-negative by construction).
 space that the symmetry checks apply.  `super_cg` is one level of the
 oracle's Schur transform as a single block-diagonal matrix, and
 `rows_for_path`, `copy_projector` and `path_probs` read single copies of
-an irrep off that transform.
+an irrep off that transform.  `haar_unitary` and `haar_state` draw the
+random unitaries and pure states that the tests feed in.
 """
 
 from __future__ import annotations
@@ -32,6 +33,17 @@ from schurstream.partitions import LatticePath, Partition
 from schurstream.resources import givens_decompose
 
 CASIMIR_MATCH_TOL = 0.25  # analytic gaps are integers >= 1
+
+
+def haar_unitary(size, rng):
+    z = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def haar_state(size, rng):
+    v = rng.normal(size=size) + 1j * rng.normal(size=size)
+    return v / np.linalg.norm(v)
 
 
 class EigenvalueClusteringError(RuntimeError):

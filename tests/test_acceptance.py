@@ -12,8 +12,9 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from cg_reference import (cg_givens_count, cg_numeric, irrep_unitary, path_probs,
-                          perm_rep, tensor_rep, two_level_total_by_sum)
+from cg_reference import (cg_givens_count, cg_numeric, haar_state, haar_unitary,
+                          irrep_unitary, path_probs, perm_rep, tensor_rep,
+                          two_level_total_by_sum)
 from schurstream.cg import cg_qubit, cg_transform
 from schurstream.cli import run as cli_run
 from schurstream.oracle import isotypic_projector, schur_transform, weak_schur_probs
@@ -21,26 +22,13 @@ from schurstream.partitions import (Partition, add_box, dim_symmetric,
                                     dim_unitary, enumerate_paths, one_box,
                                     partitions_of, valid_rows)
 from schurstream.resources import qubit_gate_count, qudit_m_sum, two_level_total
-from schurstream.sampler import (branch_distribution, make_rng,
-                                 register_branch_distribution, register_init,
-                                 register_run, _register_outcomes,
-                                 run_full_state)
+from schurstream.sampler import (branch_distribution, register_branch_distribution,
+                                 register_run, _register_outcomes, run_full_state)
 
 
 def _emit(criterion: int, ok: bool, detail: str) -> None:
     print(f"CRITERION {criterion}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, detail
-
-
-def haar_unitary(size, rng):
-    z = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def haar_state(size, rng):
-    v = rng.normal(size=size) + 1j * rng.normal(size=size)
-    return v / np.linalg.norm(v)
 
 
 def _product_rho(stream):
@@ -133,21 +121,17 @@ def test_criterion_4_register_layout_and_measurement_law():
 
     # block sizes 5 and 3 at k=3, lambda=(3,0), on a 16-dim register
     rng = np.random.default_rng(7)
-    rs = register_init(np.array([1.0, 0.0]))
-    gen = make_rng(1)
-    from schurstream.sampler import register_step
-    for _ in range(2):
-        rs, _, _ = register_step(rs, np.array([1.0, 0.0]), gen)
-    assert rs.lam == Partition((3, 0)) and rs.k == 3
-    width, halves = _register_outcomes(rs, haar_state(2, rng))
-    dims = [dim_unitary(t) for _, t, _, _ in halves if t is not None]
-    ok &= width == 4 and dims == [5, 3]
+    res = register_run([np.array([1.0, 0.0])] * 3, seed=1)
+    lam, vec = res.lam, res.amplitudes
+    assert lam == Partition((3, 0))
+    width = (2 * len(vec)).bit_length() - 1
+    halves = _register_outcomes(3, lam, vec, haar_state(2, rng))
+    dims = [dim_unitary(t) for _, t, _, _ in halves]
+    ok &= 2 * len(vec) == 2 ** width == 16 and dims == [5, 3]
     detail.append(f"k=3 blocks {dims} on 2^{width} register")
 
     # rearrangement: each half occupies the top of its 8-dim half register
     for _, t, _, h in halves:
-        if t is None:
-            continue
         ok &= len(h) == 8
         ok &= np.max(np.abs(h[dim_unitary(t):])) <= 1e-12
 
@@ -162,12 +146,17 @@ def test_criterion_4_register_layout_and_measurement_law():
     ok &= max_dev <= 1e-10
     detail.append(f"law deviation {max_dev:.2e}")
 
-    # widths and removal events for n <= 12
-    res = register_run([np.array([1.0, 0.0])] * 12, seed=0)
-    for e in res.events:
-        ok &= e.width == math.ceil(math.log2(2 * e.k + 4))
-        ok &= e.removal == (math.ceil(math.log2(2 * e.k + 4)) !=
-                            math.ceil(math.log2(e.k + 3)))
+    # widths and removal events for n <= 12, read off the register the run
+    # holds after k qubits: 2^(width-1) amplitudes before step k, and
+    # 2^(width - removal) kept after it
+    held = [len(register_run([np.array([1.0, 0.0])] * k, seed=0).amplitudes)
+            for k in range(1, 13)]
+    for k, (before, kept) in enumerate(zip(held, held[1:]), start=1):
+        width = (2 * before).bit_length() - 1
+        want_width = math.ceil(math.log2(2 * k + 4))
+        want_removal = want_width != math.ceil(math.log2(k + 3))
+        ok &= 2 * before == 2 ** width and width == want_width
+        ok &= kept == 2 ** (width - want_removal)
     detail.append("widths/removals match for n<=12")
     _emit(4, ok, "; ".join(detail))
 

@@ -3,18 +3,12 @@
 import numpy as np
 import pytest
 
-from cg_reference import cg_numeric, irrep_unitary
+from cg_reference import cg_numeric, haar_unitary, irrep_unitary
 from schurstream import cg, errors, gt_basis
 from schurstream.cg import (CGTransform, cg_closed, cg_qubit, cg_transform,
                             verify_sparsity)
 from schurstream.partitions import (Partition, add_box, dim_unitary, one_box,
                                     partitions_of, valid_rows)
-
-
-def haar_unitary(d, rng):
-    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 class TestCgQubit:

@@ -357,3 +357,24 @@ class TestRefusedInputs:
         code, out = run(argv + ["--limit", limit])
         assert code == 1
         assert "limit" in json.loads(out)["error"]
+
+    @pytest.mark.parametrize("command,data", [
+        ("sample", [{"rho": [1, 0]}]),
+        ("dist", [{"rho": [1, 0]}]),
+        ("sample", {"iid": {"rho": [1, 0], "n": 3}}),
+        ("dist", {"iid": {"rho": [1, 0], "n": 3}}),
+        ("full", {"rho": [0.5, 0.5]}),
+        ("oracle", {"rho": [0.5, 0.5]}),
+        ("full", {"rho": [[1, 0], 0]}),
+        ("sample", [{"rho": [[1, 0], 0]}]),
+    ], ids=["stream-element-sample", "stream-element-dist", "iid-sample", "iid-dist",
+            "full-state", "oracle-state", "full-row", "stream-row"])
+    def test_rho_row_not_a_list_exit_1(self, tmp_path, command, data):
+        p = tmp_path / "input.json"
+        p.write_text(json.dumps(data))
+        argv = ([command, "--stream", str(p)] if command in ("dist", "sample")
+                else ["full", "--state", str(p)] if command == "full"
+                else ["oracle", "--n", "1", "--state", str(p)])
+        code, out = run(argv)
+        assert code == 1
+        assert "row" in json.loads(out)["error"]

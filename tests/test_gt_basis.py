@@ -3,17 +3,11 @@
 import numpy as np
 import pytest
 
-from cg_reference import irrep_unitary
+from cg_reference import haar_unitary, irrep_unitary
 from schurstream.gt_basis import (build_irrep, casimir2, enumerate_gt,
                                   pattern_weight)
 from schurstream.partitions import (Partition, add_box, dim_unitary, one_box,
                                     partitions_of, valid_rows)
-
-
-def haar_unitary(d, rng):
-    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 class TestEnumerateGT:

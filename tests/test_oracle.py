@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from cg_reference import (copy_projector, path_probs, perm_rep, rows_for_path,
-                          super_cg, tensor_rep)
+from cg_reference import (copy_projector, haar_unitary, path_probs, perm_rep,
+                          rows_for_path, super_cg, tensor_rep)
 from schurstream import errors
 from schurstream.cg import cg_qubit
 from schurstream.errors import InvalidInputError, SizeLimitError
@@ -13,12 +13,6 @@ from schurstream.oracle import (_schur_diagonal, isotypic_projector, schur_trans
 from schurstream.partitions import (LatticePath, Partition, dim_symmetric,
                                     dim_unitary, enumerate_paths, one_box,
                                     partitions_of, schur_weyl_weight)
-
-
-def haar_unitary(d, rng):
-    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 class TestSuperCG:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cg_reference import (cg_givens_count, givens_reconstruct,
+from cg_reference import (cg_givens_count, givens_reconstruct, haar_unitary,
                           two_level_total_by_sum)
 from schurstream.cg import cg_transform
 from schurstream.partitions import Partition, one_box, partitions_of
@@ -15,12 +15,6 @@ from schurstream.resources import (givens_decompose, memory_profile,
                                    qudit_gate_bound, qudit_m_generic_sum,
                                    qudit_m_integral_bound, qudit_m_sum,
                                    qudit_width, two_level_total)
-
-
-def haar_unitary(size, rng):
-    z = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 class TestMemoryProfile:

@@ -7,36 +7,24 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cg_reference import path_probs
+from cg_reference import haar_state, haar_unitary, path_probs
 from schurstream import errors
 from schurstream.cg import cg_transform
 from schurstream.errors import SizeLimitError
 from schurstream.gt_basis import enumerate_gt, pattern_weight
 from schurstream.oracle import schur_transform, weak_schur_probs
-from schurstream.partitions import (LatticePath, Partition, dim_symmetric, one_box,
-                                    partitions_of)
+from schurstream.partitions import (LatticePath, Partition, dim_symmetric,
+                                    dim_unitary, one_box, partitions_of)
 from schurstream.resources import qudit_width
 from schurstream.sampler import (InvalidInputError, NumericalCollapseError,
                                  _leaf_bytes, branch_distribution,
-                                 init_state, make_rng, register_branch_distribution,
-                                 register_init, register_run, register_step,
-                                 run_full_state, run_stream, step, _couple,
-                                 _outcomes)
+                                 init_state, register_branch_distribution,
+                                 register_run, run_full_state, run_stream, step,
+                                 _couple, _outcomes, _register_outcomes)
 
 KET0 = np.array([1.0, 0.0])
 KET1 = np.array([0.0, 1.0])
 MIXED = np.eye(2) / 2
-
-
-def haar_state(size, rng):
-    v = rng.normal(size=size) + 1j * rng.normal(size=size)
-    return v / np.linalg.norm(v)
-
-
-def haar_unitary(d, rng):
-    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def random_qubit(rng):
@@ -359,10 +347,8 @@ class TestCouple:
 
     def test_register_vector(self):
         rng = np.random.default_rng(83)
-        rs = register_init(random_qubit(rng))
-        for _ in range(4):
-            rs, _, _ = register_step(rs, random_qubit(rng), make_rng(3))
-        amplitudes, qubit = rs.vector[:rs.lam[0] - rs.lam[1] + 1], random_qubit(rng)
+        res = register_run([random_qubit(rng) for _ in range(5)], seed=3)
+        amplitudes, qubit = res.amplitudes[:res.lam[0] - res.lam[1] + 1], random_qubit(rng)
         assert np.array_equal(_couple(amplitudes, qubit), np.kron(amplitudes, qubit))
 
 
@@ -410,6 +396,14 @@ class TestIidLaw:
             assert abs(p - want) <= n * 1e-16 * want
 
 
+def register_lengths(stream, seed=0):
+    """The length of the register that register_run holds after each
+    prefix of `stream`: 2^(width-1) before step k, 2^(width - removal)
+    kept after it."""
+    return [len(register_run(stream[:k], seed=seed).amplitudes)
+            for k in range(1, len(stream) + 1)]
+
+
 class TestRegisterMode:
     def test_figure_layout_k3(self):
         # at k=3, lambda=(3,0): CG blocks are 5- and 3-dimensional, laid out
@@ -417,33 +411,30 @@ class TestRegisterMode:
         # indexes the measured branch
         rng = np.random.default_rng(59)
         stream = [random_qubit(rng) for _ in range(4)]
-        rs = register_init(stream[0])
-        gen = make_rng(5)
-        forced = [KET0, KET0]  # drive lambda to (3,0)
-        for q in forced:
-            rs, _, _ = register_step(rs, q, gen)
-        while rs.lam != Partition((3, 0)):
-            rs = register_init(KET0)
-            for q in forced:
-                rs, _, _ = register_step(rs, q, gen)
-        assert rs.k == 3
+        res = register_run([stream[0], KET0, KET0], seed=5)
+        if res.lam != Partition((3, 0)):  # drive lambda to (3,0)
+            res = register_run([KET0] * 3, seed=5)
+        assert res.lam.n == 3
         assert qudit_width(3, 2) == 4  # 16-dim register during the step
-        rs, j, _ = register_step(rs, stream[3], gen)
-        ev = rs.events[-1]
-        assert ev.width == 4
-        if j == 1:
-            assert rs.lam == Partition((3, 1))
+        assert 2 * len(res.amplitudes) == 2 ** 4
+        outcomes = _register_outcomes(3, res.lam, res.amplitudes, stream[3])
+        assert [(j, target) for j, target, _, _ in outcomes] == \
+            [(0, Partition((4, 0))), (1, Partition((3, 1)))]
+        assert [dim_unitary(target) for _, target, _, _ in outcomes] == [5, 3]
+        assert [len(sub) for _, _, _, sub in outcomes] == [8, 8]  # L discarded
 
     def test_width_sequence(self):
-        res = register_run([KET0] * 10, seed=0)
-        widths = [e.width for e in res.events]
+        lengths = register_lengths([KET0] * 10)
+        widths = [(2 * n).bit_length() - 1 for n in lengths[:-1]]
+        assert [2 ** w for w in widths] == [2 * n for n in lengths[:-1]]
         assert widths == [math.ceil(math.log2(2 * k + 4)) for k in range(1, 10)]
 
     def test_removal_rule(self):
-        res = register_run([KET0] * 12, seed=0)
-        for e in res.events:
-            want = math.ceil(math.log2(2 * e.k + 4)) != math.ceil(math.log2(e.k + 3))
-            assert e.removal == want
+        lengths = register_lengths([KET0] * 12)
+        for k, (before, kept) in enumerate(zip(lengths, lengths[1:]), start=1):
+            width = (2 * before).bit_length() - 1
+            want = math.ceil(math.log2(2 * k + 4)) != math.ceil(math.log2(k + 3))
+            assert kept == 2 ** (width - want)
 
     def test_matches_abstract_mode(self):
         rng = np.random.default_rng(61)
@@ -463,13 +454,26 @@ class TestRegisterMode:
 
     def test_rejects_density_matrices(self):
         with pytest.raises(InvalidInputError):
-            register_init(MIXED)
+            register_run([MIXED])
+
+    @pytest.mark.parametrize("position", [1, 2])
+    @pytest.mark.parametrize("entry", [register_run, register_branch_distribution])
+    def test_rejects_density_matrices_at_any_position(self, entry, position):
+        stream = [KET0, KET0, KET0]
+        stream[position] = MIXED
+        with pytest.raises(InvalidInputError, match="pure qubit states"):
+            entry(stream)
 
     def test_padding_assertion(self):
-        rs = register_init(KET0)
-        rs.vector[3] = 0.5
-        with pytest.raises(NumericalCollapseError):
-            register_step(rs, KET0, make_rng(0))
+        vec = np.array([1.0, 0.0, 0.0, 0.5], dtype=complex)
+        with pytest.raises(NumericalCollapseError, match="padding"):
+            _register_outcomes(1, one_box(2), vec, KET0)
+
+    def test_register_length_check(self):
+        # after k=3 qubits the register holds 2^(4-1) = 8 amplitudes, not 4
+        vec = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+        with pytest.raises(NumericalCollapseError, match="amplitudes"):
+            _register_outcomes(3, Partition((3, 0)), vec, KET0)
 
 
 class TestEarlyStopConsistency:
