@@ -181,10 +181,11 @@ def _build_bytes(size: int) -> int:
 
 
 def _step_bytes(size: int) -> int:
-    """Peak bytes of a trajectory step on a density matrix of side `size`
-    over the cache's other transforms: this matrix, the previous state, the
-    coupled state and the three complex temporaries of its rotation
-    (measured 76 size^2 + 900 size at sides 60 to 384)."""
+    """Peak bytes of coupling into a density matrix of side `size`, by
+    `step()` or at a `dist`/`full` node, over the cache's other
+    transforms: this matrix, the previous state, the coupled state and the
+    temporaries of its rotation (measured 68 size^2 at sides 82 to 670).
+    `sample` unravels density matrices and holds only vectors."""
     return 80 * size * size + 4096 * size
 
 

@@ -51,34 +51,42 @@ STREAM_SCHEMA = {
 
 
 def _complex_entry(x):
-    if isinstance(x, (int, float)):
+    # by type, not isinstance: JSON true and false load as bools, which
+    # are ints to isinstance
+    if type(x) in (int, float):
         return complex(x)
-    if isinstance(x, list) and len(x) == 2 and all(
-            isinstance(t, (int, float)) for t in x):
+    if isinstance(x, list) and len(x) == 2 and all(type(t) in (int, float) for t in x):
         return complex(x[0], x[1])
     raise InvalidInputError(f"bad amplitude entry {x!r}; use a number or [re, im]")
 
 
 def _parse_array(data, matrix: bool = False):
-    """A vector or matrix with entries as numbers or [re, im] pairs.
-
-    A bare nested list is read as a vector of [re, im] pairs; density
-    matrices must be requested explicitly (the iid form, or {"rho": ...})
-    to keep 2x2 inputs unambiguous.
-    """
-    if isinstance(data, dict):
-        if "vector" in data:
-            return _parse_array(data["vector"])
-        if "rho" in data:
-            return _parse_array(data["rho"], matrix=True)
-        raise InvalidInputError("dict state needs 'vector' or 'rho'")
+    """A vector or matrix, given as a list, with entries as numbers or
+    [re, im] pairs."""
     if not isinstance(data, list) or not data:
         raise InvalidInputError("expected a non-empty list")
     if matrix:
         if not all(isinstance(row, list) and row for row in data):
             raise InvalidInputError("each density matrix row must be a non-empty list")
+        if len({len(row) for row in data}) > 1:
+            raise InvalidInputError("density matrix rows differ in length: "
+                                    f"{[len(row) for row in data]}")
         return np.array([[_complex_entry(x) for x in row] for row in data])
     return np.array([_complex_entry(x) for x in data])
+
+
+def _parse_state(data):
+    """A bare list, read as a vector, or {"vector": list} or {"rho": list of
+    rows}.  A bare nested list is a vector of [re, im] pairs; density
+    matrices must be asked for by {"rho": ...} (or the iid form) to keep 2x2
+    inputs unambiguous."""
+    if not isinstance(data, dict):
+        return _parse_array(data)
+    if "vector" in data:
+        return _parse_array(data["vector"])
+    if "rho" in data:
+        return _parse_array(data["rho"], matrix=True)
+    raise InvalidInputError("dict state needs 'vector' or 'rho'")
 
 
 def load_stream(path: str, d: int) -> list[np.ndarray]:
@@ -91,13 +99,16 @@ def load_stream(path: str, d: int) -> list[np.ndarray]:
             raise InvalidInputError("the iid form needs {'rho': [[...]], 'n': <integer>}")
         # the list holds n references, 8 bytes each
         check_budget(f"iid stream of n={spec['n']}", 8 * spec["n"])
-        return [_parse_array(spec["rho"], matrix=True)] * spec["n"]
+        try:
+            return [_parse_array(spec["rho"], matrix=True)] * spec["n"]
+        except InvalidInputError as e:
+            raise InvalidInputError(f"iid rho: {e}") from e
     if not isinstance(data, list):
         raise InvalidInputError("stream file must be a list or {'iid': ...}")
     out = []
     for i, item in enumerate(data):
         try:
-            out.append(_parse_array(item))
+            out.append(_parse_state(item))
         except InvalidInputError as e:
             raise InvalidInputError(f"stream element {i}: {e}") from e
     return out
@@ -106,9 +117,10 @@ def load_stream(path: str, d: int) -> list[np.ndarray]:
 def load_state(path: str):
     with open(path) as f:
         data = json.load(f)
-    if isinstance(data, dict) and not ("vector" in data or "rho" in data):
-        raise InvalidInputError("state file needs 'vector' or 'rho'")
-    return _parse_array(data)
+    try:
+        return _parse_state(data)
+    except InvalidInputError as e:
+        raise InvalidInputError(f"state file: {e}") from e
 
 
 def _emit(args, body: dict) -> str:

@@ -4,8 +4,11 @@ Each step couples one new qudit in with a Clebsch-Gordan transform and
 measures the block label j.  Four execution modes share that step:
 
 * trajectory mode (`step` / `run_stream`): the simulated state is the
-  dim Q^d_lam amplitude vector (or density matrix) itself, and j is
-  sampled;
+  dim Q^d_lam amplitude vector (or, for `step`, density matrix) itself,
+  and j is sampled.  `run_stream` unravels a density-matrix qudit into one
+  eigenvector, drawn with its eigenvalue as probability, which gives the
+  (lambda, path) law of the density-matrix step at the cost of a vector
+  step;
 * exhaustive branch enumeration (`branch_distribution`) over all
   measurement outcomes of a product-state stream;
 * full-state mode (`run_full_state`) applying each step's CG transform to
@@ -31,7 +34,8 @@ import numpy as np
 from .cg import CGTransform, cg_transform
 from .errors import (InvalidInputError, NumericalCollapseError, check_budget,
                      check_state)
-from .partitions import LatticePath, Partition, dim_unitary, one_box
+from .partitions import (LatticePath, Partition, add_box, dim_unitary, one_box,
+                         valid_rows)
 from .resources import qudit_width, removal
 
 DEFAULT_PRUNE = 1e-12
@@ -127,6 +131,22 @@ def _leaf_bytes(n: int) -> int:
     return 512 + 32 * n
 
 
+def _path_counts(d: int, n: int):
+    """The number of lattice paths of k boxes in at most d rows, the sum of
+    dim P_lam over the labels, for k = 1 .. n.  Every label has a child, so
+    no count is above the next."""
+    level = {one_box(d): 1}
+    yield 1
+    for _ in range(n - 1):
+        nxt: dict[Partition, int] = {}
+        for lam, c in level.items():
+            for j in valid_rows(lam):
+                mu = add_box(lam, j)
+                nxt[mu] = nxt.get(mu, 0) + c
+        level = nxt
+        yield sum(level.values())
+
+
 def _enumerate(d: int, n: int, root: np.ndarray, outcomes_fn,
                prune: float, held: int = 0) -> BranchDistribution:
     """Depth-first enumeration of every measurement branch of n qudits.
@@ -135,19 +155,24 @@ def _enumerate(d: int, n: int, root: np.ndarray, outcomes_fn,
     after k qudits.  Children lighter than `prune` are dropped and their
     weight is added to `pruned`; `prune` must lie in [0, 1).  Each leaf, on
     top of the `held` bytes of the walk's states, is checked against the
-    memory budget.
+    memory budget.  With `prune` = 0 the walk reaches every lattice path,
+    and it is refused before it starts when their leaves are over the
+    budget.
 
     Children are pushed in reverse, so each node's are popped j ascending
     and the leaves arrive in sorted path order: `entries` is sorted, and
     each `marginal` sum runs over its paths in that order."""
     if not 0.0 <= prune < 1.0:  # NaN fails both comparisons
         raise InvalidInputError(f"prune={prune}: need 0 <= prune < 1")
+    leaf = _leaf_bytes(n)
+    if prune == 0.0:  # the first level over the budget refuses
+        for count in _path_counts(d, n):
+            check_budget(f"a walk of at least {count} leaves", held + count * leaf)
     entries: dict[tuple[int, ...], float] = {}
     marginal: dict[Partition, float] = {}
     pruned = 0.0
     # stack entries: (k, lam, unnormalized state, steps)
     stack = [(1, one_box(d), root, ())]
-    leaf = _leaf_bytes(n)
     while stack:
         k, lam, cur, steps = stack.pop()
         if k == n:
@@ -210,20 +235,39 @@ def step(state: StreamState, qudit: np.ndarray) -> tuple[StreamState, int, float
 class RunResult:
     lam: Partition
     path: LatticePath
-    amplitudes: np.ndarray
+    amplitudes: np.ndarray  # for a mixed stream, the drawn unravelling's state
 
 
 def run_stream(stream: list[np.ndarray], d: int, seed: int = 0,
                max_steps: int | None = None) -> RunResult:
     """Run the sampler over a stream of qudits; deterministic in
     (stream, seed).  `max_steps` truncates the run early (the streaming
-    property): the current label is still a valid output."""
+    property): the current label is still a valid output.
+
+    A density-matrix element is unravelled: the run couples in one of its
+    eigenvectors, drawn with its eigenvalue as probability.  The
+    measurement is linear in each qudit, so the (lambda, path) law is the
+    one of the density-matrix step, at the cost of a vector step.  Vector
+    elements draw nothing."""
     if len(stream) < 1:
         raise InvalidInputError("empty stream")
-    state = init_state(stream[0], d, seed=seed)
+    rng = make_rng(seed)
+    components = {}  # id of a density-matrix element -> (i, None, w_i, v_i)
+
+    def pure(q):
+        if not _is_matrix(q):
+            return q
+        if id(q) not in components:  # the iid form is n references to one array
+            w, v = np.linalg.eigh(check_state(q, d))
+            components[id(q)] = [(i, None, max(float(w[i]), 0.0), v[:, i].copy())
+                                 for i in range(d)]
+        return _sample(components[id(q)], rng)[0][3]
+
+    state = init_state(pure(stream[0]), d)
+    state.rng = rng  # one generator draws the components and the labels
     steps = len(stream) - 1 if max_steps is None else min(max_steps, len(stream) - 1)
     for k in range(steps):
-        state, _, _ = step(state, stream[k + 1])
+        state, _, _ = step(state, pure(stream[k + 1]))
     return RunResult(lam=state.lam, path=LatticePath(tuple(state.path)),
                      amplitudes=state.amplitudes)
 

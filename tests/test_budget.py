@@ -15,12 +15,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from schurstream import cg, cli, errors
+from schurstream import cg, cli, errors, sampler
 from schurstream.cli import run
 from schurstream.errors import SizeLimitError
 from schurstream.oracle import _transform_bytes, schur_transform
-from schurstream.partitions import Partition, dim_unitary
-from schurstream.sampler import _leaf_bytes, branch_distribution, run_full_state
+from schurstream.partitions import Partition, dim_symmetric, dim_unitary, partitions_of
+from schurstream.sampler import (_leaf_bytes, branch_distribution, init_state,
+                                 run_full_state, step)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 DATA = Path(__file__).parent / "data"
@@ -134,6 +135,41 @@ class TestRefusedBelowTheEstimate:
         monkeypatch.setattr(errors, "MEMORY_BUDGET", need)
         assert run(["dist", "--stream", stream])[0] == 0
 
+    def test_unprunable_walk_before_any_work(self, tmp_path, monkeypatch):
+        """With --prune 0 the walk reaches every one of the 20 lattice paths
+        of 6 qubits: one byte below their leaves it exits 2 without
+        coupling a qudit, and at them it runs."""
+        stream = iid_mixed(tmp_path, 6)
+        argv = ["dist", "--stream", stream, "--prune", "0"]
+        assert run(argv)[0] == 0  # builds the CG transforms
+        need = 20 * _leaf_bytes(6)
+
+        def no_work(*args):
+            pytest.fail("the walk started")
+
+        with monkeypatch.context() as m:
+            m.setattr(sampler, "_product_outcomes", no_work)
+            m.setattr(errors, "MEMORY_BUDGET", need - 1)
+            code, out = run(argv)
+        assert code == 2
+        assert "at least 20 leaves" in json.loads(out)["error"]
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", need)
+        assert len(json.loads(run(argv)[1])["paths"]) == 20
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_path_counts(self, d):
+        counts = list(sampler._path_counts(d, 10))
+        assert counts == [sum(dim_symmetric(lam) for lam in partitions_of(n, d))
+                          for n in range(1, 11)]
+
+    def test_long_unprunable_walk_refused_at_once(self, monkeypatch):
+        """Refused at the first level whose paths' leaves are over the
+        budget, C(11, 5) = 462 paths of 11 boxes, not after counting all
+        1000 levels."""
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", 400 * _leaf_bytes(1000))
+        with pytest.raises(SizeLimitError, match="at least 462 leaves"):
+            branch_distribution([np.eye(2) / 2] * 1000, 2, prune=0.0)
+
     @pytest.mark.parametrize("mixed", [False, True])
     def test_full_state(self, monkeypatch, mixed):
         state = random_state(4, mixed)
@@ -230,14 +266,19 @@ def test_oversized_request_exits_2_under_address_limit(argv):
     assert time.monotonic() - start < 20
 
 
-def test_density_steps_stay_in_budget(tmp_path, monkeypatch):
-    """A trajectory on an iid density stream holds each step's temporaries
-    on top of the CG cache: the cache is emptied early enough that the
-    traced peak stays within the budget, and the report is unchanged."""
+def budget_rho():
     rng = np.random.default_rng(17)
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     rho = a @ a.conj().T
-    rho /= np.trace(rho).real
+    return rho / np.trace(rho).real
+
+
+def test_density_steps_stay_in_budget(tmp_path, monkeypatch):
+    """`sample` on an iid density stream unravels each density matrix and
+    holds only vectors; under the density-step budget of its largest CG
+    transform the cache is emptied, the traced peak stays within the
+    budget, and the report is unchanged."""
+    rho = budget_rho()
     p = tmp_path / "iid.json"
     p.write_text(json.dumps({"iid": {
         "rho": [[[x.real, x.imag] for x in row] for row in rho], "n": 300}}))
@@ -252,6 +293,33 @@ def test_density_steps_stay_in_budget(tmp_path, monkeypatch):
     monkeypatch.setattr(errors, "MEMORY_BUDGET", cg._step_bytes(largest))
     peak, got = traced_peak(run, argv)
     assert got == want
+    assert peak <= errors.MEMORY_BUDGET
+    assert CountingCache.clears > 0
+
+
+def test_density_matrix_steps_stay_in_budget(monkeypatch):
+    """`init_state` and `step` on a density matrix hold each step's
+    temporaries on top of the CG cache: the cache is emptied early enough
+    that the traced peak stays within the budget, and the run is
+    unchanged."""
+    rho, n = budget_rho(), 300
+
+    def trajectory():
+        state = init_state(rho, 2, seed=3)
+        for _ in range(n - 1):
+            state, _, _ = step(state, rho)
+        return state.lam, state.path, state.amplitudes
+
+    monkeypatch.setattr(cg, "_cache", {})
+    monkeypatch.setattr(cg, "_cache_bytes", 0)
+    want = trajectory()
+    largest = max(t.size for t in cg._cache.values())
+    monkeypatch.setattr(cg, "_cache", CountingCache())
+    monkeypatch.setattr(cg, "_cache_bytes", 0)
+    monkeypatch.setattr(CountingCache, "clears", 0)
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", cg._step_bytes(largest))
+    peak, got = traced_peak(trajectory)
+    assert got[:2] == want[:2] and np.array_equal(got[2], want[2])
     assert peak <= errors.MEMORY_BUDGET
     assert CountingCache.clears > 0
 

@@ -347,6 +347,47 @@ class TestRefusedInputs:
         assert code == 1
         assert "prune" in json.loads(out)["error"]
 
+    @pytest.mark.parametrize("command", ["sample", "dist", "full"])
+    @pytest.mark.parametrize("state,match", [
+        ([True, False], "bad amplitude entry True"),
+        ({"vector": [[True, False], [0, 0]]}, "bad amplitude entry [True, False]"),
+        ({"rho": [[False, 0], [0, True]]}, "bad amplitude entry False"),
+        ({"vector": {"rho": [[0.5, 0], [0, 0.5]]}}, "expected a non-empty list"),
+        ({"rho": {"vector": [1, 0]}}, "expected a non-empty list"),
+        ({"rho": [[1, 0], [0]]}, "rows differ in length: [2, 1]"),
+    ], ids=["bool-entries", "bool-pair", "bool-rho", "dict-under-vector",
+            "dict-under-rho", "ragged-rho"])
+    def test_malformed_state_exit_1(self, tmp_path, command, state, match):
+        """Each of these was read as a state, or refused with numpy's text;
+        the error names the input it is in."""
+        p = tmp_path / "input.json"
+        if command == "full":  # one qubit: a state of size 2 = 2^1
+            p.write_text(json.dumps(state))
+            argv, where = ["full", "--state", str(p)], "state file: "
+        else:
+            p.write_text(json.dumps([[1, 0], state]))
+            argv, where = [command, "--stream", str(p)], "stream element 1: "
+        code, out = run(argv)
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error.startswith(where)
+        assert match in error
+
+    @pytest.mark.parametrize("command", ["sample", "dist"])
+    @pytest.mark.parametrize("rho,match", [
+        ([[1, 0], [0]], "rows differ in length"),
+        ([[True, 0], [0, False]], "bad amplitude entry True"),
+        ({"rho": [[1, 0], [0, 0]]}, "expected a non-empty list"),
+    ], ids=["ragged", "bool", "dict"])
+    def test_malformed_iid_rho_exit_1(self, tmp_path, command, rho, match):
+        p = tmp_path / "stream.json"
+        p.write_text(json.dumps({"iid": {"rho": rho, "n": 2}}))
+        code, out = run([command, "--stream", str(p)])
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error.startswith("iid rho: ")
+        assert match in error
+
     @pytest.mark.parametrize("command", ["full", "oracle"])
     @pytest.mark.parametrize("limit", ["0", "-1", "-5"])
     def test_limit_below_1_exit_1(self, tmp_path, command, limit):

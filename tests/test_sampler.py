@@ -1,7 +1,9 @@
 """Streaming sampler: single steps, trajectories, branch enumeration,
 full-state mode and the explicit qubit-register mode."""
 
+import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -248,6 +250,54 @@ class TestRunFullState:
             run_full_state(np.ones(6) / np.sqrt(6), 2)
 
 
+class TestFullStateLargeN:
+    """Structural checks on `full` at n=14-16, past the brute-force
+    oracle's reach (n=10 for qubits), each within n * 1e-15."""
+
+    @staticmethod
+    def tensor_power(u, psi, n):
+        """U^(x)n |psi> without forming the 2^n x 2^n matrix."""
+        t = psi.reshape((2,) * n)
+        for axis in range(n):
+            t = np.moveaxis(np.tensordot(u, t, axes=([1], [axis])), 0, axis)
+        return t.reshape(-1)
+
+    @pytest.mark.parametrize("n", [14, 16])
+    def test_product_state_equals_its_stream(self, n):
+        rng = np.random.default_rng(113 + n)
+        stream = [random_qubit(rng) for _ in range(n)]
+        vec = stream[0]
+        for q in stream[1:]:
+            vec = np.kron(vec, q)
+        a, b = run_full_state(vec, 2), branch_distribution(stream, 2)
+        assert list(a.entries) == list(b.entries)
+        for steps, p in b.entries.items():
+            assert abs(a.entries[steps] - p) <= n * 1e-15
+
+    @pytest.mark.parametrize("ones", [0, 5])
+    def test_symmetric_state_is_the_one_row_label(self, ones):
+        """|0>^(x)n, and the Dicke state of `ones` excitations, lie in the
+        symmetric subspace: lam = (n) with mass 1."""
+        n = 16
+        vec = np.array([bin(i).count("1") == ones for i in range(2 ** n)], dtype=float)
+        dist = run_full_state(vec / np.linalg.norm(vec), 2)
+        assert abs(dist.marginal[Partition((n, 0))] - 1.0) <= n * 1e-15
+        assert abs(dist.total - 1.0) <= n * 1e-15
+
+    def test_marginal_invariances(self):
+        n = 14
+        rng = np.random.default_rng(127)
+        psi = haar_state(2 ** n, rng)
+        want = run_full_state(psi, 2).marginal
+        rotated = self.tensor_power(haar_unitary(2, rng), psi, n)
+        permuted = psi.reshape((2,) * n).transpose(rng.permutation(n)).reshape(-1)
+        for state in (rotated, permuted):
+            got = run_full_state(state, 2).marginal
+            assert list(got) == list(want)
+            for lam, p in want.items():
+                assert abs(got[lam] - p) <= n * 1e-15
+
+
 class TestLeafOrder:
     """`_enumerate` yields the leaves in sorted path order and sums each
     label's marginal in that order, whatever the mode and the pruning."""
@@ -489,3 +539,85 @@ class TestEarlyStopConsistency:
             prefix_mass[key] = prefix_mass.get(key, 0.0) + p
         for steps, p in full_prefix.entries.items():
             assert abs(prefix_mass.get(steps, 0.0) - p) <= 1e-9
+
+
+def nondegenerate_density(d, seed):
+    """A rho with spectrum (d, d-1, ..., 1)/sum in a Haar basis, so no
+    branch of rho^(x)n has a vanishing probability."""
+    r = np.arange(d, 0, -1) / (d * (d + 1) / 2)
+    u = haar_unitary(d, np.random.default_rng(seed))
+    return u @ np.diag(r) @ u.conj().T, r
+
+
+class TestUnravelling:
+    """`run_stream` couples in one eigenvector of each density matrix,
+    drawn with its eigenvalue as probability.  The measurement is linear in
+    each qudit, so the (lambda, path) law is the density-matrix step's."""
+
+    @pytest.mark.parametrize("d,n", [(2, 6), (3, 4)])
+    def test_average_over_components_is_the_mixed_law(self, d, n):
+        rho, _ = nondegenerate_density(d, 97 + d)
+        w, v = np.linalg.eigh(rho)
+        want = branch_distribution([rho] * n, d, prune=0.0)
+        avg = dict.fromkeys(want.entries, 0.0)
+        for picks in itertools.product(range(d), repeat=n):
+            dist = branch_distribution([v[:, i] for i in picks], d, prune=0.0)
+            weight = np.prod(w[list(picks)])
+            for steps, p in dist.entries.items():
+                avg[steps] += weight * p
+        for steps, p in want.entries.items():
+            assert abs(avg[steps] - p) <= n * 1e-15
+
+    @pytest.mark.parametrize("d,n,trials", [(2, 6, 10000), (3, 4, 4000)])
+    def test_trajectory_histogram_matches_the_mixed_law(self, d, n, trials):
+        """Path and label counts over `trials` seeds are within `z_bound`
+        binomial standard deviations of the exact mixed `dist` law and of
+        dim P_lam * s_lam(r)."""
+        z_bound = 5.0
+        rho, r = nondegenerate_density(d, 101 + d)
+        stream = [rho] * n
+        exact = branch_distribution(stream, d, prune=0.0)
+        paths, labels = Counter(), Counter()
+        for seed in range(trials):
+            res = run_stream(stream, d, seed=seed)
+            paths[res.path.steps] += 1
+            labels[res.lam] += 1
+
+        def z(count, p):
+            return abs(count - trials * p) / math.sqrt(trials * p * (1 - p))
+
+        assert set(paths) <= set(exact.entries)
+        assert max(z(paths[s], p) for s, p in exact.entries.items()) <= z_bound
+        law = {lam: dim_symmetric(lam) * schur_polynomial(lam, r)
+               for lam in partitions_of(n, d)}
+        assert abs(sum(law.values()) - 1.0) <= 1e-12
+        assert set(labels) <= set(law)
+        assert max(z(labels[lam], p) for lam, p in law.items()) <= z_bound
+
+    def test_pure_stream_draws_nothing(self):
+        """A vector stream runs the steps of `init_state` and `step` with
+        the run's seed, amplitude for amplitude."""
+        rng = np.random.default_rng(103)
+        stream = [haar_state(3, rng) for _ in range(7)]
+        state = init_state(stream[0], 3, seed=11)
+        for q in stream[1:]:
+            state, _, _ = step(state, q)
+        res = run_stream(stream, 3, seed=11)
+        assert res.path.steps == tuple(state.path)
+        assert np.array_equal(res.amplitudes, state.amplitudes)
+
+    def test_each_distinct_element_is_decomposed_once(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+        rho, _ = nondegenerate_density(2, 107)
+        res = run_stream([rho] * 9 + [MIXED, KET0, MIXED], 2, seed=5)
+        assert len(calls) == 2
+        assert res.amplitudes.ndim == 1
+        assert abs(np.linalg.norm(res.amplitudes) - 1.0) <= 1e-9
+
+    def test_rank_one_density_matrix_gives_its_vector(self):
+        psi = haar_state(3, np.random.default_rng(109))
+        for seed in range(5):
+            res = run_stream([np.outer(psi, psi.conj())], 3, seed=seed)
+            assert abs(abs(np.vdot(psi, res.amplitudes)) - 1.0) <= 1e-12
