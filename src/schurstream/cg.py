@@ -18,7 +18,8 @@ fixes the fundamental index l - 1.  Numerators and denominators are exact
 integers and each entry takes one square root.  For d = 2 this is the
 spin-j (x) spin-1/2 coupling with Condon-Shortley phases, which cg_qubit
 writes out directly.  Ladder matrix elements of the GT basis are
-non-negative (see gt_basis), and the transform intertwines in that basis.
+non-negative (see the dense generator build in tests/cg_reference.py),
+and the transform intertwines in that basis.
 """
 
 from __future__ import annotations

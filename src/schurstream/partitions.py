@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 from typing import Iterator
 
@@ -160,47 +159,6 @@ def partitions_of(n: int, d: int) -> list[Partition]:
 
     rec(n, n, ())
     return [Partition(p) for p in out]
-
-
-def enumerate_paths(lam: Partition) -> list[LatticePath]:
-    """All lattice paths from (1,0,...) to lam, lexicographic in their
-    step sequences (j ascending at each level)."""
-    if lam.n < 1:
-        raise ValueError("need at least one box")
-    d = lam.d
-    target = lam.parts
-    out: list[LatticePath] = []
-
-    def rec(cur: list[int], steps: list[int]):
-        if len(steps) == lam.n - 1:
-            out.append(LatticePath(tuple(steps)))
-            return
-        for j in range(d):
-            if j >= 1 and cur[j - 1] == cur[j]:
-                continue
-            if cur[j] + 1 > target[j]:
-                continue
-            cur[j] += 1
-            steps.append(j)
-            rec(cur, steps)
-            steps.pop()
-            cur[j] -= 1
-
-    rec([1] + [0] * (d - 1), [])
-    return out
-
-
-@lru_cache(maxsize=None)
-def _path_index_map(lam: Partition) -> dict[tuple[int, ...], int]:
-    return {p.steps: i for i, p in enumerate(enumerate_paths(lam))}
-
-
-def path_index(lam: Partition, path: LatticePath) -> int:
-    """Canonical multiplicity index p_lam of a path ending at lam."""
-    idx = _path_index_map(lam).get(path.steps)
-    if idx is None:
-        raise ValueError(f"path {path} does not end at {lam}")
-    return idx
 
 
 def schur_weyl_weight(lam: Partition) -> Fraction:

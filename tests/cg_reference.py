@@ -1,5 +1,15 @@
 """Numeric reference constructions that the tests compare against.
 
+`build_irrep` is the dense U(d) irrep on the GT basis of `enumerate_gt`:
+the simple raising generators E_{a,a+1} come from the closed-form
+orthonormal-basis matrix elements and the lowering generators are their
+transposes, so every ladder matrix element is real and non-negative (the
+phase convention of the package's closed-form CG transforms).  Each build
+is checked against the commutation relations and the analytic Casimir
+eigenvalue `casimir2`.  `pattern_weight` is the weight of a GT pattern,
+and `enumerate_paths` and `path_index` list the lattice paths to a label
+in their canonical order.
+
 `cg_numeric` builds the CG transform without the closed form: block
 membership is certified against the analytic Casimir eigenvalues, the
 highest-weight vector of each target irrep is extracted from the kernel
@@ -20,19 +30,208 @@ random unitaries and pure states that the tests feed in.
 
 from __future__ import annotations
 
-from functools import lru_cache
+import math
+from dataclasses import dataclass, field
+from functools import cache, lru_cache
 
 import numpy as np
 import scipy.linalg as sla
 
 from schurstream.cg import (CGTransform, DegeneracyError, _blocks_for,
                             cg_transform)
-from schurstream.gt_basis import build_irrep, casimir2
+from schurstream.gt_basis import enumerate_gt
 from schurstream.oracle import SchurUnitary, _as_density, _schur_diagonal, schur_transform
-from schurstream.partitions import LatticePath, Partition
+from schurstream.partitions import LatticePath, Partition, dim_unitary
 from schurstream.resources import givens_decompose
 
 CASIMIR_MATCH_TOL = 0.25  # analytic gaps are integers >= 1
+
+
+def pattern_weight(pat: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """Occupation weight (w_0, ..., w_{d-1}): w_a = sum(row of length a+1)
+    - sum(row of length a)."""
+    d = len(pat[0])
+    sums = [sum(pat[d - l]) for l in range(1, d + 1)]  # sums[l-1] = row of length l
+    return tuple(sums[a] - (sums[a - 1] if a >= 1 else 0) for a in range(d))
+
+
+def _raising_element(pat, l: int, k: int) -> float:
+    """<pat + delta_{k,l} | E_{l,l+1} | pat> for 1-based row length l and
+    entry index k; 0.0 when the shifted pattern is not valid."""
+    d = len(pat[0])
+    row = pat[d - l]
+    above = pat[d - l - 1]
+    # interlacing with the longer row; also rules out every zero-denominator case
+    new_val = row[k - 1] + 1
+    if new_val > above[k - 1]:
+        return 0.0
+    lkl = row[k - 1] - k
+    num = 1.0
+    for i in range(1, l + 2):
+        num *= (above[i - 1] - i) - lkl
+    if l >= 2:
+        below = pat[d - l + 1]
+        for i in range(1, l):
+            num *= (below[i - 1] - i) - lkl - 1
+    den = 1.0
+    for i in range(1, l + 1):
+        if i == k:
+            continue
+        lil = row[i - 1] - i
+        den *= (lil - lkl) * (lil - lkl - 1)
+    val = -num / den
+    if val <= 0:
+        return 0.0
+    return math.sqrt(val)
+
+
+class ConsistencyError(RuntimeError):
+    """Internal check on generator algebra failed (implementation bug)."""
+
+
+@dataclass
+class IrrepRep:
+    """A concrete U(d) irrep: ordered GT basis plus generator matrices."""
+
+    lam: Partition
+    basis: list[tuple[tuple[int, ...], ...]]
+    index: dict = field(repr=False, default_factory=dict)
+    weights: list[tuple[int, ...]] = field(default_factory=list)
+    raising: list[np.ndarray] = field(default_factory=list)  # E_{a,a+1}, a=0..d-2
+
+    @property
+    def d(self) -> int:
+        return self.lam.d
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
+
+    def diagonal(self, a: int) -> np.ndarray:
+        """E_{a,a} as a diagonal matrix of integer weights."""
+        return np.diag([float(w[a]) for w in self.weights])
+
+    def generator(self, a: int, b: int) -> np.ndarray:
+        """E_{a,b} in the GT basis; |a-b| > 1 built by commutators."""
+        if a == b:
+            return self.diagonal(a)
+        if b == a + 1:
+            return self.raising[a]
+        if a == b + 1:
+            return self.raising[b].T
+        if b > a:
+            x, y = self.generator(a, b - 1), self.generator(b - 1, b)
+        else:
+            x, y = self.generator(a, b + 1), self.generator(b + 1, b)
+        return x @ y - y @ x
+
+    def casimir_matrix(self) -> np.ndarray:
+        """Second-order Casimir sum_{a,b} E_{a,b} E_{b,a}."""
+        c = np.zeros((self.dim, self.dim))
+        for a in range(self.d):
+            for b in range(self.d):
+                g = self.generator(a, b)
+                c += g @ g.T  # E_{b,a} = E_{a,b}^T in this real basis
+        return c
+
+
+def _build(lam: Partition) -> IrrepRep:
+    d = lam.d
+    basis = enumerate_gt(lam)
+    index = {pat: i for i, pat in enumerate(basis)}
+    weights = [pattern_weight(p) for p in basis]
+    dim = len(basis)
+    if dim != dim_unitary(lam):
+        raise ConsistencyError(f"GT count {dim} != hook-content dim for {lam}")
+    raising = []
+    for a in range(d - 1):
+        l = a + 1  # E_{a,a+1} changes the row of length l
+        m = np.zeros((dim, dim))
+        for src, pat in enumerate(basis):
+            row = list(pat[d - l])
+            for k in range(1, l + 1):
+                coeff = _raising_element(pat, l, k)
+                if coeff == 0.0:
+                    continue
+                row[k - 1] += 1
+                shifted = pat[:d - l] + (tuple(row),) + pat[d - l + 1:]
+                row[k - 1] -= 1
+                dst = index.get(shifted)
+                if dst is None:
+                    continue
+                m[dst, src] = coeff
+        raising.append(m)
+    rep = IrrepRep(lam=lam, basis=basis, index=index,
+                   weights=weights, raising=raising)
+    _check(rep)
+    return rep
+
+
+def _check(rep: IrrepRep) -> None:
+    """Sampled commutation relations; raises ConsistencyError on failure."""
+    for a in range(rep.d - 1):
+        e, f = rep.raising[a], rep.raising[a].T
+        h = e @ f - f @ e
+        want = rep.diagonal(a) - rep.diagonal(a + 1)
+        if np.max(np.abs(h - want)) > 1e-10:
+            raise ConsistencyError(f"[E,F] check failed at a={a} for {rep.lam}")
+    c = rep.casimir_matrix()
+    target = float(casimir2(rep.lam))
+    if np.max(np.abs(c - target * np.eye(rep.dim))) > 1e-9:
+        raise ConsistencyError(f"Casimir not scalar {target} for {rep.lam}")
+
+
+@cache
+def build_irrep(lam: Partition) -> IrrepRep:
+    """Cached irrep construction."""
+    return _build(lam)
+
+
+def casimir2(lam: Partition) -> int:
+    """Analytic eigenvalue of sum_{a,b} E_{a,b}E_{b,a} on Q^d_lam, d = lam.d:
+    sum_i lam_i (lam_i + d + 1 - 2(i+1)), exact integer."""
+    return sum(p * (p + lam.d + 1 - 2 * (i + 1)) for i, p in enumerate(lam.parts))
+
+
+def enumerate_paths(lam: Partition) -> list[LatticePath]:
+    """All lattice paths from (1,0,...) to lam, lexicographic in their
+    step sequences (j ascending at each level)."""
+    if lam.n < 1:
+        raise ValueError("need at least one box")
+    d = lam.d
+    target = lam.parts
+    out: list[LatticePath] = []
+
+    def rec(cur: list[int], steps: list[int]):
+        if len(steps) == lam.n - 1:
+            out.append(LatticePath(tuple(steps)))
+            return
+        for j in range(d):
+            if j >= 1 and cur[j - 1] == cur[j]:
+                continue
+            if cur[j] + 1 > target[j]:
+                continue
+            cur[j] += 1
+            steps.append(j)
+            rec(cur, steps)
+            steps.pop()
+            cur[j] -= 1
+
+    rec([1] + [0] * (d - 1), [])
+    return out
+
+
+@lru_cache(maxsize=None)
+def _path_index_map(lam: Partition) -> dict[tuple[int, ...], int]:
+    return {p.steps: i for i, p in enumerate(enumerate_paths(lam))}
+
+
+def path_index(lam: Partition, path: LatticePath) -> int:
+    """Canonical multiplicity index p_lam of a path ending at lam."""
+    idx = _path_index_map(lam).get(path.steps)
+    if idx is None:
+        raise ValueError(f"path {path} does not end at {lam}")
+    return idx
 
 
 def haar_unitary(size, rng):
@@ -132,8 +331,9 @@ def _top_pattern(mu: tuple[int, ...], d: int):
 
 
 def cg_numeric(lam: Partition) -> CGTransform:
-    """Numerical construction valid for any d; for d=2 it reproduces
-    cg_qubit entrywise."""
+    """Numerical construction from the dense irreps of `build_irrep`,
+    valid for any d; it agrees entrywise, to rounding, with the closed-form
+    `cg_transform` (`cg_qubit` for d=2, `cg_closed` for d>=3)."""
     d = lam.d
     rep = build_irrep(lam)
     size = rep.dim * d

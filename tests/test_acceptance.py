@@ -12,15 +12,15 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from cg_reference import (cg_givens_count, cg_numeric, haar_state, haar_unitary,
-                          irrep_unitary, path_probs, perm_rep, tensor_rep,
-                          two_level_total_by_sum)
+from cg_reference import (cg_givens_count, cg_numeric, enumerate_paths,
+                          haar_state, haar_unitary, irrep_unitary, path_probs,
+                          perm_rep, tensor_rep, two_level_total_by_sum)
 from schurstream.cg import cg_qubit, cg_transform
 from schurstream.cli import run as cli_run
 from schurstream.oracle import isotypic_projector, schur_transform, weak_schur_probs
 from schurstream.partitions import (Partition, add_box, dim_symmetric,
-                                    dim_unitary, enumerate_paths, one_box,
-                                    partitions_of, valid_rows)
+                                    dim_unitary, one_box, partitions_of,
+                                    valid_rows)
 from schurstream.resources import qubit_gate_count, qudit_m_sum, two_level_total
 from schurstream.sampler import (branch_distribution, register_branch_distribution,
                                  register_run, _register_outcomes, run_full_state)

@@ -19,7 +19,8 @@ from schurstream import cg, cli, errors, sampler
 from schurstream.cli import run
 from schurstream.errors import SizeLimitError
 from schurstream.oracle import _transform_bytes, schur_transform
-from schurstream.partitions import Partition, dim_symmetric, dim_unitary, partitions_of
+from schurstream.partitions import (LatticePath, Partition, dim_symmetric,
+                                    dim_unitary, partitions_of)
 from schurstream.sampler import (_leaf_bytes, branch_distribution, init_state,
                                  run_full_state, step)
 
@@ -107,6 +108,33 @@ class TestEstimatesAreUpperBounds:
             run, ["resources", "--n", str(n), "--d", str(d), "--epsilon", "0.01"])
         assert code == 0
         assert peak <= 1100 * (n - 1)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_sample_trials(self, tmp_path, fmt):
+        """300 trials hold at most their records' estimate more than one
+        trial does, whose trajectory's own work the CG budget covers."""
+        argv = ["sample", "--stream", iid_mixed(tmp_path, 8), "--format", fmt,
+                "--trials"]
+        run(argv + ["300"])  # builds every CG transform these seeds reach
+        one, _ = traced_peak(run, argv + ["1"])
+        peak, (code, _) = traced_peak(run, argv + ["300"])
+        assert code == 0
+        assert peak <= one + 300 * cli._trial_bytes(8)
+
+    @pytest.mark.parametrize("n,fmt", [(2, "json"), (1000, "json"), (1000, "csv")])
+    def test_sample_report(self, tmp_path, monkeypatch, n, fmt):
+        """The records and the report alone, for paths of n - 1 steps: each
+        trajectory returns one fixed result."""
+        path = LatticePath(((0, 1) * n)[:n - 1])
+        result = sampler.RunResult(lam=path.endpoint(2), path=path,
+                                   amplitudes=np.ones(1))
+        monkeypatch.setattr(cli, "run_stream", lambda *args, **kwargs: result)
+        stream = tmp_path / "zeros.json"
+        stream.write_text(json.dumps([[1, 0]] * n))
+        peak, (code, _) = traced_peak(run, ["sample", "--stream", str(stream),
+                                            "--trials", "2000", "--format", fmt])
+        assert code == 0
+        assert peak <= 2000 * cli._trial_bytes(n)
 
 
 class TestRefusedBelowTheEstimate:
@@ -207,6 +235,30 @@ class TestRefusedBelowTheEstimate:
         assert "n=50" in json.loads(out)["error"]
         monkeypatch.setattr(errors, "MEMORY_BUDGET", 1100 * 49)
         assert run(argv)[0] == 0
+
+    def test_sample_trials(self, tmp_path, monkeypatch):
+        """One byte below the records of its trials, `sample` exits 2
+        before its first trajectory, and at them it runs; 10^8 trials are
+        refused at once under the default budget."""
+        stream = iid_mixed(tmp_path, 6)
+        argv = ["sample", "--stream", stream, "--trials", "40"]
+        assert run(argv)[0] == 0  # builds the CG transforms
+        need = 40 * cli._trial_bytes(6)
+
+        def no_work(*args, **kwargs):
+            pytest.fail("a trajectory started")
+
+        with monkeypatch.context() as m:
+            m.setattr(cli, "run_stream", no_work)
+            code, out = run(["sample", "--stream", stream, "--trials", str(10 ** 8)])
+            assert code == 2
+            assert "100000000 trials" in json.loads(out)["error"]
+            m.setattr(errors, "MEMORY_BUDGET", need - 1)
+            code, out = run(argv)
+        assert code == 2
+        assert str(need) in json.loads(out)["error"]
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", need)
+        assert len(json.loads(run(argv)[1])["trials"]) == 40
 
 
 class CountingCache(dict):

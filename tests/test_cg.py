@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cg_reference import cg_numeric, haar_unitary, irrep_unitary
-from schurstream import cg, errors, gt_basis
+from schurstream import cg, errors
 from schurstream.cg import (CGTransform, cg_closed, cg_qubit, cg_transform,
                             verify_sparsity)
 from schurstream.partitions import (Partition, add_box, dim_unitary, one_box,
@@ -166,12 +166,6 @@ class TestCgClosed:
             for lam in partitions_of(n, 2):
                 assert np.array_equal(cg_closed(lam).matrix,
                                       cg_qubit(lam).matrix), lam
-
-    def test_cold_build_needs_no_dense_irrep(self):
-        cg._cache.clear()
-        gt_basis._cache.clear()
-        cg_transform(Partition((3, 1, 0)))
-        assert gt_basis._cache == {}
 
 
 class TestSizeLimit:

@@ -125,6 +125,29 @@ class TestOracle:
             assert code == 1
             assert says in json.loads(out)["error"]
 
+    @pytest.mark.parametrize("flag,data,says", [
+        ("--compare", [[1, 1], [1, 0], [1, 0]],
+         "compare stream element 0: state vector not normalized"),
+        ("--compare", [[1, 0], {"rho": [[1.5, 0], [0, -0.5]]}, [1, 0]],
+         "compare stream element 1: density matrix not positive semidefinite"),
+        ("--compare", [[1, 0], [1, 0], [1, 0, 0]],
+         "compare stream element 2: state length 3 != 2"),
+        ("--compare", {"iid": {"rho": [[0.5, 0.5], [0.5, 0.6]], "n": 3}},
+         "compare stream element 0: density matrix trace != 1"),
+        ("--state", {"vector": "x"}, "state file: expected a non-empty list"),
+    ], ids=["unnormalized", "not-psd", "wrong-length", "iid-trace", "state-file"])
+    def test_unphysical_input_is_refused_before_the_transform(
+            self, tmp_path, monkeypatch, flag, data, says):
+        def transform(*args, **kwargs):
+            raise AssertionError("the inputs are checked first")
+
+        monkeypatch.setattr(cli, "schur_transform", transform)
+        p = tmp_path / "input.json"
+        p.write_text(json.dumps(data))
+        code, out = run(["oracle", "--n", "3", flag, str(p)])
+        assert code == 1
+        assert json.loads(out) == {"error": says}
+
 
 class TestCg:
     def test_report_structure(self):
@@ -140,12 +163,16 @@ class TestCg:
 
     def test_dump_files(self, tmp_path):
         dump = tmp_path / "cg.json"
-        irrep = tmp_path / "irrep.json"
-        code, _ = run(["cg", "--d", "2", "--lambda", "2,0",
-                       "--dump", str(dump), "--dump-irrep", str(irrep)])
+        code, _ = run(["cg", "--d", "2", "--lambda", "2,0", "--dump", str(dump)])
         assert code == 0
         assert json.loads(dump.read_text())["size"] == 6
-        assert json.loads(irrep.read_text())["lambda"] == "2,0"
+
+    def test_dump_irrep_is_an_unknown_option(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as e:
+            run(["cg", "--d", "2", "--lambda", "2,0",
+                 "--dump-irrep", str(tmp_path / "irrep.json")])
+        assert e.value.code == 2
+        assert "unrecognized arguments: --dump-irrep" in capsys.readouterr().err
 
     @pytest.mark.parametrize("d,lam,rows", [("3", "2,1", 2), ("2", "2,1,0", 3)])
     def test_row_count_must_match_d(self, d, lam, rows):

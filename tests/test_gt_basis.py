@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from cg_reference import haar_unitary, irrep_unitary
-from schurstream.gt_basis import (build_irrep, casimir2, enumerate_gt,
-                                  pattern_weight)
+from cg_reference import (build_irrep, casimir2, haar_unitary, irrep_unitary,
+                          pattern_weight)
+from schurstream.gt_basis import enumerate_gt
 from schurstream.partitions import (Partition, add_box, dim_unitary, one_box,
                                     partitions_of, valid_rows)
 

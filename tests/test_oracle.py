@@ -3,16 +3,17 @@
 import numpy as np
 import pytest
 
-from cg_reference import (copy_projector, haar_unitary, path_probs, perm_rep,
-                          rows_for_path, super_cg, tensor_rep)
+from cg_reference import (copy_projector, enumerate_paths, haar_unitary,
+                          path_probs, perm_rep, rows_for_path, super_cg,
+                          tensor_rep)
 from schurstream import errors
 from schurstream.cg import cg_qubit
 from schurstream.errors import InvalidInputError, SizeLimitError
 from schurstream.oracle import (_schur_diagonal, isotypic_projector, schur_transform,
                                 weak_schur_probs)
 from schurstream.partitions import (LatticePath, Partition, dim_symmetric,
-                                    dim_unitary, enumerate_paths, one_box,
-                                    partitions_of, schur_weyl_weight)
+                                    dim_unitary, one_box, partitions_of,
+                                    schur_weyl_weight)
 
 
 class TestSuperCG:

@@ -7,10 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from cg_reference import enumerate_paths, path_index
 from schurstream.partitions import (
     InvalidPartitionError, LatticePath, Partition, add_box, dim_symmetric,
-    dim_unitary, enumerate_paths, one_box, partitions_of, path_index,
-    schur_weyl_weight, valid_rows)
+    dim_unitary, one_box, partitions_of, schur_weyl_weight, valid_rows)
 
 
 def brute_force_dim_symmetric(lam):

@@ -44,6 +44,7 @@ EXACT = {
     "resources-d3-csv": ["resources", "--n", "6", "--d", "3",
                          "--epsilon", "0.01", "--format", "csv"],
     "cg-d2": ["cg", "--d", "2", "--lambda", "2,1"],
+    "cg-d3": ["cg", "--d", "3", "--lambda", "2,1,0"],
     "sample-iid-json": ["sample", "--stream", "iid.json", "--seed", "5",
                         "--trials", "4"],
     "schema": ["--schema"],

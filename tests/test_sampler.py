@@ -9,11 +9,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cg_reference import haar_state, haar_unitary, path_probs
+from cg_reference import haar_state, haar_unitary, path_probs, pattern_weight
 from schurstream import errors
 from schurstream.cg import cg_transform
 from schurstream.errors import SizeLimitError
-from schurstream.gt_basis import enumerate_gt, pattern_weight
+from schurstream.gt_basis import enumerate_gt
 from schurstream.oracle import schur_transform, weak_schur_probs
 from schurstream.partitions import (LatticePath, Partition, dim_symmetric,
                                     dim_unitary, one_box, partitions_of)
