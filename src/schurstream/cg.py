@@ -20,6 +20,17 @@ spin-j (x) spin-1/2 coupling with Condon-Shortley phases, which cg_qubit
 writes out directly.  Ladder matrix elements of the GT basis are
 non-negative (see the dense generator build in tests/cg_reference.py),
 and the transform intertwines in that basis.
+
+cg_closed evaluates these factors for every source pattern at once.  The
+factors of each row step are products of entry differences, kept as numpy
+object arrays of Python ints, so they are exact at any size (at d = 5 they
+already pass 2^53).  The walk then runs once per chain shape, the
+positions j = i_0, i_1, ... the box takes, and keeps at each step the
+patterns whose factor is nonzero.  A target row is found by its pattern's
+mixed-radix key in base lam_0 + 2: moving the box adds one constant per
+shape to the source pattern's key.  Each squared coefficient is one Python
+int true division, so every entry is the float of the entry-by-entry
+build (tests/cg_reference.py), bit for bit.
 """
 
 from __future__ import annotations
@@ -118,53 +129,96 @@ def cg_qubit(lam: Partition) -> CGTransform:
     return t
 
 
-def _chains(sh, r: int, i: int, num: int, den: int, sign: int, moved: tuple):
-    """Every way the new box, sitting at position i of row r, can end: it
-    stops on row r or walks down to some position k of row r + 1.  Yields
-    (fundamental index, box position per row, num, den, sign) with the
-    squared coefficient num / den as exact integers."""
-    t = sh[r]
-    l = len(t)
-    moved = moved + (i,)
-    if l == 1:
-        yield 0, moved, num, den, sign
+def _flat(patterns) -> np.ndarray:
+    """GT patterns as an integer array, one pattern per row with its rows
+    concatenated top to bottom."""
+    return np.array([sum(pat, ()) for pat in patterns], dtype=np.int64)
+
+
+def _exact_prod(diffs: np.ndarray) -> np.ndarray:
+    """Products over the last axis, as Python ints."""
+    return np.multiply.reduce(diffs.astype(object), axis=-1)
+
+
+def _factors(t: np.ndarray, b: np.ndarray):
+    """The squared-coefficient factors of one row step for every pattern at
+    once, from the shifted entries t (patterns x l) of a row and b of the
+    row below: tden[:, i], stop[:, i], num[:, i, k] and den[:, k], with
+    num zeroed where den is 0 (that step is never taken)."""
+    l = t.shape[1]
+    i_, k_ = np.arange(l), np.arange(l - 1)
+    tt = t[:, None, :] - t[:, :, None]  # [., i, s] = t_s - t_i
+    tt[:, i_, i_] = 1
+    bt = b[:, None, :] - t[:, :, None] - 1  # [., i, s] = b_s - t_i - 1
+    bb = b[:, None, :] - b[:, :, None] - 1  # [., k, s] = b_s - b_k - 1
+    bb[:, k_, k_] = 1
+    # [., i, k, s]: b_s - t_i - 1 over s != k, then t_s - b_k over s != i
+    left = np.repeat(bt[:, :, None, :], l - 1, axis=2)
+    left[:, :, k_, k_] = 1
+    right = np.repeat((t[:, None, :] - b[:, :, None])[:, None], l, axis=1)
+    right[:, i_, :, i_] = 1
+    den = _exact_prod(bb)
+    num = _exact_prod(np.concatenate([left, right], axis=-1))
+    num = np.where(den[:, None, :] == 0, 0, num)
+    return _exact_prod(tt), _exact_prod(bt), num, den
+
+
+def _walk(steps, starts, weights, r: int, i: int, pats, num, den, sign: int, inc):
+    """Every chain shape from the new box at position i of row r, for the
+    source patterns `pats` at once: it stops on row r or walks down to
+    position k of row r + 1, for the patterns where that step is nonzero.
+    Yields (fundamental index, patterns, num, den, sign, key increment),
+    num / den being each pattern's squared coefficient."""
+    inc = inc + weights[starts[r] + i]
+    if r == len(steps):  # a row of length 1
+        yield 0, pats, num, den, sign, inc
         return
-    b = sh[r + 1]
-    tden = math.prod(t[s] - t[i] for s in range(l) if s != i)
-    stop = math.prod(bs - t[i] - 1 for bs in b)
-    yield l - 1, moved, num * stop, den * tden, sign
-    for k in range(l - 1):
-        n2 = (math.prod(b[s] - t[i] - 1 for s in range(l - 1) if s != k)
-              * math.prod(t[s] - b[k] for s in range(l) if s != i))
-        d2 = tden * math.prod(b[s] - b[k] - 1 for s in range(l - 1) if s != k)
-        if n2 == 0 or d2 == 0:
-            continue
-        yield from _chains(sh, r + 1, k, num * n2, den * d2,
-                           -sign if k < i else sign, moved)
+    tden, stop, knum, kden = steps[r]
+    tden = tden[pats, i]
+    yield len(steps) - r, pats, num * stop[pats, i], den * tden, sign, inc
+    for k in range(kden.shape[1]):
+        step = knum[pats, i, k]
+        live = np.flatnonzero(step)
+        yield from _walk(steps, starts, weights, r + 1, k, pats[live],
+                         num[live] * step[live],
+                         den[live] * tden[live] * kden[pats[live], k],
+                         -sign if k < i else sign, inc)
 
 
 def cg_closed(lam: Partition) -> CGTransform:
-    """Closed-form transform for any d, from GT patterns and integer
-    arithmetic; for d=2 it reproduces cg_qubit bit for bit."""
+    """Closed-form transform for any d, from GT patterns and exact integer
+    arithmetic, built by the chain walk over all source patterns at once;
+    for d=2 it reproduces cg_qubit bit for bit."""
     d = lam.d
     blocks = _blocks_for(lam)
-    source = enumerate_gt(lam)
-    size = len(source) * d
+    source = _flat(enumerate_gt(lam))
+    npat = len(source)
+    size = npat * d
+    starts = [r * d - r * (r - 1) // 2 for r in range(d)]
+    shifted = source - np.concatenate([np.arange(d - r) for r in range(d)])
+    rows = np.split(shifted, starts[1:], axis=1)
+    steps = [_factors(rows[r], rows[r + 1]) for r in range(d - 1)]
+    # mixed-radix pattern keys: every entry of a target is at most lam_0 + 1
+    base, width = lam.parts[0] + 2, source.shape[1]
+    weights = np.array([base ** (width - 1 - c) for c in range(width)], dtype=object)
+    keys = source.astype(object) @ weights
+    ones = np.ones(npat, dtype=object)
     mat = np.zeros((size, size))
     for blk in blocks:
-        index = {pat: r for r, pat in enumerate(enumerate_gt(blk.target))}
-        for g, pat in enumerate(source):
-            sh = [[m - s for s, m in enumerate(row)] for row in pat]
-            for a, moved, num, den, sign in _chains(sh, 0, blk.j, 1, 1, 1, ()):
-                if num == 0:
-                    continue
-                rows = [list(row) for row in pat]
-                for r, i in enumerate(moved):
-                    rows[r][i] += 1
-                row = index.get(tuple(map(tuple, rows)))
-                if row is not None:
-                    mat[blk.offset + row, g * d + a] = \
-                        sign * math.sqrt(abs(num) / abs(den))
+        # enumerate_gt is descending on the flattened rows, so are the keys
+        tkeys = (_flat(enumerate_gt(blk.target)).astype(object) @ weights)[::-1]
+        fund, pats, num, den, sign, inc = zip(*_walk(
+            steps, starts, weights, 0, blk.j, np.arange(npat), ones, ones, 1, 0))
+        num, den = np.concatenate(num), np.concatenate(den)
+        sign = np.repeat(sign, [len(p) for p in pats])
+        key = np.concatenate([keys[p] + c for p, c in zip(pats, inc)])
+        col = np.concatenate([p * d + a for p, a in zip(pats, fund)])
+        live = np.flatnonzero(num != 0)
+        pos = np.minimum(np.searchsorted(tkeys, key[live]), len(tkeys) - 1)
+        hit = tkeys[pos] == key[live]
+        live = live[hit]
+        mat[blk.offset + len(tkeys) - 1 - pos[hit], col[live]] = \
+            sign[live] * np.sqrt(np.abs((num[live] / den[live]).astype(float)))
     t = CGTransform(lam=lam, matrix=mat, blocks=blocks)
     t.check_unitary()
     return t
@@ -176,8 +230,10 @@ _cache_lock = threading.Lock()
 
 
 def _build_bytes(size: int) -> int:
-    """Peak bytes of a build: the matrix and check_unitary's temporaries
-    (measured 24.0 size^2 at sides 802 to 2002), and GT patterns per row."""
+    """Peak bytes of a build: the matrix and check_unitary's temporaries,
+    24 size^2, and the GT patterns and exact-integer factor arrays per row
+    (tracemalloc peak 24 size^2 + 410 size at side 1029, d=3, and
+    + 400 size at side 2520, d=4; + 890 size at side 420, d=6)."""
     return 32 * size * size + 4096 * size
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import sys
 from collections import Counter
 from dataclasses import asdict
@@ -207,7 +208,15 @@ def cmd_oracle(args) -> str:
                 check_state(q, args.d)
             except InvalidInputError as e:
                 raise InvalidInputError(f"compare stream element {i}: {e}") from e
-    state = load_state(args.state) if args.state else None
+    state = None
+    if args.state:  # also refused before the D^3 work
+        state = load_state(args.state)
+        try:
+            # no state file holds 2^64 amplitudes, so past n = 64 the length
+            # check fails either way, and the power stays small
+            state = check_state(state, args.d ** min(args.n, 64))
+        except InvalidInputError as e:
+            raise InvalidInputError(f"state file: {e}") from e
     su = schur_transform(args.n, args.d, limit=args.limit)
     if state is None:
         size = args.d ** args.n
@@ -346,8 +355,15 @@ def run(argv: list[str]) -> tuple[int, str]:
 
 def main(argv: list[str] | None = None) -> int:
     code, out = run(sys.argv[1:] if argv is None else argv)
-    if out:
-        print(out)
+    try:
+        if out:
+            print(out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe: send what is left to devnull, so that
+        # the flush at interpreter exit raises no second error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

@@ -16,6 +16,9 @@ highest-weight vector of each target irrep is extracted from the kernel
 of the raising generators, and the remaining columns are propagated with
 the lowering generators so that the result is an exact GT-basis
 intertwiner (ladder matrix elements non-negative by construction).
+`cg_closed_loop` is the closed-form transform built entry by entry, one
+chain of reduced Wigner factors per GT pattern in plain Python ints, that
+`cg.cg_closed` must equal bit for bit.
 `irrep_unitary` exponentiates the GT generators to give Q_lam(u).
 `givens_reconstruct` multiplies a Givens decomposition back together,
 `cg_givens_count` measures the rotation count of a CG matrix, and
@@ -370,6 +373,58 @@ def cg_numeric(lam: Partition) -> CGTransform:
         target = build_irrep(b.target)
         v = _intertwiner(rep, target, raisings, lowerings, prod_weights)
         mat[b.offset:b.offset + b.dim, :] = v.T
+    t = CGTransform(lam=lam, matrix=mat, blocks=blocks)
+    t.check_unitary()
+    return t
+
+
+def _chains(sh, r: int, i: int, num: int, den: int, sign: int, moved: tuple):
+    """Every way the new box, sitting at position i of row r, can end: it
+    stops on row r or walks down to some position k of row r + 1.  Yields
+    (fundamental index, box position per row, num, den, sign) with the
+    squared coefficient num / den as exact integers."""
+    t = sh[r]
+    l = len(t)
+    moved = moved + (i,)
+    if l == 1:
+        yield 0, moved, num, den, sign
+        return
+    b = sh[r + 1]
+    tden = math.prod(t[s] - t[i] for s in range(l) if s != i)
+    stop = math.prod(bs - t[i] - 1 for bs in b)
+    yield l - 1, moved, num * stop, den * tden, sign
+    for k in range(l - 1):
+        n2 = (math.prod(b[s] - t[i] - 1 for s in range(l - 1) if s != k)
+              * math.prod(t[s] - b[k] for s in range(l) if s != i))
+        d2 = tden * math.prod(b[s] - b[k] - 1 for s in range(l - 1) if s != k)
+        if n2 == 0 or d2 == 0:
+            continue
+        yield from _chains(sh, r + 1, k, num * n2, den * d2,
+                           -sign if k < i else sign, moved)
+
+
+def cg_closed_loop(lam: Partition) -> CGTransform:
+    """Closed-form transform for any d, from GT patterns and integer
+    arithmetic; for d=2 it reproduces cg_qubit bit for bit."""
+    d = lam.d
+    blocks = _blocks_for(lam)
+    source = enumerate_gt(lam)
+    size = len(source) * d
+    mat = np.zeros((size, size))
+    for blk in blocks:
+        index = {pat: r for r, pat in enumerate(enumerate_gt(blk.target))}
+        for g, pat in enumerate(source):
+            sh = [[m - s for s, m in enumerate(row)] for row in pat]
+            for a, moved, num, den, sign in _chains(sh, 0, blk.j, 1, 1, 1, ()):
+                if num == 0:
+                    continue
+                rows = [list(row) for row in pat]
+                for r, i in enumerate(moved):
+                    rows[r][i] += 1
+                row = index.get(tuple(map(tuple, rows)))
+                if row is not None:
+                    mat[blk.offset + row, g * d + a] = \
+                        sign * math.sqrt(abs(num) / abs(den))
     t = CGTransform(lam=lam, matrix=mat, blocks=blocks)
     t.check_unitary()
     return t

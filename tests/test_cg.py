@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from cg_reference import cg_numeric, haar_unitary, irrep_unitary
+from cg_reference import (_chains, cg_closed_loop, cg_numeric, haar_unitary,
+                          irrep_unitary)
 from schurstream import cg, errors
 from schurstream.cg import (CGTransform, cg_closed, cg_qubit, cg_transform,
                             verify_sparsity)
+from schurstream.gt_basis import enumerate_gt
 from schurstream.partitions import (Partition, add_box, dim_unitary, one_box,
                                     partitions_of, valid_rows)
 
@@ -160,6 +162,30 @@ class TestCgClosed:
                 a = cg_closed(lam).matrix
                 b = cg_numeric(lam).matrix
                 assert np.max(np.abs(a - b)) <= 1e-12, lam
+
+    @pytest.mark.parametrize("d,n_max", [(3, 10), (4, 7), (5, 5), (6, 4)])
+    def test_equals_loop_reference(self, d, n_max):
+        for n in range(1, n_max + 1):
+            for lam in partitions_of(n, d):
+                assert np.array_equal(cg_closed(lam).matrix,
+                                      cg_closed_loop(lam).matrix), lam
+
+    # sides 1029 and 1440; integers past 2^53; pattern keys past int64
+    @pytest.mark.parametrize("parts", [(12, 6, 0), (5, 3, 1, 0), (8, 0, 0, 0, 0),
+                                       (19, 18, 18, 18, 18),
+                                       (13, 12, 12, 12, 12, 12)])
+    def test_equals_loop_reference_at(self, parts):
+        lam = Partition(parts)
+        assert np.array_equal(cg_closed(lam).matrix, cg_closed_loop(lam).matrix)
+
+    def test_integers_pass_float_precision(self):
+        lam = Partition((8, 0, 0, 0, 0))
+        top = max(max(abs(num), abs(den))
+                  for pat in enumerate_gt(lam)
+                  for _, _, num, den, _ in _chains(
+                      [[m - s for s, m in enumerate(row)] for row in pat],
+                      0, 0, 1, 1, 1, ()))
+        assert top > 2 ** 53
 
     def test_qubit_is_bit_identical(self):
         for n in range(1, 41):

@@ -1,6 +1,10 @@
 """Command-line contract: output schemas, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,7 +139,13 @@ class TestOracle:
         ("--compare", {"iid": {"rho": [[0.5, 0.5], [0.5, 0.6]], "n": 3}},
          "compare stream element 0: density matrix trace != 1"),
         ("--state", {"vector": "x"}, "state file: expected a non-empty list"),
-    ], ids=["unnormalized", "not-psd", "wrong-length", "iid-trace", "state-file"])
+        ("--state", [1, 1, 0, 0, 0, 0, 0, 0],
+         "state file: state vector not normalized"),
+        ("--state", {"rho": np.diag([1.5, -0.5] + [0] * 6).tolist()},
+         "state file: density matrix not positive semidefinite"),
+        ("--state", [1, 0], "state file: state length 2 != 8"),
+    ], ids=["unnormalized", "not-psd", "wrong-length", "iid-trace", "state-file",
+            "state-unnormalized", "state-not-psd", "state-wrong-length"])
     def test_unphysical_input_is_refused_before_the_transform(
             self, tmp_path, monkeypatch, flag, data, says):
         def transform(*args, **kwargs):
@@ -284,6 +294,27 @@ class TestContract:
     def test_oracle_size_limit_exit_2(self):
         code, _ = run(["oracle", "--d", "2", "--n", "12"])
         assert code == 2
+
+    @pytest.mark.parametrize("n", ["12", "1000000000"])
+    def test_oracle_unphysical_state_exit_1_over_the_limit(self, tmp_path, n):
+        p = tmp_path / "state.json"
+        p.write_text(json.dumps([1, 0]))
+        code, out = run(["oracle", "--d", "2", "--n", n, "--state", str(p)])
+        assert code == 1
+        assert json.loads(out)["error"].startswith("state file: state length 2 != ")
+
+    def test_closed_stdout_exits_quietly(self):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(
+                       [str(Path(__file__).parents[1] / "src"),
+                        os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "schurstream.cli", "oracle", "--d", "2", "--n", "10"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()  # before the oracle's report is written
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert b"Traceback" not in err, err.decode()
 
     def test_schema_flag(self):
         code, out = run(["--schema"])

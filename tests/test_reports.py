@@ -45,6 +45,7 @@ EXACT = {
                          "--epsilon", "0.01", "--format", "csv"],
     "cg-d2": ["cg", "--d", "2", "--lambda", "2,1"],
     "cg-d3": ["cg", "--d", "3", "--lambda", "2,1,0"],
+    "cg-d4": ["cg", "--d", "4", "--lambda", "1,1,0,0"],
     "sample-iid-json": ["sample", "--stream", "iid.json", "--seed", "5",
                         "--trials", "4"],
     "schema": ["--schema"],
