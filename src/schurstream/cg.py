@@ -15,11 +15,18 @@ the row b below, with squared factor
 negated when k < i, until it stops on a row of length l, with factor
 prod_s(b_s - t_i - 1) / prod_{s!=i}(t_s - t_i) (1 when l = 1); the stop
 fixes the fundamental index l - 1.  Numerators and denominators are exact
-integers and each entry takes one square root.  For d = 2 this is the
-spin-j (x) spin-1/2 coupling with Condon-Shortley phases, which cg_qubit
-writes out directly.  Ladder matrix elements of the GT basis are
-non-negative (see the dense generator build in tests/cg_reference.py),
-and the transform intertwines in that basis.
+integers and each entry takes one square root.  Ladder matrix elements of
+the GT basis are non-negative (see the dense generator build in
+tests/cg_reference.py), and the transform intertwines in that basis.
+
+For d = 2 this is the spin-j (x) spin-1/2 coupling with Condon-Shortley
+phases, whose squared coefficients are k / dim Q.  cg_qubit keeps it as
+dim Q 2 x 2 rotations, two coefficients per row (QubitCG), built from lam
+by a few O(dim Q) numpy operations: the sampler applies them in
+O(dim Q) per amplitude column, and no (2 dim Q)^2 matrix is built, checked
+or cached.  QubitCG.matrix forms the dense matrix on request, for the
+`schur cg` report, the oracle and the sparsity check; it equals
+cg_closed's d = 2 matrix bit for bit.
 
 cg_closed evaluates these factors for every source pattern at once.  The
 factors of each row step are products of entry differences, kept as numpy
@@ -35,9 +42,9 @@ build (tests/cg_reference.py), bit for bit.
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -94,37 +101,83 @@ def _blocks_for(lam: Partition) -> list[Block]:
     return blocks
 
 
-def cg_qubit(lam: Partition) -> CGTransform:
-    """Closed-form d=2 transform: coupling spin j=(lam0-lam1)/2 with 1/2."""
+@dataclass
+class QubitCG:
+    """The d=2 transform as rotations.  With a[r] = x[2r] and b[r] =
+    x[2r + 1] the qubit-0 and qubit-1 amplitudes of the input on GT index r
+    (indices taken mod dim Q), output row k is
+
+        coef[0, k] a[k] + coef[1, k] b[k - 1],
+
+    rows 0 .. dim Q being the upper block and the rest the lower one.  For
+    0 < r < dim Q, rows r and dim Q + r rotate the pair (a[r], b[r - 1]) by
+    [[cos_r, sin_{r-1}], [-sin_{r-1}, cos_r]], with cos_r =
+    sqrt((dim Q - r) / dim Q) and sin_r = sqrt((r + 1) / dim Q); rows 0 and
+    dim Q are the ends, a[0] and b[dim Q - 1] with coefficient 1.  So a row
+    has at most two nonzeros.  The coefficients are real, held
+    complex-typed so that applying them to complex states casts nothing."""
+    lam: Partition
+    blocks: list[Block]
+    coef: np.ndarray  # (2, size), complex128 with zero imaginary part
+
+    @cached_property
+    def rotations(self) -> np.ndarray:
+        """The 2 x 2 blocks as a real (dim Q, 2, 2) array, laid out from coef
+        on first use: block r takes (b[r - 1], a[r]) to rows (r, dim Q + r)."""
+        return np.ascontiguousarray(self.coef.real.reshape(2, 2, -1)[::-1].T)
+
+    @property
+    def d(self) -> int:
+        return 2
+
+    @property
+    def size(self) -> int:
+        return self.coef.shape[1]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense size x size matrix, formed on each access."""
+        return _qubit_matrix(self)
+
+    def check_unitary(self) -> float:
+        """Each 2 x 2 block is a rotation [[c, s], [-s, c]] with
+        c^2 + s^2 = 1, and every coefficient is real; the blocks tile the
+        rows and the inputs, so the transform is unitary."""
+        # block r: row r is (c, s) and row dim Q + r is (-s, c) on (a[r], b[r-1])
+        (c, minus_s), (s, c_lower) = self.coef.real.reshape(2, 2, -1)
+        dev = np.max(np.abs(c * c + s * s - 1))
+        if (dev > UNITARITY_TOL or self.coef.imag.any() or np.any(c_lower != c)
+                or np.any(minus_s != -s)):
+            raise DegeneracyError(f"CG rotations not unitary: deviation {dev}")
+        return float(dev)
+
+
+def _qubit_matrix(t: QubitCG) -> np.ndarray:
+    """The dense form of the rotations, for the `schur cg` report, the
+    oracle and the sparsity check; bit for bit cg_closed's d=2 matrix."""
+    k = np.arange(t.size)
+    dimq = t.size // 2
+    mat = np.zeros((t.size, t.size))
+    mat[k, 2 * (k % dimq)] = t.coef[0].real
+    mat[k, 2 * ((k - 1) % dimq) + 1] = t.coef[1].real
+    return mat
+
+
+def cg_qubit(lam: Partition) -> QubitCG:
+    """Closed-form d=2 transform, spin j = (lam0 - lam1)/2 coupled with 1/2
+    under Condon-Shortley phases, as its rotation coefficients: the squared
+    coefficients are k / dim Q for k = 1 .. dim Q."""
     if lam.d != 2:
         raise ValueError(f"cg_qubit needs d=2, got {lam.d}")
     dimq = lam.parts[0] - lam.parts[1] + 1
-    twoj = dimq - 1  # 2j
-    size = 2 * dimq
-    mat = np.zeros((size, size))
-    blocks = _blocks_for(lam)
-
-    # Input column for spin projection m1 = j - s and qubit eps: 2*s + eps.
-    # Upper block: total spin j + 1/2; row r has m' = (twoj+1)/2 - r.
-    row = 0
-    for r in range(twoj + 2):
-        # "up" component: m1 = m' - 1/2  ->  s = j - m' + 1/2 = r
-        # coefficient sqrt((j + m' + 1/2) / (2j + 1)) = sqrt((twoj+1-r)/(twoj+1))
-        if r <= twoj:
-            mat[row, 2 * r] = math.sqrt((twoj + 1 - r) / (twoj + 1))
-        # "down" component: m1 = m' + 1/2  ->  s = r - 1
-        if r >= 1:
-            mat[row, 2 * (r - 1) + 1] = math.sqrt(r / (twoj + 1))
-        row += 1
-    if twoj > 0:
-        # Lower block: total spin j - 1/2; row r has m' = (twoj-1)/2 - r.
-        for r in range(twoj):
-            # up: s = j - m' + 1/2 = r + 1, coefficient -sqrt((j-m'+1/2)/(2j+1))
-            mat[row, 2 * (r + 1)] = -math.sqrt((r + 1) / (twoj + 1))
-            # down: s = r, coefficient sqrt((j+m'+1/2)/(2j+1))
-            mat[row, 2 * r + 1] = math.sqrt((twoj - r) / (twoj + 1))
-            row += 1
-    t = CGTransform(lam=lam, matrix=mat, blocks=blocks)
+    sin = np.sqrt(np.arange(1, dimq + 1) / dimq)
+    cos = sin[::-1]
+    coef = np.zeros((2, 2 * dimq), dtype=complex)
+    coef[0, :dimq] = cos
+    coef[0, dimq + 1:] = -sin[:-1]
+    coef[1, 1:dimq + 1] = sin
+    coef[1, dimq + 1:] = cos[1:]
+    t = QubitCG(lam=lam, blocks=_blocks_for(lam), coef=coef)
     t.check_unitary()
     return t
 
@@ -224,50 +277,77 @@ def cg_closed(lam: Partition) -> CGTransform:
     return t
 
 
-_cache: dict = {}
-_cache_bytes = 0  # matrix bytes the cache holds
+# The d=2 rotations cost about as much to rebuild as to apply, and a long
+# skewed trajectory never meets a label twice, so their cache stays small.
+QUBIT_CACHE_BYTES = 1 << 24
+
+_cache: dict = {}  # d >= 3: lam.parts -> CGTransform
+_cache_bytes = 0  # matrix bytes it holds
+_qubit_cache: dict = {}  # d = 2: lam.parts -> QubitCG
+_qubit_bytes = 0  # the build estimates of its entries
 _cache_lock = threading.Lock()
 
 
-def _build_bytes(size: int) -> int:
-    """Peak bytes of a build: the matrix and check_unitary's temporaries,
-    24 size^2, and the GT patterns and exact-integer factor arrays per row
-    (tracemalloc peak 24 size^2 + 410 size at side 1029, d=3, and
-    + 400 size at side 2520, d=4; + 890 size at side 420, d=6)."""
+def _build_bytes(d: int, size: int) -> int:
+    """Peak bytes of a build.  d=2: the coefficients, 32 size, their float
+    temporaries and the blocks (tracemalloc peak at most 49 size + 2.5 KB
+    at sides 4 to 400002, of which 32 size + 2.4 KB stay).  d >= 3: the
+    matrix and check_unitary's temporaries, 24 size^2, and the GT patterns
+    and exact-integer factor arrays per row (tracemalloc peak 24 size^2
+    + 410 size at side 1029, d=3, and + 400 size at side 2520, d=4;
+    + 890 size at side 420, d=6)."""
+    if d == 2:
+        return 64 * size + 4096
     return 32 * size * size + 4096 * size
 
 
 def _step_bytes(size: int) -> int:
     """Peak bytes of coupling into a density matrix of side `size`, by
-    `step()` or at a `dist`/`full` node, over the cache's other
-    transforms: this matrix, the previous state, the coupled state and the
-    temporaries of its rotation (measured 68 size^2 at sides 82 to 670).
-    `sample` unravels density matrices and holds only vectors."""
+    `step()` or at a `dist` node: the previous state, the coupled state
+    and the temporaries of its rotation (measured 68 size^2 at sides 82 to
+    670 with the d >= 3 matrix, and 64 size^2 + 1.7 KB for the d=2
+    rotations at sides 80 to 1200).  `sample` unravels density matrices and
+    holds only vectors."""
     return 80 * size * size + 4096 * size
 
 
-def cg_transform(lam: Partition) -> CGTransform:
-    """Cached CG transform: cg_qubit for d=2, cg_closed otherwise.  A build
-    over the memory budget is refused; one that would take the cache over
-    it, or leave no room for a density-matrix step at its size, empties the
-    cache first."""
-    global _cache_bytes
+def cg_transform(lam: Partition, *, mixed: bool = False) -> CGTransform | QubitCG:
+    """Cached CG transform: cg_qubit's rotations for d=2, cg_closed's matrix
+    otherwise.  A build over the memory budget is refused, and so is one
+    for a density-matrix step (`mixed`) whose step, `_step_bytes`, is over
+    it.  A d >= 3 build that would take the cache over the budget, or
+    leave no room for a density-matrix step at its size, empties the cache
+    first.  The d=2 rotations cost O(size) bytes and O(size) time to
+    rebuild, so their cache is emptied before it would pass
+    QUBIT_CACHE_BYTES."""
+    global _cache_bytes, _qubit_bytes
     key = lam.parts
-    t = _cache.get(key)
-    if t is None:
-        size = lam.d * dim_unitary(lam)
-        need = _build_bytes(size)
-        errors.check_budget(f"CG transform of size {size} at lambda={lam}", need)
-        with _cache_lock:
-            t = _cache.get(key)
-            if t is None:
-                if _cache_bytes + max(need, _step_bytes(size)) > errors.MEMORY_BUDGET:
-                    _cache.clear()
-                    _cache_bytes = 0
-                t = cg_qubit(lam) if lam.d == 2 else cg_closed(lam)
-                _cache[key] = t
-                _cache_bytes += t.matrix.nbytes
-    return t
+    qubit = lam.d == 2
+    t = (_qubit_cache if qubit else _cache).get(key)
+    if t is not None:
+        return t
+    size = lam.d * dim_unitary(lam)
+    need = _build_bytes(lam.d, size)
+    errors.check_budget(f"CG transform of size {size} at lambda={lam}", need)
+    if mixed:
+        errors.check_budget(f"a density-matrix step of side {size} at lambda={lam}",
+                            _step_bytes(size))
+    with _cache_lock:
+        if qubit:
+            if key not in _qubit_cache:
+                if _qubit_bytes + need > min(QUBIT_CACHE_BYTES, errors.MEMORY_BUDGET):
+                    _qubit_cache.clear()
+                    _qubit_bytes = 0
+                _qubit_cache[key] = cg_qubit(lam)
+                _qubit_bytes += need  # over what the entry keeps
+            return _qubit_cache[key]
+        if key not in _cache:
+            if _cache_bytes + max(need, _step_bytes(size)) > errors.MEMORY_BUDGET:
+                _cache.clear()
+                _cache_bytes = 0
+            _cache[key] = cg_closed(lam)
+            _cache_bytes += _cache[key].matrix.nbytes
+        return _cache[key]
 
 
 @dataclass
@@ -286,7 +366,7 @@ class SparsityReport:
         return {"lambda": str(self.lam), **out}
 
 
-def verify_sparsity(t: CGTransform) -> SparsityReport:
+def verify_sparsity(t: CGTransform | QubitCG) -> SparsityReport:
     """Empirical check of the <=2-nonzeros-per-row structure under this
     module's row ordering, plus the exact Givens count the decomposer uses."""
     from .resources import ZERO_TOL, givens_decompose

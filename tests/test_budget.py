@@ -42,6 +42,16 @@ def cg_side(d, parts):
     return d * dim_unitary(Partition(parts))
 
 
+def fresh_cache(monkeypatch, d, cache=None):
+    """Install `cache`, or an empty dict, as the CG cache of d's transforms,
+    with a zero byte count; returns it."""
+    name, count = ("_qubit_cache", "_qubit_bytes") if d == 2 else ("_cache", "_cache_bytes")
+    cache = {} if cache is None else cache
+    monkeypatch.setattr(cg, name, cache)
+    monkeypatch.setattr(cg, count, 0)
+    return cache
+
+
 def cg_report_bytes(size):
     return 440 * size * size + 4096 * size
 
@@ -64,15 +74,36 @@ def random_state(n, mixed, seed=0):
 
 
 class TestEstimatesAreUpperBounds:
-    @pytest.mark.parametrize("d,parts", [(2, (200, 0)), (3, (6, 3, 0))])
+    @pytest.mark.parametrize("d,parts", [(2, (200, 0)), (3, (6, 3, 0)), (2, (20000, 0))])
     def test_cg_build(self, monkeypatch, d, parts):
-        monkeypatch.setattr(cg, "_cache", {})
+        fresh_cache(monkeypatch, d)
         peak, t = traced_peak(cg.cg_transform, Partition(parts))
-        assert peak <= cg._build_bytes(t.size)
+        assert peak <= cg._build_bytes(d, t.size)
+
+    def test_qubit_cache_bytes(self, monkeypatch):
+        """The d=2 cache counts each entry at its build estimate, over the
+        bytes the entry keeps, and is emptied before it passes its cap."""
+        cache = fresh_cache(monkeypatch, 2)
+        tracemalloc.start()
+        try:
+            for k in range(1, 400):
+                cg.cg_transform(Partition((k, k // 3)))
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(cache) == 399
+        assert kept <= cg._qubit_bytes
+        fresh_cache(monkeypatch, 2, CountingCache())
+        monkeypatch.setattr(CountingCache, "clears", 0)
+        monkeypatch.setattr(cg, "QUBIT_CACHE_BYTES", 10 ** 5)
+        for k in range(1, 400):
+            cg.cg_transform(Partition((k, 0)))
+            assert cg._qubit_bytes <= 10 ** 5
+        assert CountingCache.clears > 0
 
     @pytest.mark.parametrize("d,lam", [(2, "60,0"), (3, "5,2,0")])
     def test_cg_report(self, monkeypatch, d, lam):
-        monkeypatch.setattr(cg, "_cache", {})
+        fresh_cache(monkeypatch, d)
         peak, (code, _) = traced_peak(run, ["cg", "--d", str(d), "--lambda", lam])
         assert code == 0
         assert peak <= cg_report_bytes(cg_side(d, Partition.from_string(lam).parts))
@@ -142,13 +173,13 @@ class TestRefusedBelowTheEstimate:
     allocates; at the estimate it runs."""
 
     def test_cg_report(self, monkeypatch):
-        monkeypatch.setattr(cg, "_cache", {})
+        cache = fresh_cache(monkeypatch, 2)
         need = cg_report_bytes(cg_side(2, (5, 0)))
         monkeypatch.setattr(errors, "MEMORY_BUDGET", need - 1)
         code, out = run(["cg", "--d", "2", "--lambda", "5,0"])
         assert code == 2
         assert str(need) in json.loads(out)["error"]
-        assert cg._cache == {}
+        assert cache == {}
         monkeypatch.setattr(errors, "MEMORY_BUDGET", need)
         assert run(["cg", "--d", "2", "--lambda", "5,0"])[0] == 0
 
@@ -273,15 +304,15 @@ class CountingCache(dict):
 def test_sample_with_emptied_cache_is_identical(monkeypatch, d, stream):
     argv = ["sample", "--d", str(d), "--stream", str(DATA / stream),
             "--seed", "5", "--trials", "4"]
-    monkeypatch.setattr(cg, "_cache", {})
-    monkeypatch.setattr(cg, "_cache_bytes", 0)
+    cache = fresh_cache(monkeypatch, d)
     want = run(argv)
-    largest = max(t.size for t in cg._cache.values())
-    monkeypatch.setattr(cg, "_cache", CountingCache())
-    monkeypatch.setattr(cg, "_cache_bytes", 0)
+    largest = max(t.size for t in cache.values())
+    fresh_cache(monkeypatch, d, CountingCache())
     monkeypatch.setattr(CountingCache, "clears", 0)
-    # every build fits, but not next to every cached transform
-    monkeypatch.setattr(errors, "MEMORY_BUDGET", cg._build_bytes(largest))
+    # every build fits, but not next to every cached transform; the d=2
+    # cache is capped below the budget
+    owner, cap = (cg, "QUBIT_CACHE_BYTES") if d == 2 else (errors, "MEMORY_BUDGET")
+    monkeypatch.setattr(owner, cap, cg._build_bytes(d, largest))
     assert run(argv) == want
     assert CountingCache.clears > 0
 
@@ -318,29 +349,28 @@ def test_oversized_request_exits_2_under_address_limit(argv):
     assert time.monotonic() - start < 20
 
 
-def budget_rho():
+def budget_rho(d):
     rng = np.random.default_rng(17)
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
 
 
 def test_density_steps_stay_in_budget(tmp_path, monkeypatch):
     """`sample` on an iid density stream unravels each density matrix and
-    holds only vectors; under the density-step budget of its largest CG
-    transform the cache is emptied, the traced peak stays within the
-    budget, and the report is unchanged."""
-    rho = budget_rho()
+    holds only vectors.  A d >= 3 cache still keeps room for a density
+    step: under the density-step budget of its largest CG transform the
+    cache is emptied, the traced peak stays within the budget, and the
+    report is unchanged."""
+    rho = budget_rho(3)
     p = tmp_path / "iid.json"
     p.write_text(json.dumps({"iid": {
-        "rho": [[[x.real, x.imag] for x in row] for row in rho], "n": 300}}))
-    argv = ["sample", "--stream", str(p), "--seed", "3"]
-    monkeypatch.setattr(cg, "_cache", {})
-    monkeypatch.setattr(cg, "_cache_bytes", 0)
+        "rho": [[[x.real, x.imag] for x in row] for row in rho], "n": 24}}))
+    argv = ["sample", "--d", "3", "--stream", str(p), "--seed", "3"]
+    cache = fresh_cache(monkeypatch, 3)
     want = run(argv)
-    largest = max(t.size for t in cg._cache.values())
-    monkeypatch.setattr(cg, "_cache", CountingCache())
-    monkeypatch.setattr(cg, "_cache_bytes", 0)
+    largest = max(t.size for t in cache.values())
+    fresh_cache(monkeypatch, 3, CountingCache())
     monkeypatch.setattr(CountingCache, "clears", 0)
     monkeypatch.setattr(errors, "MEMORY_BUDGET", cg._step_bytes(largest))
     peak, got = traced_peak(run, argv)
@@ -349,31 +379,54 @@ def test_density_steps_stay_in_budget(tmp_path, monkeypatch):
     assert CountingCache.clears > 0
 
 
-def test_density_matrix_steps_stay_in_budget(monkeypatch):
-    """`init_state` and `step` on a density matrix hold each step's
-    temporaries on top of the CG cache: the cache is emptied early enough
-    that the traced peak stays within the budget, and the run is
-    unchanged."""
-    rho, n = budget_rho(), 300
+def density_trajectory(d, n):
+    rho = budget_rho(d)
 
     def trajectory():
-        state = init_state(rho, 2, seed=3)
+        state = init_state(rho, d, seed=3)
         for _ in range(n - 1):
             state, _, _ = step(state, rho)
         return state.lam, state.path, state.amplitudes
 
-    monkeypatch.setattr(cg, "_cache", {})
-    monkeypatch.setattr(cg, "_cache_bytes", 0)
+    return trajectory
+
+
+def test_density_matrix_steps_stay_in_budget(monkeypatch):
+    """`init_state` and `step` on a density matrix hold each step's
+    temporaries on top of the CG cache: the d >= 3 cache is emptied early
+    enough that the traced peak stays within the budget, and the run is
+    unchanged."""
+    trajectory = density_trajectory(3, 20)
+    cache = fresh_cache(monkeypatch, 3)
     want = trajectory()
-    largest = max(t.size for t in cg._cache.values())
-    monkeypatch.setattr(cg, "_cache", CountingCache())
-    monkeypatch.setattr(cg, "_cache_bytes", 0)
+    largest = max(t.size for t in cache.values())
+    fresh_cache(monkeypatch, 3, CountingCache())
     monkeypatch.setattr(CountingCache, "clears", 0)
     monkeypatch.setattr(errors, "MEMORY_BUDGET", cg._step_bytes(largest))
     peak, got = traced_peak(trajectory)
     assert got[:2] == want[:2] and np.array_equal(got[2], want[2])
     assert peak <= errors.MEMORY_BUDGET
     assert CountingCache.clears > 0
+
+
+def test_qubit_density_matrix_steps_fit_their_estimate(monkeypatch):
+    """The d=2 rotation step on density matrices: under the density-step
+    budget of the largest transform, a 300-step trajectory runs unchanged
+    with its traced peak within the budget; one byte below, its first
+    lookup of that label is refused."""
+    trajectory = density_trajectory(2, 300)
+    cache = fresh_cache(monkeypatch, 2)
+    want = trajectory()
+    largest = max(t.size for t in cache.values())
+    fresh_cache(monkeypatch, 2)
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", cg._step_bytes(largest))
+    peak, got = traced_peak(trajectory)
+    assert got[:2] == want[:2] and np.array_equal(got[2], want[2])
+    assert peak <= errors.MEMORY_BUDGET
+    fresh_cache(monkeypatch, 2)
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", cg._step_bytes(largest) - 1)
+    with pytest.raises(SizeLimitError, match=f"density-matrix step of side {largest}"):
+        trajectory()
 
 
 def test_iid_stream_refused_before_the_list(tmp_path, monkeypatch):

@@ -1,13 +1,15 @@
 """Clebsch-Gordan transform construction and structural checks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from cg_reference import (_chains, cg_closed_loop, cg_numeric, haar_unitary,
                           irrep_unitary)
 from schurstream import cg, errors
-from schurstream.cg import (CGTransform, cg_closed, cg_qubit, cg_transform,
-                            verify_sparsity)
+from schurstream.cg import (CGTransform, DegeneracyError, cg_closed, cg_qubit,
+                            cg_transform, verify_sparsity)
 from schurstream.gt_basis import enumerate_gt
 from schurstream.partitions import (Partition, add_box, dim_unitary, one_box,
                                     partitions_of, valid_rows)
@@ -42,6 +44,28 @@ class TestCgQubit:
         for n in range(1, 9):
             for lam in partitions_of(n, 2):
                 assert cg_qubit(lam).check_unitary() <= 1e-12
+
+    def test_stored_as_rotations(self):
+        """dim Q 2 x 2 rotations, held as two coefficients per row: no
+        (2 dim Q)^2 matrix is built or kept."""
+        t = cg_qubit(Partition((500, 0)))
+        assert t.coef.shape == (2, 1002)
+        assert t.rotations.shape == (501, 2, 2)
+        assert not any(isinstance(v, np.ndarray) and v.size >= 1002 ** 2
+                       for v in vars(t).values())
+
+    @pytest.mark.parametrize("parts", [(1, 0), (1, 1), (4, 4), (7, 2), (12, 0)])
+    def test_corrupted_coefficient_is_refused(self, parts):
+        """Moving any one of the 4 dim Q stored coefficients, zeros
+        included, or giving it an imaginary part, breaks unitarity and
+        check_unitary raises."""
+        t = cg_qubit(Partition(parts))
+        for index in np.ndindex(t.coef.shape):
+            for delta in (1e-9, 1e-9j):
+                bad = replace(t, coef=t.coef.copy())
+                bad.coef[index] += delta
+                with pytest.raises(DegeneracyError):
+                    bad.check_unitary()
 
 
 @pytest.mark.parametrize("parts", [(3, 1), (7, 2), (3, 1, 0), (4, 2, 1),
@@ -188,6 +212,8 @@ class TestCgClosed:
         assert top > 2 ** 53
 
     def test_qubit_is_bit_identical(self):
+        """The dense d=2 matrix formed on demand from the rotations is
+        cg_closed's matrix bit for bit, for every lam with lam_0 <= 40."""
         for n in range(1, 41):
             for lam in partitions_of(n, 2):
                 assert np.array_equal(cg_closed(lam).matrix,
@@ -199,10 +225,11 @@ class TestSizeLimit:
     def test_limit_is_inclusive_and_checked_before_build(self, monkeypatch, d, parts):
         lam = Partition(parts)
         size = d * dim_unitary(lam)
-        monkeypatch.setattr(cg, "_cache", {})
-        monkeypatch.setattr(errors, "MEMORY_BUDGET", cg._build_bytes(size) - 1)
+        cache = "_qubit_cache" if d == 2 else "_cache"
+        monkeypatch.setattr(cg, cache, {})
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", cg._build_bytes(d, size) - 1)
         with pytest.raises(errors.SizeLimitError, match=f"size {size}"):
             cg_transform(lam)
-        assert cg._cache == {}
-        monkeypatch.setattr(errors, "MEMORY_BUDGET", cg._build_bytes(size))
+        assert getattr(cg, cache) == {}
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", cg._build_bytes(d, size))
         assert cg_transform(lam).size == size

@@ -11,7 +11,9 @@ import pytest
 
 from schurstream import cg, cli, errors
 from schurstream.cli import run
-from schurstream.sampler import _leaf_bytes
+from schurstream.partitions import Partition
+from schurstream.sampler import (_leaf_bytes, init_state, register_branch_distribution,
+                                 step)
 
 IID_MIXED_N3 = {"iid": {"rho": [[0.5, 0], [0, 0.5]], "n": 3}}
 ZEROS_N5 = [[1, 0]] * 5
@@ -477,3 +479,48 @@ class TestRefusedInputs:
         code, out = run(argv)
         assert code == 1
         assert "row" in json.loads(out)["error"]
+
+
+class TestQubitRotations:
+    """d=2 steps apply the CG transform as its rotations."""
+
+    def test_runs_form_no_dense_matrix(self, tmp_path, monkeypatch, iid_file):
+        """With the dense d=2 former patched to raise, `sample`, `dist` and
+        `full` (on a vector and on a density matrix) still run, as do
+        register mode and a density-matrix `step`."""
+        def dense(t):
+            raise AssertionError(f"dense d=2 matrix formed at lambda={t.lam}")
+
+        monkeypatch.setattr(cg, "_qubit_matrix", dense)
+        monkeypatch.setattr(cg, "_qubit_cache", {})
+        monkeypatch.setattr(cg, "_qubit_bytes", 0)
+        with pytest.raises(AssertionError, match="dense d=2"):
+            cg.cg_transform(Partition((3, 1))).matrix
+        rho = tmp_path / "rho.json"
+        rho.write_text(json.dumps({"rho": (np.eye(8) / 8).tolist()}))
+        data = Path(__file__).parent / "data"
+        for argv in (["sample", "--stream", str(data / "qubits.json"), "--trials", "3"],
+                     ["sample", "--stream", str(data / "iid.json")],
+                     ["dist", "--stream", str(data / "qubits.json")],
+                     ["dist", "--stream", iid_file],
+                     ["full", "--state", str(data / "state.json")],
+                     ["full", "--state", str(rho)]):
+            code, out = run(argv)
+            assert code == 0, (argv, out)
+        qubits = [np.array([0.6, 0.8j]), np.array([1, 0]), np.array([0.6, -0.8])] * 3
+        assert register_branch_distribution(qubits).total == pytest.approx(1.0)
+        state = init_state(np.eye(2) / 2, 2)
+        for _ in range(6):
+            state, _, _ = step(state, np.array([[0.7, 0.1], [0.1, 0.3]]))
+
+    def test_sample_of_ten_thousand_qubits(self, tmp_path):
+        """10^4 copies of (0.6, 0.8i): the symmetric state, so lambda =
+        (10^4, 0) on the all-zero path.  The dense build estimate refused
+        this stream at lambda = (2864, 0)."""
+        p = tmp_path / "skewed.json"
+        p.write_text(json.dumps([[0.6, [0, 0.8]]] * 10 ** 4))
+        code, out = run(["sample", "--stream", str(p)])
+        assert code == 0, out
+        report = json.loads(out)
+        assert report["lambda"] == "10000,0"
+        assert report["path"] == ",".join(["0"] * (10 ** 4 - 1))

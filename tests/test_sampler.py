@@ -22,7 +22,8 @@ from schurstream.sampler import (InvalidInputError, NumericalCollapseError,
                                  _leaf_bytes, branch_distribution,
                                  init_state, register_branch_distribution,
                                  register_run, run_full_state, run_stream, step,
-                                 _couple, _outcomes, _register_outcomes)
+                                 _couple, _outcomes, _product_outcomes,
+                                 _register_outcomes)
 
 KET0 = np.array([1.0, 0.0])
 KET1 = np.array([0.0, 1.0])
@@ -336,8 +337,8 @@ class TestLeafOrder:
 
 
 class TestOutcomes:
-    """`_outcomes` applies t (x) I_rest on the leading axis by a reshape; a
-    kron-padded operator is the reference."""
+    """`_outcomes` applies t (x) I_rest on the leading axis, a d=2 transform
+    as its rotations; a kron-padded dense operator is the reference."""
 
     @staticmethod
     def kron_reference(t, big, rest):
@@ -350,7 +351,18 @@ class TestOutcomes:
             out.append((b.j, b.target, rotated[sl, sl] if mixed else rotated[sl]))
         return out
 
-    @pytest.mark.parametrize("d,parts", [(2, (3, 1)), (3, (2, 1, 0))])
+    @staticmethod
+    def check(got, want, mixed):
+        assert [(j, target) for j, target, _, _ in got] == \
+            [(j, target) for j, target, _ in want]
+        for (_, _, w, sub), (_, _, ref) in zip(got, want):
+            assert sub.shape == ref.shape
+            assert np.max(np.abs(sub - ref)) <= 1e-15
+            ref_w = np.trace(ref).real if mixed else np.vdot(ref, ref).real
+            assert abs(w - ref_w) <= 1e-15
+
+    @pytest.mark.parametrize("d,parts", [(2, (3, 1)), (3, (2, 1, 0)), (2, (4, 4)),
+                                         (2, (17, 5)), (2, (60, 0))])
     @pytest.mark.parametrize("power", [0, 1, 2])
     @pytest.mark.parametrize("mixed", [False, True])
     def test_matches_kron(self, d, parts, power, mixed):
@@ -362,15 +374,26 @@ class TestOutcomes:
             a = rng.normal(size=(len(big), 3)) + 1j * rng.normal(size=(len(big), 3))
             big = a @ a.conj().T
             big /= np.trace(big).real
-        got = _outcomes(t, big)
-        want = self.kron_reference(t, big, rest)
-        assert [(j, target) for j, target, _, _ in got] == \
-            [(j, target) for j, target, _ in want]
-        for (_, _, w, sub), (_, _, ref) in zip(got, want):
-            assert sub.shape == ref.shape
-            assert np.max(np.abs(sub - ref)) <= 1e-15
-            ref_w = np.trace(ref).real if mixed else np.vdot(ref, ref).real
-            assert abs(w - ref_w) <= 1e-15
+        self.check(_outcomes(t, big), self.kron_reference(t, big, rest), mixed)
+
+    @pytest.mark.parametrize("parts", [(1, 0), (4, 4), (17, 5), (60, 0)])
+    @pytest.mark.parametrize("state_mixed,qubit_mixed",
+                             [(False, False), (False, True), (True, False)])
+    def test_product_step_matches_kron(self, parts, state_mixed, qubit_mixed):
+        """The product step, whose d=2 vector case folds the qubit into the
+        rotation, against the dense transform on the Kronecker product."""
+        rng = np.random.default_rng(sum(parts))
+        lam = Partition(parts)
+        t = cg_transform(lam)
+        state = haar_state(t.size // 2, rng)
+        qubit = random_qubit(rng)
+        if state_mixed:
+            state = random_density(len(state), rng)
+        if qubit_mixed:
+            qubit = random_density(2, rng)
+        mixed = state_mixed or qubit_mixed
+        got = _product_outcomes(lam, state, qubit)
+        self.check(got, self.kron_reference(t, _couple(state, qubit), 1), mixed)
 
 
 class TestCouple:
