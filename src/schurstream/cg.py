@@ -24,20 +24,29 @@ phases, whose squared coefficients are k / dim Q.  cg_qubit keeps it as
 dim Q 2 x 2 rotations, two coefficients per row (QubitCG), built from lam
 by a few O(dim Q) numpy operations: the sampler applies them in
 O(dim Q) per amplitude column, and no (2 dim Q)^2 matrix is built, checked
-or cached.  QubitCG.matrix forms the dense matrix on request, for the
-`schur cg` report, the oracle and the sparsity check; it equals
-cg_closed's d = 2 matrix bit for bit.
+or cached.
 
-cg_closed evaluates these factors for every source pattern at once.  The
+For d >= 3, cg_closed keeps the transform as fixed-width sparse rows
+(CGTransform): each row lists its columns and values, at most one per
+chain shape (5 at d = 3, 16 at d = 4), so the rows take O(size) bytes.
+check_unitary sums the products of each row's pairs of entries, O(nnz w)
+work, and the sampler applies the rows in O(w) per amplitude.  No
+size^2 matrix is built, checked or cached on either path:
+QubitCG.matrix and CGTransform.matrix form the dense matrix on request,
+for the `schur cg` report, the oracle and the sparsity check, and both
+equal the entry-by-entry build (tests/cg_reference.py) bit for bit.
+
+cg_closed evaluates the factors for every source pattern at once.  The
 factors of each row step are products of entry differences, kept as numpy
 object arrays of Python ints, so they are exact at any size (at d = 5 they
 already pass 2^53).  The walk then runs once per chain shape, the
 positions j = i_0, i_1, ... the box takes, and keeps at each step the
-patterns whose factor is nonzero.  A target row is found by its pattern's
-mixed-radix key in base lam_0 + 2: moving the box adds one constant per
-shape to the source pattern's key.  Each squared coefficient is one Python
-int true division, so every entry is the float of the entry-by-entry
-build (tests/cg_reference.py), bit for bit.
+patterns whose factor is nonzero, dropping a shape when none is left.  A
+target row is found by its pattern's mixed-radix key in base lam_0 + 2:
+moving the box adds one constant per shape to the source pattern's key.
+The keys are int64 where base^width fits, Python ints past it.  Each
+squared coefficient is one Python int true division, so every entry is
+the float of the entry-by-entry build, bit for bit.
 """
 
 from __future__ import annotations
@@ -67,11 +76,30 @@ class Block:
     dim: int
 
 
+# entry pairs CGTransform.check_unitary sums at a time
+_CHECK_PAIRS = 1 << 12
+
+
 @dataclass
 class CGTransform:
+    """A d >= 3 transform as fixed-width sparse rows.  With x the input,
+    GT index times d plus fundamental index, output row r is
+
+        sum_k vals[r, k] x[cols[r, k]],
+
+    each row in column order.  The width w is the largest row count of
+    lam, at most one entry per chain shape (5 at d=3, 16 at d=4); shorter
+    rows are padded with value 0 at column 0.  The values are real."""
     lam: Partition
-    matrix: np.ndarray  # (d*dimQ) x (d*dimQ), unitary
     blocks: list[Block]
+    cols: np.ndarray  # (size, w), intp
+    vals: np.ndarray  # (size, w), float64, zero-padded
+
+    @cached_property
+    def fold(self) -> tuple[np.ndarray, np.ndarray]:
+        """(cols // d, cols % d): the GT pattern and fundamental index of
+        each slot, formed on first use for the product step."""
+        return np.divmod(self.cols, self.d)
 
     @property
     def d(self) -> int:
@@ -79,13 +107,52 @@ class CGTransform:
 
     @property
     def size(self) -> int:
-        return self.matrix.shape[0]
+        return self.cols.shape[0]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense size x size matrix, formed on each access."""
+        return _sparse_matrix(self)
 
     def check_unitary(self) -> float:
-        dev = np.max(np.abs(self.matrix.conj().T @ self.matrix - np.eye(self.size)))
-        if dev > UNITARITY_TOL:
+        """M^T M = I from the rows, in O(nnz w): an entry (r, c, v) adds
+        v vals[r, k] to (M^T M)[c, cols[r, k]] for every slot k of row r.
+        The entries are taken in column order, whole columns at a time, so
+        each run holds every sum of its columns in about _CHECK_PAIRS
+        pairs.  Every column needs a diagonal within UNITARITY_TOL of 1 and
+        every other sum within it of 0."""
+        size, w = self.cols.shape
+        flat_cols, flat_vals = self.cols.ravel(), self.vals.ravel()
+        entries = np.flatnonzero(flat_vals)
+        entries = entries[np.argsort(flat_cols[entries], kind="stable")]
+        first = flat_cols[entries]
+        # each run starts at the first entry of a column
+        cuts = sorted(set(np.searchsorted(first, first[::max(1, _CHECK_PAIRS // w)]).tolist()))
+        dev, diagonals = 0.0, 0
+        for lo, hi in zip(cuts, [*cuts[1:], len(entries)]):
+            rows = entries[lo:hi] // w
+            key = (first[lo:hi, None] * size + self.cols[rows]).ravel()
+            prod = (flat_vals[entries[lo:hi], None] * self.vals[rows]).ravel()
+            order = np.argsort(key)
+            key = key[order]
+            start = np.flatnonzero(np.diff(key, prepend=-1))
+            sums = np.add.reduceat(prod[order], start)
+            diag = key[start] // size == key[start] % size
+            diagonals += int(np.count_nonzero(diag))
+            dev = max(dev, float(np.max(np.abs(sums - diag))))
+        if diagonals != size:  # a column with no entry has norm 0
+            dev = max(dev, 1.0)
+        if not dev <= UNITARITY_TOL:
             raise DegeneracyError(f"CG matrix not unitary: deviation {dev}")
-        return float(dev)
+        return dev
+
+
+def _sparse_matrix(t: CGTransform) -> np.ndarray:
+    """The dense form of the rows, for the `schur cg` report, the oracle
+    and the sparsity check."""
+    mat = np.zeros((t.size, t.size))
+    np.add.at(mat, (np.arange(t.size)[:, None], t.cols), t.vals)
+    return mat
 
 
 def _blocks_for(lam: Partition) -> list[Block]:
@@ -232,6 +299,8 @@ def _walk(steps, starts, weights, r: int, i: int, pats, num, den, sign: int, inc
     for k in range(kden.shape[1]):
         step = knum[pats, i, k]
         live = np.flatnonzero(step)
+        if len(live) == 0:  # no pattern takes this step or any below it
+            continue
         yield from _walk(steps, starts, weights, r + 1, k, pats[live],
                          num[live] * step[live],
                          den[live] * tden[live] * kden[pats[live], k],
@@ -251,15 +320,17 @@ def cg_closed(lam: Partition) -> CGTransform:
     shifted = source - np.concatenate([np.arange(d - r) for r in range(d)])
     rows = np.split(shifted, starts[1:], axis=1)
     steps = [_factors(rows[r], rows[r + 1]) for r in range(d - 1)]
-    # mixed-radix pattern keys: every entry of a target is at most lam_0 + 1
+    # mixed-radix pattern keys: every entry of a target is at most lam_0 + 1,
+    # so every key is below base^width; Python ints where that passes int64
     base, width = lam.parts[0] + 2, source.shape[1]
-    weights = np.array([base ** (width - 1 - c) for c in range(width)], dtype=object)
-    keys = source.astype(object) @ weights
+    key_type = np.int64 if base ** width <= 2 ** 63 else object
+    weights = np.array([base ** (width - 1 - c) for c in range(width)], dtype=key_type)
+    keys = source.astype(key_type) @ weights
     ones = np.ones(npat, dtype=object)
-    mat = np.zeros((size, size))
+    entries = []  # (row, column, value) per block
     for blk in blocks:
         # enumerate_gt is descending on the flattened rows, so are the keys
-        tkeys = (_flat(enumerate_gt(blk.target)).astype(object) @ weights)[::-1]
+        tkeys = (_flat(enumerate_gt(blk.target)).astype(key_type) @ weights)[::-1]
         fund, pats, num, den, sign, inc = zip(*_walk(
             steps, starts, weights, 0, blk.j, np.arange(npat), ones, ones, 1, 0))
         num, den = np.concatenate(num), np.concatenate(den)
@@ -270,9 +341,19 @@ def cg_closed(lam: Partition) -> CGTransform:
         pos = np.minimum(np.searchsorted(tkeys, key[live]), len(tkeys) - 1)
         hit = tkeys[pos] == key[live]
         live = live[hit]
-        mat[blk.offset + len(tkeys) - 1 - pos[hit], col[live]] = \
-            sign[live] * np.sqrt(np.abs((num[live] / den[live]).astype(float)))
-    t = CGTransform(lam=lam, matrix=mat, blocks=blocks)
+        entries.append((blk.offset + len(tkeys) - 1 - pos[hit], col[live],
+                        sign[live] * np.sqrt(np.abs((num[live] / den[live]).astype(float)))))
+    row, col, val = map(np.concatenate, zip(*entries))
+    # the rows in column order, each padded to the longest
+    order = np.lexsort((col, row))
+    row, col, val = row[order], col[order], val[order]
+    count = np.bincount(row, minlength=size)
+    slot = np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count)
+    cols = np.zeros((size, count.max()), dtype=np.intp)
+    vals = np.zeros((size, count.max()))
+    cols[row, slot] = col
+    vals[row, slot] = val
+    t = CGTransform(lam=lam, blocks=blocks, cols=cols, vals=vals)
     t.check_unitary()
     return t
 
@@ -280,9 +361,12 @@ def cg_closed(lam: Partition) -> CGTransform:
 # The d=2 rotations cost about as much to rebuild as to apply, and a long
 # skewed trajectory never meets a label twice, so their cache stays small.
 QUBIT_CACHE_BYTES = 1 << 24
+# The d >= 3 rows cost far more to rebuild than to keep, so their cache is
+# bounded by the memory budget alone.
+CACHE_BYTES = 1 << 30
 
 _cache: dict = {}  # d >= 3: lam.parts -> CGTransform
-_cache_bytes = 0  # matrix bytes it holds
+_cache_bytes = 0  # the bytes its entries store
 _qubit_cache: dict = {}  # d = 2: lam.parts -> QubitCG
 _qubit_bytes = 0  # the build estimates of its entries
 _cache_lock = threading.Lock()
@@ -291,35 +375,40 @@ _cache_lock = threading.Lock()
 def _build_bytes(d: int, size: int) -> int:
     """Peak bytes of a build.  d=2: the coefficients, 32 size, their float
     temporaries and the blocks (tracemalloc peak at most 49 size + 2.5 KB
-    at sides 4 to 400002, of which 32 size + 2.4 KB stay).  d >= 3: the
-    matrix and check_unitary's temporaries, 24 size^2, and the GT patterns
-    and exact-integer factor arrays per row (tracemalloc peak 24 size^2
-    + 410 size at side 1029, d=3, and + 400 size at side 2520, d=4;
-    + 890 size at side 420, d=6)."""
+    at sides 4 to 400002, of which 32 size + 2.4 KB stay).  d >= 3, all
+    O(size): the exact-integer factor arrays of each row step, about
+    32 d^2 bytes per unit of size for the top row; the walk's entries and
+    keys; the sparse rows; and check_unitary's runs of pairs.  Tracemalloc
+    peak through cg_transform: d=3, at most 1.4 KB size at sides 24 to
+    126 and 1.0 KB size at sides 1029 to 15150; d=4, 1.8 KB size at sides
+    24 to 19840; d=5, 2.4 KB size at sides 200 to 42000; d=6, 2.3 KB size
+    at sides 420 to 26460 and 3.0 KB size at side 48384, whose rows hold
+    up to 68 entries; d=8, 3.3 KB size at sides 2688 to 43008; and 14 KB
+    in all at side 3."""
     if d == 2:
         return 64 * size + 4096
-    return 32 * size * size + 4096 * size
+    return (3072 + 32 * d * d) * size + 65536
 
 
 def _step_bytes(size: int) -> int:
     """Peak bytes of coupling into a density matrix of side `size`, by
     `step()` or at a `dist` node: the previous state, the coupled state
-    and the temporaries of its rotation (measured 68 size^2 at sides 82 to
-    670 with the d >= 3 matrix, and 64 size^2 + 1.7 KB for the d=2
-    rotations at sides 80 to 1200).  `sample` unravels density matrices and
-    holds only vectors."""
+    and the temporaries of its rotation (measured 64 size^2 + 1.7 KB for
+    the d=2 rotations at sides 80 to 1200, and 64 size^2 + at most
+    1.1 KB size for the d >= 3 rows at sides 45 to 1440).  `sample`
+    unravels density matrices and holds only vectors."""
     return 80 * size * size + 4096 * size
 
 
 def cg_transform(lam: Partition, *, mixed: bool = False) -> CGTransform | QubitCG:
-    """Cached CG transform: cg_qubit's rotations for d=2, cg_closed's matrix
-    otherwise.  A build over the memory budget is refused, and so is one
-    for a density-matrix step (`mixed`) whose step, `_step_bytes`, is over
-    it.  A d >= 3 build that would take the cache over the budget, or
-    leave no room for a density-matrix step at its size, empties the cache
-    first.  The d=2 rotations cost O(size) bytes and O(size) time to
-    rebuild, so their cache is emptied before it would pass
-    QUBIT_CACHE_BYTES."""
+    """Cached CG transform: cg_qubit's rotations for d=2, cg_closed's
+    sparse rows otherwise.  A build over the memory budget is refused, and
+    so is one for a density-matrix step (`mixed`) whose step, `_step_bytes`,
+    is over it.  Each cache is emptied before a build would take it over
+    its cap: for d >= 3, CACHE_BYTES or the budget, with each entry
+    counted at the bytes it stores; for d=2, whose rotations cost O(size)
+    bytes and O(size) time to rebuild, QUBIT_CACHE_BYTES or the budget,
+    with each entry counted at its build estimate."""
     global _cache_bytes, _qubit_bytes
     key = lam.parts
     qubit = lam.d == 2
@@ -342,11 +431,13 @@ def cg_transform(lam: Partition, *, mixed: bool = False) -> CGTransform | QubitC
                 _qubit_bytes += need  # over what the entry keeps
             return _qubit_cache[key]
         if key not in _cache:
-            if _cache_bytes + max(need, _step_bytes(size)) > errors.MEMORY_BUDGET:
+            if _cache_bytes + need > min(CACHE_BYTES, errors.MEMORY_BUDGET):
                 _cache.clear()
                 _cache_bytes = 0
             _cache[key] = cg_closed(lam)
-            _cache_bytes += _cache[key].matrix.nbytes
+            # the rows, the product step's two index arrays of the size of
+            # cols, formed on first use, and about 4 KB of objects
+            _cache_bytes += _cache[key].vals.nbytes + 3 * _cache[key].cols.nbytes + 4096
         return _cache[key]
 
 

@@ -23,13 +23,15 @@ couples and projects, `_enumerate` walks every branch depth first and
 `_sample` draws one.  Register mode is one more outcomes function on the
 same walk and draw.
 
-A step applies the CG transform to the leading axis of the state.  For
-d >= 3 that is one real product with the dense matrix.  For d = 2 it is
-the transform's dim Q 2 x 2 rotations (cg.QubitCG), O(dim Q) work per
-amplitude column with no dense matrix: on the pairs of the coupled state
-for full states and density matrices (`_apply`), and with the qubit folded
-into the rotation for a vector state coupled to a pure qubit
-(`_product_outcomes`), which is every step of `sample`.
+A step applies the CG transform to the leading axis of the state, with
+no dense matrix.  For d >= 3 that is the transform's sparse rows
+(cg.CGTransform), O(w) work per amplitude, w the longest row (5 at
+d = 3, 16 at d = 4); for d = 2 it is its dim Q 2 x 2 rotations
+(cg.QubitCG), O(1) per amplitude.  Full states and density matrices,
+on both sides, have the transform applied to the coupled state
+(`_apply`).  A vector state coupled to a pure qudit, which is every step
+of `sample`, has the qudit folded into the transform and never forms the
+coupled state (`_product_outcomes`).
 """
 
 from __future__ import annotations
@@ -64,17 +66,33 @@ def _weight(x: np.ndarray) -> float:
     return float(np.trace(x).real) if x.ndim == 2 else float(np.vdot(x, x).real)
 
 
-def _apply(t: CGTransform | QubitCG, x: np.ndarray) -> np.ndarray:
-    """t (x) I_rest on the leading axis of x, of length t.size * rest.  The
-    coefficients are real, so they act on the interleaved real and
-    imaginary parts of x, with no complex copy.  A dense matrix does so by
-    one real product.  A d=2 transform does so by its dim Q 2 x 2 blocks
-    (see cg.QubitCG), in O(size * rest) per column: shifted by one qubit-1
-    slot, x lists the pairs (b[r-1], a[r]) that block r takes to rows r
-    and dim Q + r."""
+def _apply(t: CGTransform | QubitCG, x: np.ndarray, axis: int = 0) -> np.ndarray:
+    """t (x) I_rest on axis `axis` of x, of length t.size * rest.  A d >= 3
+    transform does so slot by slot: slot k of its rows gathers input row
+    cols[r, k] for every output row r, scales it by vals[r, k] and adds
+    it, in O(w size rest) per column with one buffer the size of x.  A d=2
+    transform does so by its dim Q 2 x 2 blocks (see cg.QubitCG), on the
+    leading axis of x or of its transpose, in O(size * rest) per column on
+    the interleaved real and imaginary parts: shifted by one qubit-1 slot,
+    x lists the pairs (b[r-1], a[r]) that block r takes to rows r and
+    dim Q + r."""
     if isinstance(t, CGTransform):
-        parts = np.ascontiguousarray(x).reshape(t.size, -1).view(float)
-        return (t.matrix @ parts).view(complex).reshape(x.shape)
+        # np.take copies an input that is not C-contiguous on every call
+        rows = np.ascontiguousarray(x)
+        rows = rows.reshape(x.shape[:axis] + (t.size, -1) + x.shape[axis + 1:])
+        along = [1] * rows.ndim  # the shape of one slot's values
+        along[axis] = t.size
+        out = np.take(rows, t.cols[:, 0], axis=axis)
+        out *= t.vals[:, 0].reshape(along)
+        buf = np.empty_like(out)
+        for cols, vals in zip(t.cols.T[1:], t.vals.T[1:]):
+            # mode="clip" writes into buf directly, where "raise" buffers
+            np.take(rows, cols, axis=axis, out=buf, mode="clip")
+            buf *= vals.reshape(along)
+            out += buf
+        return out.reshape(x.shape)
+    if axis:
+        return _apply(t, x.T).T
     rest = len(x) // t.size
     pairs = np.concatenate((x[-rest:], x[:-rest]), out=np.empty(x.shape, dtype=complex))
     pairs = pairs.view(float).reshape(t.size // 2, 2, -1)
@@ -90,7 +108,9 @@ def _outcomes(t: CGTransform | QubitCG, big: np.ndarray
     t^dag = t^T), and split it along the blocks of t: (j, lam+e_j, weight,
     unnormalized part) per block, j ascending.  `big` must be complex128,
     as every state from check_state is."""
-    rotated = _apply(t, _apply(t, big).T).T if big.ndim == 2 else _apply(t, big)
+    rotated = _apply(t, big)
+    if big.ndim == 2:
+        rotated = _apply(t, rotated, axis=1)
     return _split(t, rotated, len(big) // t.size)
 
 
@@ -117,15 +137,22 @@ def _couple(state: np.ndarray, qudit: np.ndarray) -> np.ndarray:
 
 def _product_outcomes(lam: Partition, amplitudes: np.ndarray, qudit: np.ndarray
                       ) -> list[tuple[int, Partition, float, np.ndarray]]:
-    """The outcomes of coupling a product-state qudit into Q^d_lam.  A d=2
-    vector coupled to a pure qubit q never forms the product: row k of the
-    rotation is coef[0, k] q[0] v[k mod dim Q] + coef[1, k] q[1]
-    v[(k - 1) mod dim Q], with v = amplitudes, and `wrapped` lists v
-    around its ends for both terms."""
+    """The outcomes of coupling a product-state qudit into Q^d_lam.  A
+    vector coupled to a pure qudit q never forms the product v (x) q, v =
+    amplitudes: the qudit is folded into the transform.  For d >= 3, row r
+    is sum_k vals[r, k] q[fund[r, k]] v[pat[r, k]], with (pat, fund) =
+    t.fold.  For d=2, row k of the rotation is coef[0, k] q[0]
+    v[k mod dim Q] + coef[1, k] q[1] v[(k - 1) mod dim Q], and `wrapped`
+    lists v around its ends for both terms."""
     mixed = amplitudes.ndim == 2 or qudit.ndim == 2
     t = cg_transform(lam, mixed=mixed)
-    if mixed or isinstance(t, CGTransform):
+    if mixed:
         return _outcomes(t, _couple(amplitudes, qudit))
+    if isinstance(t, CGTransform):
+        pat, fund = t.fold
+        coef = qudit[fund]
+        coef *= t.vals
+        return _split(t, np.einsum("rk,rk->r", coef, amplitudes[pat]))
     wrapped = np.concatenate((amplitudes[-1:], amplitudes, amplitudes))
     rotated = t.coef[0] * wrapped[1:]
     rotated *= qudit[0]

@@ -10,6 +10,8 @@ eigenvalue `casimir2`.  `pattern_weight` is the weight of a GT pattern,
 and `enumerate_paths` and `path_index` list the lattice paths to a label
 in their canonical order.
 
+`DenseCG` is a CG transform held as its dense matrix, with the dense
+unitarity check, the form of the two builders below.
 `cg_numeric` builds the CG transform without the closed form: block
 membership is certified against the analytic Casimir eigenvalues, the
 highest-weight vector of each target irrep is extracted from the kernel
@@ -40,7 +42,7 @@ from functools import cache, lru_cache
 import numpy as np
 import scipy.linalg as sla
 
-from schurstream.cg import (CGTransform, DegeneracyError, _blocks_for,
+from schurstream.cg import (UNITARITY_TOL, Block, DegeneracyError, _blocks_for,
                             cg_transform)
 from schurstream.gt_basis import enumerate_gt
 from schurstream.oracle import SchurUnitary, _as_density, _schur_diagonal, schur_transform
@@ -48,6 +50,27 @@ from schurstream.partitions import LatticePath, Partition, dim_unitary
 from schurstream.resources import givens_decompose
 
 CASIMIR_MATCH_TOL = 0.25  # analytic gaps are integers >= 1
+
+
+@dataclass
+class DenseCG:
+    lam: Partition
+    matrix: np.ndarray  # (d*dimQ) x (d*dimQ), unitary
+    blocks: list[Block]
+
+    @property
+    def d(self) -> int:
+        return self.lam.d
+
+    @property
+    def size(self) -> int:
+        return self.matrix.shape[0]
+
+    def check_unitary(self) -> float:
+        dev = np.max(np.abs(self.matrix.conj().T @ self.matrix - np.eye(self.size)))
+        if dev > UNITARITY_TOL:
+            raise DegeneracyError(f"CG matrix not unitary: deviation {dev}")
+        return float(dev)
 
 
 def pattern_weight(pat: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
@@ -333,7 +356,7 @@ def _top_pattern(mu: tuple[int, ...], d: int):
     return [mu[:d - k] for k in range(d)]
 
 
-def cg_numeric(lam: Partition) -> CGTransform:
+def cg_numeric(lam: Partition) -> DenseCG:
     """Numerical construction from the dense irreps of `build_irrep`,
     valid for any d; it agrees entrywise, to rounding, with the closed-form
     `cg_transform` (`cg_qubit` for d=2, `cg_closed` for d>=3)."""
@@ -373,7 +396,7 @@ def cg_numeric(lam: Partition) -> CGTransform:
         target = build_irrep(b.target)
         v = _intertwiner(rep, target, raisings, lowerings, prod_weights)
         mat[b.offset:b.offset + b.dim, :] = v.T
-    t = CGTransform(lam=lam, matrix=mat, blocks=blocks)
+    t = DenseCG(lam=lam, matrix=mat, blocks=blocks)
     t.check_unitary()
     return t
 
@@ -403,7 +426,7 @@ def _chains(sh, r: int, i: int, num: int, den: int, sign: int, moved: tuple):
                            -sign if k < i else sign, moved)
 
 
-def cg_closed_loop(lam: Partition) -> CGTransform:
+def cg_closed_loop(lam: Partition) -> DenseCG:
     """Closed-form transform for any d, from GT patterns and integer
     arithmetic; for d=2 it reproduces cg_qubit bit for bit."""
     d = lam.d
@@ -425,7 +448,7 @@ def cg_closed_loop(lam: Partition) -> CGTransform:
                 if row is not None:
                     mat[blk.offset + row, g * d + a] = \
                         sign * math.sqrt(abs(num) / abs(den))
-    t = CGTransform(lam=lam, matrix=mat, blocks=blocks)
+    t = DenseCG(lam=lam, matrix=mat, blocks=blocks)
     t.check_unitary()
     return t
 

@@ -74,7 +74,9 @@ def random_state(n, mixed, seed=0):
 
 
 class TestEstimatesAreUpperBounds:
-    @pytest.mark.parametrize("d,parts", [(2, (200, 0)), (3, (6, 3, 0)), (2, (20000, 0))])
+    @pytest.mark.parametrize("d,parts", [(2, (200, 0)), (3, (6, 3, 0)), (2, (20000, 0)),
+                                         (3, (12, 6, 0)), (4, (5, 3, 1, 0)),
+                                         (6, (2, 1, 0, 0, 0, 0))])
     def test_cg_build(self, monkeypatch, d, parts):
         fresh_cache(monkeypatch, d)
         peak, t = traced_peak(cg.cg_transform, Partition(parts))
@@ -99,6 +101,30 @@ class TestEstimatesAreUpperBounds:
         for k in range(1, 400):
             cg.cg_transform(Partition((k, 0)))
             assert cg._qubit_bytes <= 10 ** 5
+        assert CountingCache.clears > 0
+
+    @pytest.mark.parametrize("d,n", [(3, 12), (4, 7)])
+    def test_cache_bytes(self, monkeypatch, d, n):
+        """The d >= 3 cache counts each entry at the bytes it stores,
+        index arrays of the product step included, and is emptied before
+        it passes its cap."""
+        labels = [lam for k in range(1, n + 1) for lam in partitions_of(k, d)]
+        cache = fresh_cache(monkeypatch, d)
+        tracemalloc.start()
+        try:
+            for lam in labels:
+                cg.cg_transform(lam).fold
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(cache) == len(labels)
+        assert kept <= cg._cache_bytes
+        fresh_cache(monkeypatch, d, CountingCache())
+        monkeypatch.setattr(CountingCache, "clears", 0)
+        monkeypatch.setattr(cg, "CACHE_BYTES", 10 ** 6)
+        for lam in labels:
+            cg.cg_transform(lam)
+            assert cg._cache_bytes <= 10 ** 6
         assert CountingCache.clears > 0
 
     @pytest.mark.parametrize("d,lam", [(2, "60,0"), (3, "5,2,0")])
@@ -358,10 +384,10 @@ def budget_rho(d):
 
 def test_density_steps_stay_in_budget(tmp_path, monkeypatch):
     """`sample` on an iid density stream unravels each density matrix and
-    holds only vectors.  A d >= 3 cache still keeps room for a density
-    step: under the density-step budget of its largest CG transform the
-    cache is emptied, the traced peak stays within the budget, and the
-    report is unchanged."""
+    holds only vectors.  Under the density-step budget of its largest CG
+    transform, with the d >= 3 cache capped at that transform's build
+    estimate, the cache is emptied, the traced peak stays within the
+    budget, and the report is unchanged."""
     rho = budget_rho(3)
     p = tmp_path / "iid.json"
     p.write_text(json.dumps({"iid": {
@@ -373,6 +399,7 @@ def test_density_steps_stay_in_budget(tmp_path, monkeypatch):
     fresh_cache(monkeypatch, 3, CountingCache())
     monkeypatch.setattr(CountingCache, "clears", 0)
     monkeypatch.setattr(errors, "MEMORY_BUDGET", cg._step_bytes(largest))
+    monkeypatch.setattr(cg, "CACHE_BYTES", cg._build_bytes(3, largest))
     peak, got = traced_peak(run, argv)
     assert got == want
     assert peak <= errors.MEMORY_BUDGET
@@ -393,9 +420,10 @@ def density_trajectory(d, n):
 
 def test_density_matrix_steps_stay_in_budget(monkeypatch):
     """`init_state` and `step` on a density matrix hold each step's
-    temporaries on top of the CG cache: the d >= 3 cache is emptied early
-    enough that the traced peak stays within the budget, and the run is
-    unchanged."""
+    temporaries on top of the CG cache: under the density-step budget of
+    the largest transform, with the d >= 3 cache capped at its build
+    estimate, the cache is emptied, the traced peak stays within the
+    budget, and the run is unchanged."""
     trajectory = density_trajectory(3, 20)
     cache = fresh_cache(monkeypatch, 3)
     want = trajectory()
@@ -403,6 +431,7 @@ def test_density_matrix_steps_stay_in_budget(monkeypatch):
     fresh_cache(monkeypatch, 3, CountingCache())
     monkeypatch.setattr(CountingCache, "clears", 0)
     monkeypatch.setattr(errors, "MEMORY_BUDGET", cg._step_bytes(largest))
+    monkeypatch.setattr(cg, "CACHE_BYTES", cg._build_bytes(3, largest))
     peak, got = traced_peak(trajectory)
     assert got[:2] == want[:2] and np.array_equal(got[2], want[2])
     assert peak <= errors.MEMORY_BUDGET

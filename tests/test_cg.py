@@ -220,6 +220,52 @@ class TestCgClosed:
                                       cg_qubit(lam).matrix), lam
 
 
+class TestSparseRows:
+    """d >= 3 transforms are kept as fixed-width sparse rows."""
+
+    @pytest.mark.parametrize("parts,width", [((12, 6, 0), 5), ((5, 3, 1, 0), 16)])
+    def test_stored_as_rows(self, parts, width):
+        """cols and vals of shape (size, w), w the longest row: no
+        size^2 array is built or kept."""
+        t = cg_closed(Partition(parts))
+        assert isinstance(t, CGTransform)
+        assert t.cols.shape == t.vals.shape == (t.size, width)
+        assert np.array_equal(np.count_nonzero(t.matrix, axis=1),
+                              np.count_nonzero(t.vals, axis=1))
+        assert not any(isinstance(v, np.ndarray) and v.size >= t.size ** 2
+                       for v in vars(t).values())
+
+    @pytest.mark.parametrize("parts", [(1, 0, 0), (2, 1, 0), (3, 3, 0), (4, 2, 1),
+                                       (1, 1, 0, 0), (2, 1, 0, 0), (3, 2, 1, 0)])
+    def test_corrupted_entry_is_refused(self, parts):
+        """Moving any one stored value by 1e-9, padding included, or
+        pointing the column index of any entry at another column makes
+        check_unitary raise."""
+        t = cg_closed(Partition(parts))
+        for index in np.ndindex(t.vals.shape):
+            bad = replace(t, vals=t.vals.copy())
+            bad.vals[index] += 1e-9
+            with pytest.raises(DegeneracyError):
+                bad.check_unitary()
+            if t.vals[index] != 0:
+                for shift in (1, t.size - 1):
+                    bad = replace(t, cols=t.cols.copy())
+                    bad.cols[index] = (t.cols[index] + shift) % t.size
+                    with pytest.raises(DegeneracyError):
+                        bad.check_unitary()
+
+    def test_check_runs_hold_whole_columns(self, monkeypatch):
+        """With runs of a few pairs, each column's sums still come from one
+        run: the check passes, and a corrupted entry is still refused."""
+        t = cg_closed(Partition((4, 2, 1, 0)))
+        monkeypatch.setattr(cg, "_CHECK_PAIRS", 7)
+        assert t.check_unitary() <= 1e-12
+        bad = replace(t, vals=t.vals.copy())
+        bad.vals[t.size // 2, 0] += 1e-9
+        with pytest.raises(DegeneracyError):
+            bad.check_unitary()
+
+
 class TestSizeLimit:
     @pytest.mark.parametrize("d,parts", [(2, (3, 1)), (3, (2, 1, 0))])
     def test_limit_is_inclusive_and_checked_before_build(self, monkeypatch, d, parts):

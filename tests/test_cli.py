@@ -524,3 +524,50 @@ class TestQubitRotations:
         report = json.loads(out)
         assert report["lambda"] == "10000,0"
         assert report["path"] == ",".join(["0"] * (10 ** 4 - 1))
+
+
+class TestQuditRows:
+    """d >= 3 steps apply the CG transform as its sparse rows."""
+
+    def test_runs_form_no_dense_matrix(self, tmp_path, monkeypatch):
+        """With the dense d >= 3 former patched to raise, `sample` (on
+        vectors and on density matrices), `dist` (on vectors and on
+        density matrices) and `full` (on a vector and on a density matrix)
+        at d=3 still run, as does a d=3 density-matrix `step`."""
+        def dense(t):
+            raise AssertionError(f"dense d>=3 matrix formed at lambda={t.lam}")
+
+        monkeypatch.setattr(cg, "_sparse_matrix", dense)
+        monkeypatch.setattr(cg, "_cache", {})
+        monkeypatch.setattr(cg, "_cache_bytes", 0)
+        with pytest.raises(AssertionError, match="dense d>=3"):
+            cg.cg_transform(Partition((2, 1, 0))).matrix
+        iid = tmp_path / "iid_d3.json"
+        iid.write_text(json.dumps({"iid": {"rho": (np.eye(3) / 3).tolist(), "n": 4}}))
+        rho = tmp_path / "rho_d3.json"
+        rho.write_text(json.dumps({"rho": (np.eye(27) / 27).tolist()}))
+        data = Path(__file__).parent / "data"
+        for argv in (["sample", "--stream", str(data / "qutrits.json"), "--trials", "3"],
+                     ["sample", "--stream", str(iid)],
+                     ["dist", "--stream", str(data / "qutrits.json")],
+                     ["dist", "--stream", str(iid)],
+                     ["full", "--state", str(data / "state_d3.json")],
+                     ["full", "--state", str(rho)]):
+            code, out = run(argv[:1] + ["--d", "3"] + argv[1:])
+            assert code == 0, (argv, out)
+        state = init_state(np.eye(3) / 3, 3)
+        for _ in range(5):
+            state, _, _ = step(state, np.diag([0.5, 0.3, 0.2]).astype(complex))
+
+    @pytest.mark.parametrize("d,n", [(3, 100), (4, 30)])
+    def test_sample_of_skewed_qudits(self, tmp_path, d, n):
+        """n copies of (0.6, 0.8i, 0, ...): the symmetric state, so lambda =
+        (n, 0, ...) on the all-zero path.  The dense build estimate refused
+        these streams at lambda = (61, 0, 0) and (19, 0, 0, 0)."""
+        p = tmp_path / "skewed.json"
+        p.write_text(json.dumps([[0.6, [0, 0.8]] + [0] * (d - 2)] * n))
+        code, out = run(["sample", "--d", str(d), "--stream", str(p)])
+        assert code == 0, out
+        report = json.loads(out)
+        assert report["lambda"] == ",".join([str(n)] + ["0"] * (d - 1))
+        assert report["path"] == ",".join(["0"] * (n - 1))

@@ -338,7 +338,8 @@ class TestLeafOrder:
 
 class TestOutcomes:
     """`_outcomes` applies t (x) I_rest on the leading axis, a d=2 transform
-    as its rotations; a kron-padded dense operator is the reference."""
+    as its rotations and a d >= 3 one as its sparse rows; a kron-padded
+    dense operator is the reference."""
 
     @staticmethod
     def kron_reference(t, big, rest):
@@ -376,21 +377,34 @@ class TestOutcomes:
             big /= np.trace(big).real
         self.check(_outcomes(t, big), self.kron_reference(t, big, rest), mixed)
 
-    @pytest.mark.parametrize("parts", [(1, 0), (4, 4), (17, 5), (60, 0)])
+    # sides 375, 256 (16-entry rows), 513, 1029 and 1440
+    @pytest.mark.parametrize("parts,power,mixed", [
+        ((10, 6, 2), 1, False), ((10, 6, 2), 1, True), ((3, 2, 1, 0), 1, False),
+        ((3, 2, 1, 0), 1, True), ((17, 0, 0), 0, False), ((17, 0, 0), 1, False),
+        ((17, 0, 0), 0, True), ((12, 6, 0), 0, False), ((12, 6, 0), 1, False),
+        ((5, 3, 1, 0), 0, False)])
+    def test_rows_match_kron(self, parts, power, mixed):
+        """The d >= 3 rows on larger sides, where the full cross product of
+        test_matches_kron would build dense references of gigabytes."""
+        self.test_matches_kron(len(parts), parts, power, mixed)
+
+    @pytest.mark.parametrize("parts", [(1, 0), (4, 4), (17, 5), (60, 0), (1, 0, 0),
+                                       (2, 1, 0), (6, 4, 2), (17, 0, 0), (3, 2, 1, 0)])
     @pytest.mark.parametrize("state_mixed,qubit_mixed",
                              [(False, False), (False, True), (True, False)])
     def test_product_step_matches_kron(self, parts, state_mixed, qubit_mixed):
-        """The product step, whose d=2 vector case folds the qubit into the
-        rotation, against the dense transform on the Kronecker product."""
+        """The product step, whose vector case folds a pure qudit into the
+        transform, against the dense transform on the Kronecker product."""
         rng = np.random.default_rng(sum(parts))
         lam = Partition(parts)
+        d = lam.d
         t = cg_transform(lam)
-        state = haar_state(t.size // 2, rng)
-        qubit = random_qubit(rng)
+        state = haar_state(t.size // d, rng)
+        qubit = random_qubit(rng) if d == 2 else haar_state(d, rng)
         if state_mixed:
             state = random_density(len(state), rng)
         if qubit_mixed:
-            qubit = random_density(2, rng)
+            qubit = random_density(d, rng)
         mixed = state_mixed or qubit_mixed
         got = _product_outcomes(lam, state, qubit)
         self.check(got, self.kron_reference(t, _couple(state, qubit), 1), mixed)
