@@ -44,9 +44,8 @@ positions j = i_0, i_1, ... the box takes, and keeps at each step the
 patterns whose factor is nonzero, dropping a shape when none is left.  A
 target row is found by its pattern's mixed-radix key in base lam_0 + 2:
 moving the box adds one constant per shape to the source pattern's key.
-The keys are int64 where base^width fits, Python ints past it.  Each
-squared coefficient is one Python int true division, so every entry is
-the float of the entry-by-entry build, bit for bit.
+Each squared coefficient is one Python int true division, so every entry
+is the float of the entry-by-entry build, bit for bit.
 """
 
 from __future__ import annotations
@@ -128,7 +127,7 @@ class CGTransform:
         first = flat_cols[entries]
         # each run starts at the first entry of a column
         cuts = sorted(set(np.searchsorted(first, first[::max(1, _CHECK_PAIRS // w)]).tolist()))
-        dev, diagonals = 0.0, 0
+        dev, diagonals = np.float64(0), 0  # np.maximum keeps a NaN
         for lo, hi in zip(cuts, [*cuts[1:], len(entries)]):
             rows = entries[lo:hi] // w
             key = (first[lo:hi, None] * size + self.cols[rows]).ravel()
@@ -139,12 +138,12 @@ class CGTransform:
             sums = np.add.reduceat(prod[order], start)
             diag = key[start] // size == key[start] % size
             diagonals += int(np.count_nonzero(diag))
-            dev = max(dev, float(np.max(np.abs(sums - diag))))
+            dev = np.maximum(dev, np.max(np.abs(sums - diag)))
         if diagonals != size:  # a column with no entry has norm 0
-            dev = max(dev, 1.0)
+            dev = np.maximum(dev, 1.0)
         if not dev <= UNITARITY_TOL:
             raise DegeneracyError(f"CG matrix not unitary: deviation {dev}")
-        return dev
+        return float(dev)
 
 
 def _sparse_matrix(t: CGTransform) -> np.ndarray:
@@ -320,17 +319,15 @@ def cg_closed(lam: Partition) -> CGTransform:
     shifted = source - np.concatenate([np.arange(d - r) for r in range(d)])
     rows = np.split(shifted, starts[1:], axis=1)
     steps = [_factors(rows[r], rows[r + 1]) for r in range(d - 1)]
-    # mixed-radix pattern keys: every entry of a target is at most lam_0 + 1,
-    # so every key is below base^width; Python ints where that passes int64
+    # mixed-radix pattern keys: every entry of a target is at most lam_0 + 1
     base, width = lam.parts[0] + 2, source.shape[1]
-    key_type = np.int64 if base ** width <= 2 ** 63 else object
-    weights = np.array([base ** (width - 1 - c) for c in range(width)], dtype=key_type)
-    keys = source.astype(key_type) @ weights
+    weights = np.array([base ** (width - 1 - c) for c in range(width)], dtype=object)
+    keys = source.astype(object) @ weights
     ones = np.ones(npat, dtype=object)
     entries = []  # (row, column, value) per block
     for blk in blocks:
         # enumerate_gt is descending on the flattened rows, so are the keys
-        tkeys = (_flat(enumerate_gt(blk.target)).astype(key_type) @ weights)[::-1]
+        tkeys = (_flat(enumerate_gt(blk.target)).astype(object) @ weights)[::-1]
         fund, pats, num, den, sign, inc = zip(*_walk(
             steps, starts, weights, 0, blk.j, np.arange(npat), ones, ones, 1, 0))
         num, den = np.concatenate(num), np.concatenate(den)
@@ -361,9 +358,6 @@ def cg_closed(lam: Partition) -> CGTransform:
 # The d=2 rotations cost about as much to rebuild as to apply, and a long
 # skewed trajectory never meets a label twice, so their cache stays small.
 QUBIT_CACHE_BYTES = 1 << 24
-# The d >= 3 rows cost far more to rebuild than to keep, so their cache is
-# bounded by the memory budget alone.
-CACHE_BYTES = 1 << 30
 
 _cache: dict = {}  # d >= 3: lam.parts -> CGTransform
 _cache_bytes = 0  # the bytes its entries store
@@ -380,8 +374,8 @@ def _build_bytes(d: int, size: int) -> int:
     32 d^2 bytes per unit of size for the top row; the walk's entries and
     keys; the sparse rows; and check_unitary's runs of pairs.  Tracemalloc
     peak through cg_transform: d=3, at most 1.4 KB size at sides 24 to
-    126 and 1.0 KB size at sides 1029 to 15150; d=4, 1.8 KB size at sides
-    24 to 19840; d=5, 2.4 KB size at sides 200 to 42000; d=6, 2.3 KB size
+    990 and 1.0 KB size at sides 1029 to 15150; d=4, 1.8 KB size at sides
+    24 to 19840; d=5, 2.5 KB size at sides 200 to 42000; d=6, 2.3 KB size
     at sides 420 to 26460 and 3.0 KB size at side 48384, whose rows hold
     up to 68 entries; d=8, 3.3 KB size at sides 2688 to 43008; and 14 KB
     in all at side 3."""
@@ -404,16 +398,18 @@ def cg_transform(lam: Partition, *, mixed: bool = False) -> CGTransform | QubitC
     """Cached CG transform: cg_qubit's rotations for d=2, cg_closed's
     sparse rows otherwise.  A build over the memory budget is refused, and
     so is one for a density-matrix step (`mixed`) whose step, `_step_bytes`,
-    is over it.  Each cache is emptied before a build would take it over
-    its cap: for d >= 3, CACHE_BYTES or the budget, with each entry
-    counted at the bytes it stores; for d=2, whose rotations cost O(size)
-    bytes and O(size) time to rebuild, QUBIT_CACHE_BYTES or the budget,
-    with each entry counted at its build estimate."""
+    is over it.  The d >= 3 cache counts each entry at the bytes it stores
+    and is emptied before a build would take it over the budget, or, for a
+    density-matrix step, built or found, before it would leave no room for
+    that step.  The d=2 rotations cost O(size) bytes and O(size) time to
+    rebuild, so their cache is emptied before a build would take it over
+    QUBIT_CACHE_BYTES or the budget, each entry counted at its build
+    estimate."""
     global _cache_bytes, _qubit_bytes
     key = lam.parts
     qubit = lam.d == 2
     t = (_qubit_cache if qubit else _cache).get(key)
-    if t is not None:
+    if t is not None and (qubit or not mixed):
         return t
     size = lam.d * dim_unitary(lam)
     need = _build_bytes(lam.d, size)
@@ -430,15 +426,19 @@ def cg_transform(lam: Partition, *, mixed: bool = False) -> CGTransform | QubitC
                 _qubit_cache[key] = cg_qubit(lam)
                 _qubit_bytes += need  # over what the entry keeps
             return _qubit_cache[key]
+        t = _cache.get(key)
+        room = max(need, _step_bytes(size)) if mixed else need
+        if _cache_bytes + room > errors.MEMORY_BUDGET:
+            _cache.clear()
+            _cache_bytes = 0
+        if t is None:
+            t = cg_closed(lam)
         if key not in _cache:
-            if _cache_bytes + need > min(CACHE_BYTES, errors.MEMORY_BUDGET):
-                _cache.clear()
-                _cache_bytes = 0
-            _cache[key] = cg_closed(lam)
+            _cache[key] = t
             # the rows, the product step's two index arrays of the size of
             # cols, formed on first use, and about 4 KB of objects
-            _cache_bytes += _cache[key].vals.nbytes + 3 * _cache[key].cols.nbytes + 4096
-        return _cache[key]
+            _cache_bytes += t.vals.nbytes + 3 * t.cols.nbytes + 4096
+        return t
 
 
 @dataclass

@@ -107,7 +107,7 @@ class TestEstimatesAreUpperBounds:
     def test_cache_bytes(self, monkeypatch, d, n):
         """The d >= 3 cache counts each entry at the bytes it stores,
         index arrays of the product step included, and is emptied before
-        it passes its cap."""
+        a build would take it over the budget."""
         labels = [lam for k in range(1, n + 1) for lam in partitions_of(k, d)]
         cache = fresh_cache(monkeypatch, d)
         tracemalloc.start()
@@ -121,11 +121,32 @@ class TestEstimatesAreUpperBounds:
         assert kept <= cg._cache_bytes
         fresh_cache(monkeypatch, d, CountingCache())
         monkeypatch.setattr(CountingCache, "clears", 0)
-        monkeypatch.setattr(cg, "CACHE_BYTES", 10 ** 6)
+        # every build fits, but not next to every cached transform
+        monkeypatch.setattr(errors, "MEMORY_BUDGET",
+                            max(cg._build_bytes(d, cg_side(d, lam.parts)) for lam in labels))
         for lam in labels:
             cg.cg_transform(lam)
-            assert cg._cache_bytes <= 10 ** 6
+            assert cg._cache_bytes <= errors.MEMORY_BUDGET
         assert CountingCache.clears > 0
+
+    def test_density_lookup_leaves_step_room(self, monkeypatch):
+        """A density-matrix step on a cached label empties the d >= 3 cache,
+        keeping that label, when the cache and the step would not fit the
+        budget together, and leaves it alone when they would."""
+        cache = fresh_cache(monkeypatch, 3)
+        labels = [lam for k in range(1, 9) for lam in partitions_of(k, 3)]
+        for lam in labels:
+            cg.cg_transform(lam)
+        lam = max(labels, key=lambda lam: dim_unitary(lam))
+        t, room = cache[lam.parts], cg._step_bytes(cg_side(3, lam.parts))
+        filled = cg._cache_bytes
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", filled + room)
+        assert cg.cg_transform(lam, mixed=True) is t
+        assert len(cache) == len(labels) and cg._cache_bytes == filled
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", filled + room - 1)
+        assert cg.cg_transform(lam, mixed=True) is t
+        assert list(cache) == [lam.parts]
+        assert cg._cache_bytes + room <= errors.MEMORY_BUDGET
 
     @pytest.mark.parametrize("d,lam", [(2, "60,0"), (3, "5,2,0")])
     def test_cg_report(self, monkeypatch, d, lam):
@@ -384,10 +405,10 @@ def budget_rho(d):
 
 def test_density_steps_stay_in_budget(tmp_path, monkeypatch):
     """`sample` on an iid density stream unravels each density matrix and
-    holds only vectors.  Under the density-step budget of its largest CG
-    transform, with the d >= 3 cache capped at that transform's build
-    estimate, the cache is emptied, the traced peak stays within the
-    budget, and the report is unchanged."""
+    holds only vectors.  Under the build estimate of its largest CG
+    transform, far below that transform's density-step estimate, the cache
+    is emptied, the traced peak stays within the budget, and the report is
+    unchanged."""
     rho = budget_rho(3)
     p = tmp_path / "iid.json"
     p.write_text(json.dumps({"iid": {
@@ -398,8 +419,7 @@ def test_density_steps_stay_in_budget(tmp_path, monkeypatch):
     largest = max(t.size for t in cache.values())
     fresh_cache(monkeypatch, 3, CountingCache())
     monkeypatch.setattr(CountingCache, "clears", 0)
-    monkeypatch.setattr(errors, "MEMORY_BUDGET", cg._step_bytes(largest))
-    monkeypatch.setattr(cg, "CACHE_BYTES", cg._build_bytes(3, largest))
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", cg._build_bytes(3, largest))
     peak, got = traced_peak(run, argv)
     assert got == want
     assert peak <= errors.MEMORY_BUDGET
@@ -420,10 +440,9 @@ def density_trajectory(d, n):
 
 def test_density_matrix_steps_stay_in_budget(monkeypatch):
     """`init_state` and `step` on a density matrix hold each step's
-    temporaries on top of the CG cache: under the density-step budget of
-    the largest transform, with the d >= 3 cache capped at its build
-    estimate, the cache is emptied, the traced peak stays within the
-    budget, and the run is unchanged."""
+    temporaries on top of the CG cache: the d >= 3 cache is emptied early
+    enough that the traced peak stays within the budget, and the run is
+    unchanged."""
     trajectory = density_trajectory(3, 20)
     cache = fresh_cache(monkeypatch, 3)
     want = trajectory()
@@ -431,7 +450,6 @@ def test_density_matrix_steps_stay_in_budget(monkeypatch):
     fresh_cache(monkeypatch, 3, CountingCache())
     monkeypatch.setattr(CountingCache, "clears", 0)
     monkeypatch.setattr(errors, "MEMORY_BUDGET", cg._step_bytes(largest))
-    monkeypatch.setattr(cg, "CACHE_BYTES", cg._build_bytes(3, largest))
     peak, got = traced_peak(trajectory)
     assert got[:2] == want[:2] and np.array_equal(got[2], want[2])
     assert peak <= errors.MEMORY_BUDGET

@@ -57,11 +57,11 @@ class TestCgQubit:
     @pytest.mark.parametrize("parts", [(1, 0), (1, 1), (4, 4), (7, 2), (12, 0)])
     def test_corrupted_coefficient_is_refused(self, parts):
         """Moving any one of the 4 dim Q stored coefficients, zeros
-        included, or giving it an imaginary part, breaks unitarity and
-        check_unitary raises."""
+        included, giving it an imaginary part, or making it NaN breaks
+        unitarity and check_unitary raises."""
         t = cg_qubit(Partition(parts))
         for index in np.ndindex(t.coef.shape):
-            for delta in (1e-9, 1e-9j):
+            for delta in (1e-9, 1e-9j, np.nan):
                 bad = replace(t, coef=t.coef.copy())
                 bad.coef[index] += delta
                 with pytest.raises(DegeneracyError):
@@ -238,15 +238,16 @@ class TestSparseRows:
     @pytest.mark.parametrize("parts", [(1, 0, 0), (2, 1, 0), (3, 3, 0), (4, 2, 1),
                                        (1, 1, 0, 0), (2, 1, 0, 0), (3, 2, 1, 0)])
     def test_corrupted_entry_is_refused(self, parts):
-        """Moving any one stored value by 1e-9, padding included, or
-        pointing the column index of any entry at another column makes
-        check_unitary raise."""
+        """Moving any one stored value by 1e-9 or making it NaN, padding
+        included, or pointing the column index of any entry at another
+        column makes check_unitary raise."""
         t = cg_closed(Partition(parts))
         for index in np.ndindex(t.vals.shape):
-            bad = replace(t, vals=t.vals.copy())
-            bad.vals[index] += 1e-9
-            with pytest.raises(DegeneracyError):
-                bad.check_unitary()
+            for delta in (1e-9, np.nan):
+                bad = replace(t, vals=t.vals.copy())
+                bad.vals[index] += delta
+                with pytest.raises(DegeneracyError):
+                    bad.check_unitary()
             if t.vals[index] != 0:
                 for shift in (1, t.size - 1):
                     bad = replace(t, cols=t.cols.copy())
