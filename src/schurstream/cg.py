@@ -30,7 +30,8 @@ For d >= 3, cg_closed keeps the transform as fixed-width sparse rows
 (CGTransform): each row lists its columns and values, at most one per
 chain shape (5 at d = 3, 16 at d = 4), so the rows take O(size) bytes.
 check_unitary sums the products of each row's pairs of entries, O(nnz w)
-work, and the sampler applies the rows in O(w) per amplitude.  No
+work, and the sampler applies the rows in O(w) per amplitude, gathering
+the coupled input by the stored columns.  No
 size^2 matrix is built, checked or cached on either path:
 QubitCG.matrix and CGTransform.matrix form the dense matrix on request,
 for the `schur cg` report, the oracle and the sparsity check, and both
@@ -41,11 +42,15 @@ factors of each row step are products of entry differences, kept as numpy
 object arrays of Python ints, so they are exact at any size (at d = 5 they
 already pass 2^53).  The walk then runs once per chain shape, the
 positions j = i_0, i_1, ... the box takes, and keeps at each step the
-patterns whose factor is nonzero, dropping a shape when none is left.  A
-target row is found by its pattern's mixed-radix key in base lam_0 + 2:
-moving the box adds one constant per shape to the source pattern's key.
-Each squared coefficient is one Python int true division, so every entry
-is the float of the entry-by-entry build, bit for bit.
+patterns whose factor is nonzero, dropping a shape when none is left.
+Each entry's target pattern has a mixed-radix key in base lam_0 + 2, the
+source pattern's key plus one constant per shape.  The keys of a block
+are ranked, and since the GT basis lists patterns in descending key
+order, a target's row is its rank from the top; only the source
+patterns are enumerated.  A block whose walk does not reach every one of
+its targets is refused.  Each squared coefficient is one Python int true
+division, so every entry is the float of the entry-by-entry build, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -88,17 +93,13 @@ class CGTransform:
 
     each row in column order.  The width w is the largest row count of
     lam, at most one entry per chain shape (5 at d=3, 16 at d=4); shorter
-    rows are padded with value 0 at column 0.  The values are real."""
+    rows are padded with value 0 at column 0.  The values are real.  These
+    two arrays are all a transform keeps: every step, product steps
+    included, gathers its input by cols."""
     lam: Partition
     blocks: list[Block]
     cols: np.ndarray  # (size, w), intp
     vals: np.ndarray  # (size, w), float64, zero-padded
-
-    @cached_property
-    def fold(self) -> tuple[np.ndarray, np.ndarray]:
-        """(cols // d, cols % d): the GT pattern and fundamental index of
-        each slot, formed on first use for the product step."""
-        return np.divmod(self.cols, self.d)
 
     @property
     def d(self) -> int:
@@ -248,12 +249,6 @@ def cg_qubit(lam: Partition) -> QubitCG:
     return t
 
 
-def _flat(patterns) -> np.ndarray:
-    """GT patterns as an integer array, one pattern per row with its rows
-    concatenated top to bottom."""
-    return np.array([sum(pat, ()) for pat in patterns], dtype=np.int64)
-
-
 def _exact_prod(diffs: np.ndarray) -> np.ndarray:
     """Products over the last axis, as Python ints."""
     return np.multiply.reduce(diffs.astype(object), axis=-1)
@@ -309,10 +304,12 @@ def _walk(steps, starts, weights, r: int, i: int, pats, num, den, sign: int, inc
 def cg_closed(lam: Partition) -> CGTransform:
     """Closed-form transform for any d, from GT patterns and exact integer
     arithmetic, built by the chain walk over all source patterns at once;
-    for d=2 it reproduces cg_qubit bit for bit."""
+    for d=2 it reproduces cg_qubit bit for bit.  A block whose walk does
+    not reach each of its targets raises DegeneracyError."""
     d = lam.d
     blocks = _blocks_for(lam)
-    source = _flat(enumerate_gt(lam))
+    # one GT pattern per row, its rows concatenated top to bottom
+    source = np.array([sum(pat, ()) for pat in enumerate_gt(lam)], dtype=np.int64)
     npat = len(source)
     size = npat * d
     starts = [r * d - r * (r - 1) // 2 for r in range(d)]
@@ -326,8 +323,6 @@ def cg_closed(lam: Partition) -> CGTransform:
     ones = np.ones(npat, dtype=object)
     entries = []  # (row, column, value) per block
     for blk in blocks:
-        # enumerate_gt is descending on the flattened rows, so are the keys
-        tkeys = (_flat(enumerate_gt(blk.target)).astype(object) @ weights)[::-1]
         fund, pats, num, den, sign, inc = zip(*_walk(
             steps, starts, weights, 0, blk.j, np.arange(npat), ones, ones, 1, 0))
         num, den = np.concatenate(num), np.concatenate(den)
@@ -335,10 +330,12 @@ def cg_closed(lam: Partition) -> CGTransform:
         key = np.concatenate([keys[p] + c for p, c in zip(pats, inc)])
         col = np.concatenate([p * d + a for p, a in zip(pats, fund)])
         live = np.flatnonzero(num != 0)
-        pos = np.minimum(np.searchsorted(tkeys, key[live]), len(tkeys) - 1)
-        hit = tkeys[pos] == key[live]
-        live = live[hit]
-        entries.append((blk.offset + len(tkeys) - 1 - pos[hit], col[live],
+        # enumerate_gt is descending on the flattened rows, so on the keys
+        tkeys, pos = np.unique(key[live], return_inverse=True)
+        if len(tkeys) != blk.dim:
+            raise DegeneracyError(f"the walk to {blk.target} reaches {len(tkeys)} "
+                                  f"of its {blk.dim} patterns")
+        entries.append((blk.offset + blk.dim - 1 - pos, col[live],
                         sign[live] * np.sqrt(np.abs((num[live] / den[live]).astype(float)))))
     row, col, val = map(np.concatenate, zip(*entries))
     # the rows in column order, each padded to the longest
@@ -372,7 +369,8 @@ def _build_bytes(d: int, size: int) -> int:
     at sides 4 to 400002, of which 32 size + 2.4 KB stay).  d >= 3, all
     O(size): the exact-integer factor arrays of each row step, about
     32 d^2 bytes per unit of size for the top row; the walk's entries and
-    keys; the sparse rows; and check_unitary's runs of pairs.  Tracemalloc
+    keys and the ranking of each block's keys; the sparse rows; and
+    check_unitary's runs of pairs.  Tracemalloc
     peak through cg_transform: d=3, at most 1.4 KB size at sides 24 to
     990 and 1.0 KB size at sides 1029 to 15150; d=4, 1.8 KB size at sides
     24 to 19840; d=5, 2.5 KB size at sides 200 to 42000; d=6, 2.3 KB size
@@ -397,23 +395,24 @@ def _step_bytes(size: int) -> int:
 def cg_transform(lam: Partition, *, mixed: bool = False) -> CGTransform | QubitCG:
     """Cached CG transform: cg_qubit's rotations for d=2, cg_closed's
     sparse rows otherwise.  A build over the memory budget is refused, and
-    so is one for a density-matrix step (`mixed`) whose step, `_step_bytes`,
-    is over it.  The d >= 3 cache counts each entry at the bytes it stores
-    and is emptied before a build would take it over the budget, or, for a
-    density-matrix step, built or found, before it would leave no room for
-    that step.  The d=2 rotations cost O(size) bytes and O(size) time to
-    rebuild, so their cache is emptied before a build would take it over
-    QUBIT_CACHE_BYTES or the budget, each entry counted at its build
-    estimate."""
+    a density-matrix step (`mixed`) whose step, `_step_bytes`, is over it
+    is refused whether its transform is built or found.  The d >= 3 cache
+    counts each entry at the bytes it stores and is emptied before a
+    build would take it over the budget, or, for a density-matrix step,
+    built or found, before it would leave no room for that step.  The d=2
+    rotations cost O(size) bytes and O(size) time to rebuild, so their
+    cache is emptied before a build would take it over QUBIT_CACHE_BYTES
+    or the budget, each entry counted at its build estimate."""
     global _cache_bytes, _qubit_bytes
     key = lam.parts
     qubit = lam.d == 2
     t = (_qubit_cache if qubit else _cache).get(key)
-    if t is not None and (qubit or not mixed):
+    if t is not None and not mixed:
         return t
     size = lam.d * dim_unitary(lam)
     need = _build_bytes(lam.d, size)
-    errors.check_budget(f"CG transform of size {size} at lambda={lam}", need)
+    if t is None:
+        errors.check_budget(f"CG transform of size {size} at lambda={lam}", need)
     if mixed:
         errors.check_budget(f"a density-matrix step of side {size} at lambda={lam}",
                             _step_bytes(size))
@@ -435,9 +434,7 @@ def cg_transform(lam: Partition, *, mixed: bool = False) -> CGTransform | QubitC
             t = cg_closed(lam)
         if key not in _cache:
             _cache[key] = t
-            # the rows, the product step's two index arrays of the size of
-            # cols, formed on first use, and about 4 KB of objects
-            _cache_bytes += t.vals.nbytes + 3 * t.cols.nbytes + 4096
+            _cache_bytes += t.vals.nbytes + t.cols.nbytes + 4096  # 4 KB of objects
         return t
 
 

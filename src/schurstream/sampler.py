@@ -30,8 +30,9 @@ d = 3, 16 at d = 4); for d = 2 it is its dim Q 2 x 2 rotations
 (cg.QubitCG), O(1) per amplitude.  Full states and density matrices,
 on both sides, have the transform applied to the coupled state
 (`_apply`).  A vector state coupled to a pure qudit, which is every step
-of `sample`, has the qudit folded into the transform and never forms the
-coupled state (`_product_outcomes`).
+of `sample`, takes one pass (`_product_outcomes`): for d >= 3 the rows
+gather the O(size) coupled vector, and for d = 2 the qubit is folded into
+the rotations, so the coupled state is never formed.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ import numpy as np
 from .cg import CGTransform, QubitCG, cg_transform
 from .errors import (InvalidInputError, NumericalCollapseError, check_budget,
                      check_state)
-from .partitions import (LatticePath, Partition, add_box, dim_unitary, one_box,
-                         valid_rows)
+from .partitions import (LatticePath, Partition, dim_symmetric, dim_unitary,
+                         one_box, partitions_of)
 from .resources import qudit_width, removal
 
 DEFAULT_PRUNE = 1e-12
@@ -137,22 +138,20 @@ def _couple(state: np.ndarray, qudit: np.ndarray) -> np.ndarray:
 
 def _product_outcomes(lam: Partition, amplitudes: np.ndarray, qudit: np.ndarray
                       ) -> list[tuple[int, Partition, float, np.ndarray]]:
-    """The outcomes of coupling a product-state qudit into Q^d_lam.  A
-    vector coupled to a pure qudit q never forms the product v (x) q, v =
-    amplitudes: the qudit is folded into the transform.  For d >= 3, row r
-    is sum_k vals[r, k] q[fund[r, k]] v[pat[r, k]], with (pat, fund) =
-    t.fold.  For d=2, row k of the rotation is coef[0, k] q[0]
-    v[k mod dim Q] + coef[1, k] q[1] v[(k - 1) mod dim Q], and `wrapped`
-    lists v around its ends for both terms."""
+    """The outcomes of coupling a product-state qudit into Q^d_lam.  For
+    d >= 3, a vector v = amplitudes coupled to a pure qudit q forms
+    v (x) q, O(size), and row r gathers sum_k vals[r, k] (v (x) q)[cols[r,
+    k]] from it.  For d=2 the qubit is folded into the rotation, and v (x)
+    q is never formed: row k is coef[0, k] q[0] v[k mod dim Q] +
+    coef[1, k] q[1] v[(k - 1) mod dim Q], and `wrapped` lists v around its
+    ends for both terms."""
     mixed = amplitudes.ndim == 2 or qudit.ndim == 2
     t = cg_transform(lam, mixed=mixed)
     if mixed:
         return _outcomes(t, _couple(amplitudes, qudit))
     if isinstance(t, CGTransform):
-        pat, fund = t.fold
-        coef = qudit[fund]
-        coef *= t.vals
-        return _split(t, np.einsum("rk,rk->r", coef, amplitudes[pat]))
+        coupled = _couple(amplitudes, qudit)
+        return _split(t, np.einsum("rk,rk->r", t.vals, coupled[t.cols]))
     wrapped = np.concatenate((amplitudes[-1:], amplitudes, amplitudes))
     rotated = t.coef[0] * wrapped[1:]
     rotated *= qudit[0]
@@ -203,16 +202,8 @@ def _path_counts(d: int, n: int):
     """The number of lattice paths of k boxes in at most d rows, the sum of
     dim P_lam over the labels, for k = 1 .. n.  Every label has a child, so
     no count is above the next."""
-    level = {one_box(d): 1}
-    yield 1
-    for _ in range(n - 1):
-        nxt: dict[Partition, int] = {}
-        for lam, c in level.items():
-            for j in valid_rows(lam):
-                mu = add_box(lam, j)
-                nxt[mu] = nxt.get(mu, 0) + c
-        level = nxt
-        yield sum(level.values())
+    for k in range(1, n + 1):
+        yield sum(dim_symmetric(lam) for lam in partitions_of(k, d))
 
 
 def _enumerate(d: int, n: int, root: np.ndarray, outcomes_fn,
@@ -438,7 +429,7 @@ def register_run(stream: list[np.ndarray], seed: int = 0) -> RunResult:
     lam, path = one_box(2), []
     for k in range(1, len(stream)):
         (j, lam, p, sub), _ = _sample(_register_outcomes(k, lam, vec, stream[k]), rng)
-        vec = sub / math.sqrt(p)
+        vec = _normalized(sub, p)
         path.append(j)
     return RunResult(lam=lam, path=LatticePath(tuple(path)), amplitudes=vec)
 

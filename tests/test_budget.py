@@ -15,12 +15,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cg_reference import enumerate_paths, haar_state
 from schurstream import cg, cli, errors, sampler
 from schurstream.cli import run
 from schurstream.errors import SizeLimitError
 from schurstream.oracle import _transform_bytes, schur_transform
-from schurstream.partitions import (LatticePath, Partition, dim_symmetric,
-                                    dim_unitary, partitions_of)
+from schurstream.partitions import (LatticePath, Partition, dim_unitary,
+                                    partitions_of)
 from schurstream.sampler import (_leaf_bytes, branch_distribution, init_state,
                                  run_full_state, step)
 
@@ -59,6 +60,16 @@ def cg_report_bytes(size):
 def iid_mixed(tmp_path, n, d=2):
     p = tmp_path / f"iid_{d}_{n}.json"
     p.write_text(json.dumps({"iid": {"rho": (np.eye(d) / d).tolist(), "n": n}}))
+    return str(p)
+
+
+def haar_qubits(tmp_path, n, seed=0):
+    """A stream of n Haar-random pure qubits, whose walk reaches every
+    lattice path, as the maximally mixed one does."""
+    rng = np.random.default_rng(seed)
+    p = tmp_path / f"haar_{n}.json"
+    p.write_text(json.dumps([[[z.real, z.imag] for z in haar_state(2, rng)]
+                             for _ in range(n)]))
     return str(p)
 
 
@@ -105,15 +116,14 @@ class TestEstimatesAreUpperBounds:
 
     @pytest.mark.parametrize("d,n", [(3, 12), (4, 7)])
     def test_cache_bytes(self, monkeypatch, d, n):
-        """The d >= 3 cache counts each entry at the bytes it stores,
-        index arrays of the product step included, and is emptied before
-        a build would take it over the budget."""
+        """The d >= 3 cache counts each entry at the bytes it stores and is
+        emptied before a build would take it over the budget."""
         labels = [lam for k in range(1, n + 1) for lam in partitions_of(k, d)]
         cache = fresh_cache(monkeypatch, d)
         tracemalloc.start()
         try:
             for lam in labels:
-                cg.cg_transform(lam).fold
+                cg.cg_transform(lam)
             kept = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -128,6 +138,18 @@ class TestEstimatesAreUpperBounds:
             cg.cg_transform(lam)
             assert cg._cache_bytes <= errors.MEMORY_BUDGET
         assert CountingCache.clears > 0
+
+    @pytest.mark.parametrize("d,parts", [(2, (40, 0)), (3, (5, 2, 0))])
+    def test_cached_density_lookup_is_refused(self, monkeypatch, d, parts):
+        """A density-matrix step over the budget is refused on a label that
+        a vector lookup has already built."""
+        fresh_cache(monkeypatch, d)
+        lam = Partition(parts)
+        cg.cg_transform(lam)
+        monkeypatch.setattr(errors, "MEMORY_BUDGET",
+                            cg._step_bytes(cg_side(d, parts)) - 1)
+        with pytest.raises(SizeLimitError, match="density-matrix step"):
+            cg.cg_transform(lam, mixed=True)
 
     def test_density_lookup_leaves_step_room(self, monkeypatch):
         """A density-matrix step on a cached label empties the d >= 3 cache,
@@ -231,9 +253,9 @@ class TestRefusedBelowTheEstimate:
         assert run(["cg", "--d", "2", "--lambda", "5,0"])[0] == 0
 
     def test_dist_leaves(self, tmp_path, monkeypatch):
-        stream = iid_mixed(tmp_path, 6)
+        stream = haar_qubits(tmp_path, 6)
         assert run(["dist", "--stream", stream])[0] == 0  # builds the CG transforms
-        need = 20 * _leaf_bytes(6)  # 6 mixed qubits have 20 leaves
+        need = 20 * _leaf_bytes(6)  # 6 Haar qubits have 20 leaves
         monkeypatch.setattr(errors, "MEMORY_BUDGET", need - 1)
         code, out = run(["dist", "--stream", stream])
         assert code == 2
@@ -245,7 +267,7 @@ class TestRefusedBelowTheEstimate:
         """With --prune 0 the walk reaches every one of the 20 lattice paths
         of 6 qubits: one byte below their leaves it exits 2 without
         coupling a qudit, and at them it runs."""
-        stream = iid_mixed(tmp_path, 6)
+        stream = haar_qubits(tmp_path, 6)
         argv = ["dist", "--stream", stream, "--prune", "0"]
         assert run(argv)[0] == 0  # builds the CG transforms
         need = 20 * _leaf_bytes(6)
@@ -265,7 +287,7 @@ class TestRefusedBelowTheEstimate:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_path_counts(self, d):
         counts = list(sampler._path_counts(d, 10))
-        assert counts == [sum(dim_symmetric(lam) for lam in partitions_of(n, d))
+        assert counts == [sum(len(enumerate_paths(lam)) for lam in partitions_of(n, d))
                           for n in range(1, 11)]
 
     def test_long_unprunable_walk_refused_at_once(self, monkeypatch):

@@ -211,6 +211,31 @@ class TestCgClosed:
                       0, 0, 1, 1, 1, ()))
         assert top > 2 ** 53
 
+    @pytest.mark.parametrize("parts", [(1, 0, 0), (2, 1, 0), (3, 1, 0, 0)])
+    def test_walk_missing_a_target_is_refused(self, monkeypatch, parts):
+        """Target rows are ranked from the walk's own keys, so a walk that
+        misses a target pattern is refused: here every block loses the
+        shape that stops on the top row."""
+        walk = cg._walk
+
+        def without_top_stop(steps, starts, weights, r, *rest):
+            shapes = walk(steps, starts, weights, r, *rest)
+            if r == 0:
+                next(shapes)
+            yield from shapes
+
+        monkeypatch.setattr(cg, "_walk", without_top_stop)
+        with pytest.raises(DegeneracyError, match="reaches"):
+            cg_closed(Partition(parts))
+
+    def test_enumerates_the_source_patterns_only(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cg, "enumerate_gt",
+                            lambda lam: calls.append(lam) or enumerate_gt(lam))
+        lam = Partition((3, 1, 0))
+        cg_closed(lam)
+        assert calls == [lam]
+
     def test_qubit_is_bit_identical(self):
         """The dense d=2 matrix formed on demand from the rotations is
         cg_closed's matrix bit for bit, for every lam with lam_0 <= 40."""
