@@ -31,11 +31,11 @@ For d >= 3, cg_closed keeps the transform as fixed-width sparse rows
 chain shape (5 at d = 3, 16 at d = 4), so the rows take O(size) bytes.
 check_unitary sums the products of each row's pairs of entries, O(nnz w)
 work, and the sampler applies the rows in O(w) per amplitude, gathering
-the coupled input by the stored columns.  No
-size^2 matrix is built, checked or cached on either path:
-QubitCG.matrix and CGTransform.matrix form the dense matrix on request,
-for the `schur cg` report, the oracle and the sparsity check, and both
-equal the entry-by-entry build (tests/cg_reference.py) bit for bit.
+the coupled input by the stored columns.  No size^2 matrix is built,
+checked or cached on either path: QubitCG.matrix and CGTransform.matrix
+form the dense matrix on request, for the `schur cg` report, the oracle
+and the sparsity check, and both equal the entry-by-entry build
+(tests/cg_reference.py) bit for bit.
 
 cg_closed evaluates the factors for every source pattern at once.  The
 factors of each row step are products of entry differences, kept as numpy

@@ -27,12 +27,12 @@ A step applies the CG transform to the leading axis of the state, with
 no dense matrix.  For d >= 3 that is the transform's sparse rows
 (cg.CGTransform), O(w) work per amplitude, w the longest row (5 at
 d = 3, 16 at d = 4); for d = 2 it is its dim Q 2 x 2 rotations
-(cg.QubitCG), O(1) per amplitude.  Full states and density matrices,
-on both sides, have the transform applied to the coupled state
-(`_apply`).  A vector state coupled to a pure qudit, which is every step
-of `sample`, takes one pass (`_product_outcomes`): for d >= 3 the rows
-gather the O(size) coupled vector, and for d = 2 the qubit is folded into
-the rotations, so the coupled state is never formed.
+(cg.QubitCG), O(1) per amplitude.  `_apply` applies it to the coupled
+state: to full states, to density matrices on both sides, and at d >= 3
+to vector states too, which `_product_outcomes` couples first, O(size).
+A vector state coupled to a pure qubit, which is every step of `sample`
+at d = 2, takes one pass: the qubit is folded into the rotations, so the
+coupled state is never formed.
 """
 
 from __future__ import annotations
@@ -71,13 +71,17 @@ def _apply(t: CGTransform | QubitCG, x: np.ndarray, axis: int = 0) -> np.ndarray
     """t (x) I_rest on axis `axis` of x, of length t.size * rest.  A d >= 3
     transform does so slot by slot: slot k of its rows gathers input row
     cols[r, k] for every output row r, scales it by vals[r, k] and adds
-    it, in O(w size rest) per column with one buffer the size of x.  A d=2
+    it, in O(w size rest) per column with one buffer the size of x.  A
+    lone vector (rest 1, every product step) gathers all w slots at once,
+    w size entries, in two numpy calls where the slots take 3 w.  A d=2
     transform does so by its dim Q 2 x 2 blocks (see cg.QubitCG), on the
     leading axis of x or of its transpose, in O(size * rest) per column on
     the interleaved real and imaginary parts: shifted by one qubit-1 slot,
     x lists the pairs (b[r-1], a[r]) that block r takes to rows r and
     dim Q + r."""
     if isinstance(t, CGTransform):
+        if x.shape == (t.size,):
+            return np.einsum("rk,rk->r", t.vals, x[t.cols])
         # np.take copies an input that is not C-contiguous on every call
         rows = np.ascontiguousarray(x)
         rows = rows.reshape(x.shape[:axis] + (t.size, -1) + x.shape[axis + 1:])
@@ -138,20 +142,17 @@ def _couple(state: np.ndarray, qudit: np.ndarray) -> np.ndarray:
 
 def _product_outcomes(lam: Partition, amplitudes: np.ndarray, qudit: np.ndarray
                       ) -> list[tuple[int, Partition, float, np.ndarray]]:
-    """The outcomes of coupling a product-state qudit into Q^d_lam.  For
-    d >= 3, a vector v = amplitudes coupled to a pure qudit q forms
-    v (x) q, O(size), and row r gathers sum_k vals[r, k] (v (x) q)[cols[r,
-    k]] from it.  For d=2 the qubit is folded into the rotation, and v (x)
-    q is never formed: row k is coef[0, k] q[0] v[k mod dim Q] +
+    """The outcomes of coupling a product-state qudit into Q^d_lam.  A
+    d >= 3 transform, or a mixed factor, couples the state with `_couple`
+    and applies the transform to it (`_outcomes`).  A vector v =
+    amplitudes coupled to a pure qubit q folds q into the rotation, and
+    v (x) q is never formed: row k is coef[0, k] q[0] v[k mod dim Q] +
     coef[1, k] q[1] v[(k - 1) mod dim Q], and `wrapped` lists v around its
     ends for both terms."""
     mixed = amplitudes.ndim == 2 or qudit.ndim == 2
     t = cg_transform(lam, mixed=mixed)
-    if mixed:
+    if mixed or isinstance(t, CGTransform):
         return _outcomes(t, _couple(amplitudes, qudit))
-    if isinstance(t, CGTransform):
-        coupled = _couple(amplitudes, qudit)
-        return _split(t, np.einsum("rk,rk->r", t.vals, coupled[t.cols]))
     wrapped = np.concatenate((amplitudes[-1:], amplitudes, amplitudes))
     rotated = t.coef[0] * wrapped[1:]
     rotated *= qudit[0]

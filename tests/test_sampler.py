@@ -396,8 +396,9 @@ class TestOutcomes:
     @pytest.mark.parametrize("state_mixed,qubit_mixed",
                              [(False, False), (False, True), (True, False)])
     def test_product_step_matches_kron(self, parts, state_mixed, qubit_mixed):
-        """The product step, whose vector case folds a pure qudit into the
-        transform, against the dense transform on the Kronecker product."""
+        """The product step against the dense transform on the Kronecker
+        product.  A vector coupled to a pure qubit folds the qubit into the
+        rotations; at d >= 3 the coupled vector goes through the rows."""
         rng = np.random.default_rng(sum(parts))
         lam = Partition(parts)
         d = lam.d
