@@ -354,12 +354,10 @@ def cg_closed(lam: Partition) -> CGTransform:
 
 # The d=2 rotations cost about as much to rebuild as to apply, and a long
 # skewed trajectory never meets a label twice, so their cache stays small.
-QUBIT_CACHE_BYTES = 1 << 24
+QUBIT_CACHE_BYTES = 3 << 22
 
-_cache: dict = {}  # d >= 3: lam.parts -> CGTransform
-_cache_bytes = 0  # the bytes its entries store
-_qubit_cache: dict = {}  # d = 2: lam.parts -> QubitCG
-_qubit_bytes = 0  # the build estimates of its entries
+_cache: dict = {}  # lam.parts -> QubitCG or CGTransform
+_cache_bytes = 0  # the bytes its entries hold, 4 KB of objects each included
 _cache_lock = threading.Lock()
 
 
@@ -392,49 +390,50 @@ def _step_bytes(size: int) -> int:
     return 80 * size * size + 4096 * size
 
 
+def _held_bytes(t: CGTransform | QubitCG) -> int:
+    """Bytes a cached transform holds: its arrays (rotations too) and 4 KB of objects."""
+    if isinstance(t, QubitCG):
+        return t.coef.nbytes + t.coef.real.nbytes + 4096
+    return t.cols.nbytes + t.vals.nbytes + 4096
+
+
 def cg_transform(lam: Partition, *, mixed: bool = False) -> CGTransform | QubitCG:
     """Cached CG transform: cg_qubit's rotations for d=2, cg_closed's
     sparse rows otherwise.  A build over the memory budget is refused, and
     a density-matrix step (`mixed`) whose step, `_step_bytes`, is over it
-    is refused whether its transform is built or found.  The d >= 3 cache
-    counts each entry at the bytes it stores and is emptied before a
-    build would take it over the budget, or, for a density-matrix step,
-    built or found, before it would leave no room for that step.  The d=2
-    rotations cost O(size) bytes and O(size) time to rebuild, so their
-    cache is emptied before a build would take it over QUBIT_CACHE_BYTES
-    or the budget, each entry counted at its build estimate."""
-    global _cache_bytes, _qubit_bytes
+    is refused whether its transform is built or found.  One cache serves
+    every d, counting each entry at _held_bytes.  It is emptied, keeping
+    the transform returned, before a build would take it over its cap (the
+    budget, and at d=2 at most QUBIT_CACHE_BYTES), or before a
+    density-matrix lookup, built or found, would leave less than its step
+    of the budget beside it."""
+    global _cache_bytes
     key = lam.parts
-    qubit = lam.d == 2
-    t = (_qubit_cache if qubit else _cache).get(key)
+    t = _cache.get(key)
     if t is not None and not mixed:
         return t
     size = lam.d * dim_unitary(lam)
-    need = _build_bytes(lam.d, size)
     if t is None:
-        errors.check_budget(f"CG transform of size {size} at lambda={lam}", need)
+        errors.check_budget(f"CG transform of size {size} at lambda={lam}",
+                            _build_bytes(lam.d, size))
     if mixed:
         errors.check_budget(f"a density-matrix step of side {size} at lambda={lam}",
                             _step_bytes(size))
     with _cache_lock:
-        if qubit:
-            if key not in _qubit_cache:
-                if _qubit_bytes + need > min(QUBIT_CACHE_BYTES, errors.MEMORY_BUDGET):
-                    _qubit_cache.clear()
-                    _qubit_bytes = 0
-                _qubit_cache[key] = cg_qubit(lam)
-                _qubit_bytes += need  # over what the entry keeps
-            return _qubit_cache[key]
         t = _cache.get(key)
-        room = max(need, _step_bytes(size)) if mixed else need
-        if _cache_bytes + room > errors.MEMORY_BUDGET:
-            _cache.clear()
-            _cache_bytes = 0
         if t is None:
-            t = cg_closed(lam)
-        if key not in _cache:
+            cap = errors.MEMORY_BUDGET
+            if lam.d == 2:
+                cap = min(cap, QUBIT_CACHE_BYTES)
+            if _cache_bytes + _build_bytes(lam.d, size) > cap:
+                _cache.clear()
+                _cache_bytes = 0
+            t = _cache[key] = cg_qubit(lam) if lam.d == 2 else cg_closed(lam)
+            _cache_bytes += _held_bytes(t)
+        if mixed and _cache_bytes + _step_bytes(size) > errors.MEMORY_BUDGET:
+            _cache.clear()
             _cache[key] = t
-            _cache_bytes += t.vals.nbytes + t.cols.nbytes + 4096  # 4 KB of objects
+            _cache_bytes = _held_bytes(t)
         return t
 
 

@@ -48,12 +48,6 @@ class Partition:
     def from_string(cls, s: str) -> "Partition":
         return cls(tuple(int(t) for t in s.split(",")))
 
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
 
 def add_box(lam: Partition, j: int) -> Partition:
     """Return lam + e_j, raising InvalidPartitionError when the result
@@ -86,12 +80,6 @@ class LatticePath:
 
     def __str__(self) -> str:
         return ",".join(str(s) for s in self.steps)
-
-    @classmethod
-    def from_string(cls, s: str) -> "LatticePath":
-        if not s:
-            return cls(())
-        return cls(tuple(int(t) for t in s.split(",")))
 
     def endpoint(self, d: int) -> Partition:
         """The label lam^n the path reaches from (1,0,...); a step off

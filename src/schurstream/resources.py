@@ -20,9 +20,12 @@ ZERO_TOL = 1e-12  # a matrix entry at or below this magnitude is zero
 
 def qudit_width(k: int, d: int) -> int:
     """Qudits needed during iteration k: one L qudit plus the smallest Q
-    register of m qudits with d^m >= (k+2)^(d-1), the dimension bound after
-    the new qudit; exact integer arithmetic."""
-    bound = (k + 2) ** (d - 1)
+    register of m qudits with d^m >= (k+2)^(d(d-1)/2), exact integers.
+    After the new qudit the label has k+1 boxes, and each of the d(d-1)/2
+    factors (lam_i - lam_j + j - i)/(j - i) of Weyl's dimension formula is
+    at most lam_i - lam_j + 1 <= k+2, so this bounds dim Q; at d=2 it is
+    dim Q's own bound k+2."""
+    bound = (k + 2) ** (d * (d - 1) // 2)
     m = 0
     while d ** m < bound:
         m += 1
@@ -95,15 +98,16 @@ def _model_delta(n: int, epsilon: float, c: float, factors: tuple[int, ...],
     """The one argument check of the gate-count models (n >= 2,
     0 < epsilon < 1, finite c > 0 and, where the model uses it, finite
     p > 0), then the per-gate precision delta = epsilon / (c * factors...),
-    which must lie in (0, 1) for its gate depth log2(1/delta) to count."""
+    which must lie in (0, 1), and not be so small that 1/delta overflows,
+    for its gate depth log2(1/delta) to count."""
     if (n < 2 or not 0 < epsilon < 1 or not 0 < c < math.inf
             or p is not None and not 0 < p < math.inf):
         raise ValueError("need n >= 2, 0 < epsilon < 1, 0 < c < inf "
                          "and 0 < p < inf")
     delta = epsilon / math.prod(factors, start=c)
-    if not 0 < delta < 1:
+    if not 0 < delta < 1 or not 1 / delta < math.inf:
         raise ValueError(f"the per-gate precision delta = {delta!r} "
-                         "must lie in (0, 1)")
+                         "must lie in (0, 1), with 1/delta finite")
     return delta
 
 

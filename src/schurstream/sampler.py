@@ -188,10 +188,6 @@ class BranchDistribution:
     marginal: dict[Partition, float]  # label -> probability
     pruned: float = 0.0
 
-    @property
-    def total(self) -> float:
-        return sum(self.entries.values())
-
 
 def _leaf_bytes(n: int) -> int:
     """Bytes a leaf holds with its share of the `dist` or `full` report
@@ -310,11 +306,9 @@ class RunResult:
     amplitudes: np.ndarray  # for a mixed stream, the drawn unravelling's state
 
 
-def run_stream(stream: list[np.ndarray], d: int, seed: int = 0,
-               max_steps: int | None = None) -> RunResult:
+def run_stream(stream: list[np.ndarray], d: int, seed: int = 0) -> RunResult:
     """Run the sampler over a stream of qudits; deterministic in
-    (stream, seed).  `max_steps` truncates the run early (the streaming
-    property): the current label is still a valid output.
+    (stream, seed).
 
     A density-matrix element is unravelled: the run couples in one of its
     eigenvectors, drawn with its eigenvalue as probability.  The
@@ -337,8 +331,7 @@ def run_stream(stream: list[np.ndarray], d: int, seed: int = 0,
 
     state = init_state(pure(stream[0]), d)
     state.rng = rng  # one generator draws the components and the labels
-    steps = len(stream) - 1 if max_steps is None else min(max_steps, len(stream) - 1)
-    for k in range(steps):
+    for k in range(len(stream) - 1):
         state, _, _ = step(state, pure(stream[k + 1]))
     return RunResult(lam=state.lam, path=LatticePath(tuple(state.path)),
                      amplitudes=state.amplitudes)

@@ -43,13 +43,12 @@ def cg_side(d, parts):
     return d * dim_unitary(Partition(parts))
 
 
-def fresh_cache(monkeypatch, d, cache=None):
-    """Install `cache`, or an empty dict, as the CG cache of d's transforms,
-    with a zero byte count; returns it."""
-    name, count = ("_qubit_cache", "_qubit_bytes") if d == 2 else ("_cache", "_cache_bytes")
+def fresh_cache(monkeypatch, cache=None):
+    """Install `cache`, or an empty dict, as the CG cache, with a zero byte
+    count; returns it."""
     cache = {} if cache is None else cache
-    monkeypatch.setattr(cg, name, cache)
-    monkeypatch.setattr(cg, count, 0)
+    monkeypatch.setattr(cg, "_cache", cache)
+    monkeypatch.setattr(cg, "_cache_bytes", 0)
     return cache
 
 
@@ -89,61 +88,44 @@ class TestEstimatesAreUpperBounds:
                                          (3, (12, 6, 0)), (4, (5, 3, 1, 0)),
                                          (6, (2, 1, 0, 0, 0, 0))])
     def test_cg_build(self, monkeypatch, d, parts):
-        fresh_cache(monkeypatch, d)
+        fresh_cache(monkeypatch)
         peak, t = traced_peak(cg.cg_transform, Partition(parts))
         assert peak <= cg._build_bytes(d, t.size)
 
-    def test_qubit_cache_bytes(self, monkeypatch):
-        """The d=2 cache counts each entry at its build estimate, over the
-        bytes the entry keeps, and is emptied before it passes its cap."""
-        cache = fresh_cache(monkeypatch, 2)
-        tracemalloc.start()
-        try:
-            for k in range(1, 400):
-                cg.cg_transform(Partition((k, k // 3)))
-            kept = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert len(cache) == 399
-        assert kept <= cg._qubit_bytes
-        fresh_cache(monkeypatch, 2, CountingCache())
-        monkeypatch.setattr(CountingCache, "clears", 0)
-        monkeypatch.setattr(cg, "QUBIT_CACHE_BYTES", 10 ** 5)
-        for k in range(1, 400):
-            cg.cg_transform(Partition((k, 0)))
-            assert cg._qubit_bytes <= 10 ** 5
-        assert CountingCache.clears > 0
-
-    @pytest.mark.parametrize("d,n", [(3, 12), (4, 7)])
+    @pytest.mark.parametrize("d,n", [(2, 60), (3, 12), (4, 7)])
     def test_cache_bytes(self, monkeypatch, d, n):
-        """The d >= 3 cache counts each entry at the bytes it stores and is
-        emptied before a build would take it over the budget."""
+        """The cache counts each entry at the bytes it holds, over what the
+        entry keeps, and is emptied before a build would take it over its
+        cap: QUBIT_CACHE_BYTES at d=2, the budget otherwise."""
         labels = [lam for k in range(1, n + 1) for lam in partitions_of(k, d)]
-        cache = fresh_cache(monkeypatch, d)
+        cache = fresh_cache(monkeypatch)
         tracemalloc.start()
         try:
             for lam in labels:
-                cg.cg_transform(lam)
+                t = cg.cg_transform(lam)
+                if d == 2:
+                    t.rotations  # laid out on first use, counted from the build
             kept = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         assert len(cache) == len(labels)
         assert kept <= cg._cache_bytes
-        fresh_cache(monkeypatch, d, CountingCache())
+        fresh_cache(monkeypatch, CountingCache())
         monkeypatch.setattr(CountingCache, "clears", 0)
         # every build fits, but not next to every cached transform
-        monkeypatch.setattr(errors, "MEMORY_BUDGET",
+        owner, cap = (cg, "QUBIT_CACHE_BYTES") if d == 2 else (errors, "MEMORY_BUDGET")
+        monkeypatch.setattr(owner, cap,
                             max(cg._build_bytes(d, cg_side(d, lam.parts)) for lam in labels))
         for lam in labels:
             cg.cg_transform(lam)
-            assert cg._cache_bytes <= errors.MEMORY_BUDGET
+            assert cg._cache_bytes <= getattr(owner, cap)
         assert CountingCache.clears > 0
 
     @pytest.mark.parametrize("d,parts", [(2, (40, 0)), (3, (5, 2, 0))])
     def test_cached_density_lookup_is_refused(self, monkeypatch, d, parts):
         """A density-matrix step over the budget is refused on a label that
         a vector lookup has already built."""
-        fresh_cache(monkeypatch, d)
+        fresh_cache(monkeypatch)
         lam = Partition(parts)
         cg.cg_transform(lam)
         monkeypatch.setattr(errors, "MEMORY_BUDGET",
@@ -151,16 +133,17 @@ class TestEstimatesAreUpperBounds:
         with pytest.raises(SizeLimitError, match="density-matrix step"):
             cg.cg_transform(lam, mixed=True)
 
-    def test_density_lookup_leaves_step_room(self, monkeypatch):
-        """A density-matrix step on a cached label empties the d >= 3 cache,
+    @pytest.mark.parametrize("d,n", [(2, 59), (3, 8)])
+    def test_density_lookup_leaves_step_room(self, monkeypatch, d, n):
+        """A density-matrix step on a cached label empties the cache,
         keeping that label, when the cache and the step would not fit the
         budget together, and leaves it alone when they would."""
-        cache = fresh_cache(monkeypatch, 3)
-        labels = [lam for k in range(1, 9) for lam in partitions_of(k, 3)]
+        cache = fresh_cache(monkeypatch)
+        labels = [lam for k in range(1, n + 1) for lam in partitions_of(k, d)]
         for lam in labels:
             cg.cg_transform(lam)
         lam = max(labels, key=lambda lam: dim_unitary(lam))
-        t, room = cache[lam.parts], cg._step_bytes(cg_side(3, lam.parts))
+        t, room = cache[lam.parts], cg._step_bytes(cg_side(d, lam.parts))
         filled = cg._cache_bytes
         monkeypatch.setattr(errors, "MEMORY_BUDGET", filled + room)
         assert cg.cg_transform(lam, mixed=True) is t
@@ -172,7 +155,7 @@ class TestEstimatesAreUpperBounds:
 
     @pytest.mark.parametrize("d,lam", [(2, "60,0"), (3, "5,2,0")])
     def test_cg_report(self, monkeypatch, d, lam):
-        fresh_cache(monkeypatch, d)
+        fresh_cache(monkeypatch)
         peak, (code, _) = traced_peak(run, ["cg", "--d", str(d), "--lambda", lam])
         assert code == 0
         assert peak <= cg_report_bytes(cg_side(d, Partition.from_string(lam).parts))
@@ -242,7 +225,7 @@ class TestRefusedBelowTheEstimate:
     allocates; at the estimate it runs."""
 
     def test_cg_report(self, monkeypatch):
-        cache = fresh_cache(monkeypatch, 2)
+        cache = fresh_cache(monkeypatch)
         need = cg_report_bytes(cg_side(2, (5, 0)))
         monkeypatch.setattr(errors, "MEMORY_BUDGET", need - 1)
         code, out = run(["cg", "--d", "2", "--lambda", "5,0"])
@@ -373,10 +356,10 @@ class CountingCache(dict):
 def test_sample_with_emptied_cache_is_identical(monkeypatch, d, stream):
     argv = ["sample", "--d", str(d), "--stream", str(DATA / stream),
             "--seed", "5", "--trials", "4"]
-    cache = fresh_cache(monkeypatch, d)
+    cache = fresh_cache(monkeypatch)
     want = run(argv)
     largest = max(t.size for t in cache.values())
-    fresh_cache(monkeypatch, d, CountingCache())
+    fresh_cache(monkeypatch, CountingCache())
     monkeypatch.setattr(CountingCache, "clears", 0)
     # every build fits, but not next to every cached transform; the d=2
     # cache is capped below the budget
@@ -436,10 +419,10 @@ def test_density_steps_stay_in_budget(tmp_path, monkeypatch):
     p.write_text(json.dumps({"iid": {
         "rho": [[[x.real, x.imag] for x in row] for row in rho], "n": 24}}))
     argv = ["sample", "--d", "3", "--stream", str(p), "--seed", "3"]
-    cache = fresh_cache(monkeypatch, 3)
+    cache = fresh_cache(monkeypatch)
     want = run(argv)
     largest = max(t.size for t in cache.values())
-    fresh_cache(monkeypatch, 3, CountingCache())
+    fresh_cache(monkeypatch, CountingCache())
     monkeypatch.setattr(CountingCache, "clears", 0)
     monkeypatch.setattr(errors, "MEMORY_BUDGET", cg._build_bytes(3, largest))
     peak, got = traced_peak(run, argv)
@@ -466,10 +449,10 @@ def test_density_matrix_steps_stay_in_budget(monkeypatch):
     enough that the traced peak stays within the budget, and the run is
     unchanged."""
     trajectory = density_trajectory(3, 20)
-    cache = fresh_cache(monkeypatch, 3)
+    cache = fresh_cache(monkeypatch)
     want = trajectory()
     largest = max(t.size for t in cache.values())
-    fresh_cache(monkeypatch, 3, CountingCache())
+    fresh_cache(monkeypatch, CountingCache())
     monkeypatch.setattr(CountingCache, "clears", 0)
     monkeypatch.setattr(errors, "MEMORY_BUDGET", cg._step_bytes(largest))
     peak, got = traced_peak(trajectory)
@@ -484,15 +467,15 @@ def test_qubit_density_matrix_steps_fit_their_estimate(monkeypatch):
     with its traced peak within the budget; one byte below, its first
     lookup of that label is refused."""
     trajectory = density_trajectory(2, 300)
-    cache = fresh_cache(monkeypatch, 2)
+    cache = fresh_cache(monkeypatch)
     want = trajectory()
     largest = max(t.size for t in cache.values())
-    fresh_cache(monkeypatch, 2)
+    fresh_cache(monkeypatch)
     monkeypatch.setattr(errors, "MEMORY_BUDGET", cg._step_bytes(largest))
     peak, got = traced_peak(trajectory)
     assert got[:2] == want[:2] and np.array_equal(got[2], want[2])
     assert peak <= errors.MEMORY_BUDGET
-    fresh_cache(monkeypatch, 2)
+    fresh_cache(monkeypatch)
     monkeypatch.setattr(errors, "MEMORY_BUDGET", cg._step_bytes(largest) - 1)
     with pytest.raises(SizeLimitError, match=f"density-matrix step of side {largest}"):
         trajectory()

@@ -297,11 +297,10 @@ class TestSizeLimit:
     def test_limit_is_inclusive_and_checked_before_build(self, monkeypatch, d, parts):
         lam = Partition(parts)
         size = d * dim_unitary(lam)
-        cache = "_qubit_cache" if d == 2 else "_cache"
-        monkeypatch.setattr(cg, cache, {})
+        monkeypatch.setattr(cg, "_cache", {})
         monkeypatch.setattr(errors, "MEMORY_BUDGET", cg._build_bytes(d, size) - 1)
         with pytest.raises(errors.SizeLimitError, match=f"size {size}"):
             cg_transform(lam)
-        assert getattr(cg, cache) == {}
+        assert cg._cache == {}
         monkeypatch.setattr(errors, "MEMORY_BUDGET", cg._build_bytes(d, size))
         assert cg_transform(lam).size == size

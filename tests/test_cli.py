@@ -492,8 +492,8 @@ class TestQubitRotations:
             raise AssertionError(f"dense d=2 matrix formed at lambda={t.lam}")
 
         monkeypatch.setattr(cg, "_qubit_matrix", dense)
-        monkeypatch.setattr(cg, "_qubit_cache", {})
-        monkeypatch.setattr(cg, "_qubit_bytes", 0)
+        monkeypatch.setattr(cg, "_cache", {})
+        monkeypatch.setattr(cg, "_cache_bytes", 0)
         with pytest.raises(AssertionError, match="dense d=2"):
             cg.cg_transform(Partition((3, 1))).matrix
         rho = tmp_path / "rho.json"
@@ -508,7 +508,7 @@ class TestQubitRotations:
             code, out = run(argv)
             assert code == 0, (argv, out)
         qubits = [np.array([0.6, 0.8j]), np.array([1, 0]), np.array([0.6, -0.8])] * 3
-        assert register_branch_distribution(qubits).total == pytest.approx(1.0)
+        assert sum(register_branch_distribution(qubits).entries.values()) == pytest.approx(1.0)
         state = init_state(np.eye(2) / 2, 2)
         for _ in range(6):
             state, _, _ = step(state, np.array([[0.7, 0.1], [0.1, 0.3]]))

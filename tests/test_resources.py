@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from cg_reference import (cg_givens_count, givens_reconstruct, haar_unitary,
                           two_level_total_by_sum)
 from schurstream.cg import cg_transform
-from schurstream.partitions import Partition, one_box, partitions_of
+from schurstream.partitions import Partition, dim_unitary, one_box, partitions_of
 from schurstream.resources import (givens_decompose, memory_profile,
                                    peak_width, qubit_gate_count,
                                    qudit_gate_bound, qudit_m_generic_sum,
@@ -46,20 +46,29 @@ class TestMemoryProfile:
             assert all(a <= b for a, b in zip(ws, ws[1:]))
 
     def test_qudit_width_exact(self):
-        # smallest m with d^m >= (k+2)^(d-1), by search from m = 0
+        # smallest m with d^m >= (k+2)^(d(d-1)/2), by search from m = 0
         for d in range(2, 8):
             m = 0
             for k in range(3000):
-                while d ** m < (k + 2) ** (d - 1):
+                while d ** m < (k + 2) ** (d * (d - 1) // 2):
                     m += 1
                 assert qudit_width(k, d) == 1 + m, (d, k)
 
     @given(st.integers(min_value=2, max_value=7), st.integers(min_value=1, max_value=12))
     def test_qudit_width_at_powers(self, d, e):
-        # k+2 = d^e makes (k+2)^(d-1) = d^(e(d-1)) an exact power of d
-        k = d ** e - 2
-        assert qudit_width(k, d) == 1 + e * (d - 1)
-        assert qudit_width(k + 1, d) == 2 + e * (d - 1)
+        # k+2 = d^e makes (k+2)^(d(d-1)/2) = d^(e d(d-1)/2) an exact power
+        # of d, so the register is exactly that wide and the next is wider
+        k, pairs = d ** e - 2, d * (d - 1) // 2
+        assert qudit_width(k, d) == 1 + e * pairs
+        assert qudit_width(k + 1, d) > 1 + e * pairs
+
+    @pytest.mark.parametrize("d,kmax", [(3, 60), (4, 60), (5, 30), (6, 30)])
+    def test_qudit_width_holds_every_label(self, d, kmax):
+        """The Q register of iteration k, width - 1 qudits, holds dim Q of
+        every label of k+1 boxes the sampler can reach."""
+        for k in range(1, kmax + 1):
+            largest = max(dim_unitary(lam) for lam in partitions_of(k + 1, d))
+            assert d ** (qudit_width(k, d) - 1) >= largest, (d, k)
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
@@ -96,7 +105,7 @@ class TestGivens:
         # measured count never exceeds 2 rows-worth of eliminations
         for n in range(1, 10):
             for lam in partitions_of(n, 2):
-                dimq = lam[0] - lam[1] + 1
+                dimq = lam.parts[0] - lam.parts[1] + 1
                 assert cg_givens_count(lam) <= 2 * (2 * dimq)
 
     def test_rejects_non_unitary(self):
@@ -135,6 +144,14 @@ class TestQubitCounts:
             qubit_gate_count(1, 1e-3)
         with pytest.raises(ValueError):
             qubit_gate_count(4, 2.0)
+
+    @pytest.mark.parametrize("model", [lambda: qubit_gate_count(3, 1e-308),
+                                       lambda: qudit_gate_bound(3, 3, 1e-308)],
+                             ids=["d2", "d3"])
+    def test_rejects_delta_whose_inverse_overflows(self, model):
+        # delta is subnormal, so 1/delta is inf and log2(1/delta) has no depth
+        with pytest.raises(ValueError, match="delta = .*1/delta finite"):
+            model()
 
 
 class TestQuditCounts:

@@ -129,9 +129,11 @@ class TestRunStream:
     def test_early_stop(self):
         rng = np.random.default_rng(29)
         stream = [random_qubit(rng) for _ in range(6)]
-        res = run_stream(stream, 2, seed=1, max_steps=3)
+        # the streaming property: stopped after 4 qudits, the run has taken
+        # the first 3 steps of the whole run's path
+        res, whole = run_stream(stream[:4], 2, seed=1), run_stream(stream, 2, seed=1)
         assert res.lam.n == 4
-        assert len(res.path.steps) == 3
+        assert res.path.steps == whole.path.steps[:3]
 
     def test_empty_stream_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -157,7 +159,7 @@ class TestBranchDistribution:
         rng = np.random.default_rng(31)
         stream = [random_qubit(rng) for _ in range(5)]
         dist = branch_distribution(stream, 2)
-        assert abs(dist.total + dist.pruned - 1.0) < 1e-10
+        assert abs(sum(dist.entries.values()) + dist.pruned - 1.0) < 1e-10
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_matches_oracle_marginal_qubits(self, n):
@@ -286,7 +288,7 @@ class TestFullStateLargeN:
         vec = np.array([bin(i).count("1") == ones for i in range(2 ** n)], dtype=float)
         dist = run_full_state(vec / np.linalg.norm(vec), 2)
         assert abs(dist.marginal[Partition((n, 0))] - 1.0) <= n * 1e-15
-        assert abs(dist.total - 1.0) <= n * 1e-15
+        assert abs(sum(dist.entries.values()) - 1.0) <= n * 1e-15
 
     def test_marginal_invariances(self):
         n = 14
@@ -439,7 +441,8 @@ class TestCouple:
     def test_register_vector(self):
         rng = np.random.default_rng(83)
         res = register_run([random_qubit(rng) for _ in range(5)], seed=3)
-        amplitudes, qubit = res.amplitudes[:res.lam[0] - res.lam[1] + 1], random_qubit(rng)
+        dimq = res.lam.parts[0] - res.lam.parts[1] + 1
+        amplitudes, qubit = res.amplitudes[:dimq], random_qubit(rng)
         assert np.array_equal(_couple(amplitudes, qubit), np.kron(amplitudes, qubit))
 
 
@@ -460,7 +463,7 @@ class TestIidLaw:
         r = np.linalg.eigvalsh(rho)
         dist = branch_distribution([rho] * n, d)
         assert 0.0 <= dist.pruned <= 1.0
-        assert abs(dist.total + dist.pruned - 1.0) <= 1e-12
+        assert abs(sum(dist.entries.values()) + dist.pruned - 1.0) <= 1e-12
         assert len(dist.entries) == sum(dim_symmetric(lam)
                                         for lam in partitions_of(n, d))
         for steps, p in dist.entries.items():
