@@ -30,34 +30,38 @@ For d >= 3, cg_closed keeps the transform as fixed-width sparse rows
 (CGTransform): each row lists its columns and values, at most one per
 chain shape (5 at d = 3, 16 at d = 4), so the rows take O(size) bytes.
 check_unitary sums the products of each row's pairs of entries, O(nnz w)
-work, and the sampler applies the rows in O(w) per amplitude, gathering
-the coupled input by the stored columns.  No size^2 matrix is built,
-checked or cached on either path: QubitCG.matrix and CGTransform.matrix
-form the dense matrix on request, for the `schur cg` report, the oracle
-and the sparsity check, and both equal the entry-by-entry build
-(tests/cg_reference.py) bit for bit.
+work, through a column index of the entries, and the sampler applies the
+rows in O(w) per amplitude, gathering the coupled input by the stored
+columns.  No size^2 matrix is built, checked or cached on either path:
+QubitCG.matrix and CGTransform.matrix form the dense matrix on request,
+for the `schur cg` report, the oracle and the sparsity check, and both
+equal the entry-by-entry build (tests/cg_reference.py) bit for bit.
 
-cg_closed evaluates the factors for every source pattern at once.  The
-factors of each row step are products of entry differences, kept as numpy
-object arrays of Python ints, so they are exact at any size (at d = 5 they
-already pass 2^53).  The walk then runs once per chain shape, the
-positions j = i_0, i_1, ... the box takes, and keeps at each step the
-patterns whose factor is nonzero, dropping a shape when none is left.
-Each entry's target pattern has a mixed-radix key in base lam_0 + 2, the
-source pattern's key plus one constant per shape.  The keys of a block
-are ranked, and since the GT basis lists patterns in descending key
-order, a target's row is its rank from the top; only the source
-patterns are enumerated.  A block whose walk does not reach every one of
-its targets is refused.  Each squared coefficient is one Python int true
+cg_closed walks one frontier of (block, source pattern, box position)
+items a row at a time, every block and pattern at once.  The factors of
+each row step r -> r + 1 are products of entry differences, evaluated
+once per run of patterns that share rows 1 .. r + 1 (so once per
+distinct pair of adjacent rows at the top two steps; the top step
+depends only on the second row) and kept as numpy object arrays of
+Python ints, so they are exact at any size (at d = 5 they already pass
+2^53).  At each row an item's box stops, or moves to every next position
+k whose factor is nonzero, all taken in one gather; an item whose box
+stops becomes an entry, its squared coefficient one Python int true
 division, so every entry is the float of the entry-by-entry build, bit
-for bit.
+for bit, and no exact integer outlives its row step.  An entry's target
+is its source pattern plus one unit step on each row the box entered;
+one lexsort of j and the target's integer rows below the top ranks every
+entry, and since the GT basis lists patterns in descending order and the
+blocks' top rows descend with j, an entry's row is its target's rank.
+Only the source patterns are enumerated, and a block whose walk does not
+reach every one of its targets is refused.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -81,7 +85,7 @@ class Block:
 
 
 # entry pairs CGTransform.check_unitary sums at a time
-_CHECK_PAIRS = 1 << 12
+_CHECK_PAIRS = 1 << 16
 
 
 @dataclass
@@ -117,29 +121,34 @@ class CGTransform:
     def check_unitary(self) -> float:
         """M^T M = I from the rows, in O(nnz w): an entry (r, c, v) adds
         v vals[r, k] to (M^T M)[c, cols[r, k]] for every slot k of row r.
-        The entries are taken in column order, whole columns at a time, so
-        each run holds every sum of its columns in about _CHECK_PAIRS
-        pairs.  Every column needs a diagonal within UNITARITY_TOL of 1 and
-        every other sum within it of 0."""
+        The entries are indexed in column order, and each run takes whole
+        columns, about _CHECK_PAIRS pairs: it sorts the keys of its pairs
+        on and above the diagonal, cols[r, k] >= c, and sums each key's
+        products, so every pair of columns is summed once.  Every column
+        needs a diagonal within UNITARITY_TOL of 1 and every other sum
+        within it of 0."""
         size, w = self.cols.shape
         flat_cols, flat_vals = self.cols.ravel(), self.vals.ravel()
         entries = np.flatnonzero(flat_vals)
         entries = entries[np.argsort(flat_cols[entries], kind="stable")]
         first = flat_cols[entries]
         # each run starts at the first entry of a column
-        cuts = sorted(set(np.searchsorted(first, first[::max(1, _CHECK_PAIRS // w)]).tolist()))
+        step = max(1, _CHECK_PAIRS // w)
+        cuts = sorted({0, len(entries), *np.searchsorted(first, first[::step]).tolist()})
         dev, diagonals = np.float64(0), 0  # np.maximum keeps a NaN
-        for lo, hi in zip(cuts, [*cuts[1:], len(entries)]):
+        for lo, hi in zip(cuts, cuts[1:]):
             rows = entries[lo:hi] // w
-            key = (first[lo:hi, None] * size + self.cols[rows]).ravel()
-            prod = (flat_vals[entries[lo:hi], None] * self.vals[rows]).ravel()
-            order = np.argsort(key)
-            key = key[order]
-            start = np.flatnonzero(np.diff(key, prepend=-1))
-            sums = np.add.reduceat(prod[order], start)
-            diag = key[start] // size == key[start] % size
-            diagonals += int(np.count_nonzero(diag))
-            dev = np.maximum(dev, np.max(np.abs(sums - diag)))
+            col, other = first[lo:hi, None], np.take(self.cols, rows, axis=0)
+            keep = other >= col
+            key = (col * size + other)[keep]
+            order = np.argsort(key, kind="stable")  # runs of ascending keys, one per entry
+            key = np.take(key, order, axis=0)
+            start = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+            prod = np.take(self.vals, rows, axis=0) * flat_vals[entries[lo:hi], None]
+            sums = np.add.reduceat(prod[keep][order], start)
+            diag = key[start] % (size + 1) == 0  # the key of (M^T M)[c, c] is c (size + 1)
+            diagonals += np.count_nonzero(diag)
+            dev = np.maximum(dev, np.abs(sums - diag).max())
         if diagonals != size:  # a column with no entry has norm 0
             dev = np.maximum(dev, 1.0)
         if not dev <= UNITARITY_TOL:
@@ -249,105 +258,163 @@ def cg_qubit(lam: Partition) -> QubitCG:
     return t
 
 
-def _exact_prod(diffs: np.ndarray) -> np.ndarray:
-    """Products over the last axis, as Python ints."""
-    return np.multiply.reduce(diffs.astype(object), axis=-1)
+@cache
+def _terms(l: int):
+    """The factors of one row step, from a row t of length l to the row
+    b below it, as products of terms v[a] - v[c] + k of the vector v =
+    (t_0 .. t_{l-1}, b_0 .. b_{l-2}), each product a run of terms
+    starting at `starts`, with the term 1 where a product skips a
+    factor: tden[i] = prod_{s != i}(t_s - t_i), stop[i] =
+    prod_s(b_s - t_i - 1), kden[k] = prod_{s != k}(b_s - b_k - 1) and
+    move[i, k] = prod_{s != k}(b_s - t_i - 1) prod_{s != i}(t_s - b_k)."""
+    one = (0, 0, 1)
+    runs = ([[one if s == i else (s, i, 0) for s in range(l)] for i in range(l)]
+            + [[(l + s, i, -1) for s in range(l - 1)] for i in range(l)]
+            + [[one if s == k else (l + s, l + k, -1) for s in range(l - 1)]
+               for k in range(l - 1)]
+            + [[one if s == k else (l + s, i, -1) for s in range(l - 1)]
+               + [one if s == i else (s, l + k, 0) for s in range(l)]
+               for i in range(l) for k in range(l - 1)])
+    terms = np.array([term for run in runs for term in run]).T
+    starts = np.cumsum([0] + [len(run) for run in runs[:-1]])
+    terms.flags.writeable = starts.flags.writeable = False  # shared by every caller
+    return *terms, starts
 
 
 def _factors(t: np.ndarray, b: np.ndarray):
-    """The squared-coefficient factors of one row step for every pattern at
-    once, from the shifted entries t (patterns x l) of a row and b of the
-    row below: tden[:, i], stop[:, i], num[:, i, k] and den[:, k], with
-    num zeroed where den is 0 (that step is never taken)."""
+    """The squared-coefficient factors of one row step for many pairs of
+    rows at once, exact, from the shifted entries t (pairs x l) of a row
+    and b of the row below: the box at position i of the row stops there
+    with stop[:, i] / tden[:, i], or moves to position k of the row below
+    with move[:, i, k] / mden[:, i, k], mden = tden kden; move is zeroed
+    where mden is 0 (that step is never taken)."""
     l = t.shape[1]
-    i_, k_ = np.arange(l), np.arange(l - 1)
-    tt = t[:, None, :] - t[:, :, None]  # [., i, s] = t_s - t_i
-    tt[:, i_, i_] = 1
-    bt = b[:, None, :] - t[:, :, None] - 1  # [., i, s] = b_s - t_i - 1
-    bb = b[:, None, :] - b[:, :, None] - 1  # [., k, s] = b_s - b_k - 1
-    bb[:, k_, k_] = 1
-    # [., i, k, s]: b_s - t_i - 1 over s != k, then t_s - b_k over s != i
-    left = np.repeat(bt[:, :, None, :], l - 1, axis=2)
-    left[:, :, k_, k_] = 1
-    right = np.repeat((t[:, None, :] - b[:, :, None])[:, None], l, axis=1)
-    right[:, i_, :, i_] = 1
-    den = _exact_prod(bb)
-    num = _exact_prod(np.concatenate([left, right], axis=-1))
-    num = np.where(den[:, None, :] == 0, 0, num)
-    return _exact_prod(tt), _exact_prod(bt), num, den
+    a, c, k, starts = _terms(l)
+    v = np.concatenate([t, b], axis=1)
+    prod = np.multiply.reduceat((v[:, a] - v[:, c] + k).astype(object), starts, axis=1)
+    tden, stop, kden = prod[:, :l], prod[:, l:2 * l], prod[:, 2 * l:3 * l - 1]
+    mden = tden[:, :, None] * kden[:, None, :]
+    return stop, tden, np.where(mden == 0, 0, prod[:, 3 * l - 1:].reshape(-1, l, l - 1)), mden
 
 
-def _walk(steps, starts, weights, r: int, i: int, pats, num, den, sign: int, inc):
-    """Every chain shape from the new box at position i of row r, for the
-    source patterns `pats` at once: it stops on row r or walks down to
-    position k of row r + 1, for the patterns where that step is nonzero.
-    Yields (fundamental index, patterns, num, den, sign, key increment),
-    num / den being each pattern's squared coefficient."""
-    inc = inc + weights[starts[r] + i]
-    if r == len(steps):  # a row of length 1
-        yield 0, pats, num, den, sign, inc
-        return
-    tden, stop, knum, kden = steps[r]
-    tden = tden[pats, i]
-    yield len(steps) - r, pats, num * stop[pats, i], den * tden, sign, inc
-    for k in range(kden.shape[1]):
-        step = knum[pats, i, k]
-        live = np.flatnonzero(step)
-        if len(live) == 0:  # no pattern takes this step or any below it
-            continue
-        yield from _walk(steps, starts, weights, r + 1, k, pats[live],
-                         num[live] * step[live],
-                         den[live] * tden[live] * kden[pats[live], k],
-                         -sign if k < i else sign, inc)
+def _scale(acc, items, factor):
+    """acc[items] * factor, with acc None standing for ones."""
+    return factor if acc is None else acc[items] * factor
+
+
+@cache
+def _grid(d: int):
+    """Where each row of a flattened GT pattern with d rows starts (and,
+    last, where the pattern ends), each entry's position in its row, and
+    the row and position of each entry below the top row."""
+    starts = tuple(r * d - r * (r - 1) // 2 for r in range(d + 1))
+    row = np.repeat(np.arange(d), np.arange(d, 0, -1))
+    pos = np.arange(starts[-1]) - np.take(starts, row)
+    row.flags.writeable = pos.flags.writeable = False  # shared by every caller
+    return starts, pos, row[d:], pos[d:]
+
+
+def _walk(lam: Partition, blocks: list[Block], source: np.ndarray):
+    """Every nonzero entry of the transform, by one chain walk over every
+    block and source pattern at once, a row at a time: each entry's
+    source pattern, the box's position on every row (d below the row it
+    stopped on) and squared coefficient, rounded once from its exact
+    integer ratio.  No exact integer outlives its row step."""
+    d = lam.d
+    npat = len(source)
+    starts, pos, _, _ = _grid(d)
+    shifted = source - pos
+    # the frontier: one item per block and source pattern, the box at
+    # position j of the top row
+    pat = np.arange(len(blocks) * npat) % npat
+    path = np.full((len(pat), d), d, dtype=np.min_scalar_type(d))
+    path[:, 0] = np.repeat([b.j for b in blocks], npat)
+    num = den = None  # each item's squared coefficient so far, exact
+    stops = []
+    new = np.zeros(npat, dtype=bool)
+    new[0] = True
+    for r in range(d - 1):
+        # the factors of rows r and r + 1 once per run of patterns that
+        # share rows 1 .. r + 1 (row 0 is lam), so once per distinct pair
+        # of rows at the top two steps
+        for c in range(starts[r + 1], starts[r + 2]):
+            new[1:] |= source[1:, c] != source[:-1, c]
+        stop, tden, move, mden = _factors(shifted[new, starts[r]:starts[r + 1]],
+                                          shifted[new, starts[r + 1]:starts[r + 2]])
+        # each item's (pair, position) cell of the factor tables
+        l = d - r
+        cell = (np.cumsum(new) - 1)[pat] * l + path[:, r]
+        item = np.flatnonzero(np.take(stop.ravel() != 0, cell))
+        at = cell[item]
+        stops.append((pat[item], np.take(path, item, axis=0),
+                      (_scale(num, item, np.take(stop, at)) /
+                       _scale(den, item, np.take(tden, at))).astype(float)))
+        # every next position k of every item in one gather
+        item, k = np.nonzero(np.take((move != 0).reshape(-1, l - 1), cell, axis=0))
+        at = cell[item] * (l - 1) + k
+        num, den = _scale(num, item, np.take(move, at)), _scale(den, item, np.take(mden, at))
+        pat, path = pat[item], np.take(path, item, axis=0)
+        path[:, r + 1] = k
+    stops.append((pat, path, (num / den).astype(float)))  # a row of length 1
+    return map(np.concatenate, zip(*stops))
+
+
+def _rows(lam: Partition, blocks: list[Block]) -> tuple[np.ndarray, np.ndarray]:
+    """The sparse rows (cols, vals) of the transform at lam.
+
+    Each entry's target is its source pattern plus a unit step on each
+    row the box entered, and its row is the target's rank: enumerate_gt
+    lists patterns in descending order, and the blocks' top rows descend
+    with j, so one lexsort of j and the integer rows below the top ranks
+    every entry of every block.  Within a target, the entries' columns
+    ascend with their source patterns, the sort's least significant
+    key."""
+    d = lam.d
+    source = enumerate_gt(lam)
+    pat, path, square = _walk(lam, blocks, source)
+    _, _, row_of, pos_of = _grid(d)
+    # the key of an entry: j, then its target's entries below the top
+    # row, each counted down from lam_0 + 1
+    top = lam.parts[0] + 1
+    key = np.empty((len(pat), len(row_of) + 1), dtype=np.min_scalar_type(max(top, d)))
+    key[:, 0] = path[:, 0]
+    key[:, 1:] = np.take((top - source[:, d:]).astype(key.dtype), pat, axis=0)
+    key[:, 1:] -= path[:, row_of] == pos_of
+    order = np.lexsort((pat, *key[:, ::-1].T))
+    key = np.take(key, order, axis=0)
+    target = key.view(np.dtype((np.void, key.shape[1] * key.itemsize)))[:, 0]
+    new = np.concatenate([[True], target[1:] != target[:-1]])
+    reached = np.bincount(key[new, 0], minlength=d)
+    for blk in blocks:
+        if reached[blk.j] != blk.dim:
+            raise DegeneracyError(f"the walk to {blk.target} reaches {reached[blk.j]} "
+                                  f"of its {blk.dim} patterns")
+    # the rows in column order, each padded to the longest: the box
+    # stopped on the row of length fundamental index + 1, and each step
+    # to a lower position negates the entry
+    size = len(source) * d
+    row = np.cumsum(new) - 1
+    count = np.bincount(row, minlength=size)
+    w = count.max()
+    # each entry's place in the flattened rows: its row's start, plus its
+    # rank among the row's entries
+    at = np.arange(len(row)) + (np.arange(0, size * w, w) - (np.cumsum(count) - count))[row]
+    cols, vals = np.zeros(size * w, dtype=np.intp), np.zeros(size * w)
+    cols[at] = (pat * d + sum(path[:, r] == d for r in range(1, d)))[order]
+    odd = np.zeros(len(pat), dtype=bool)
+    for r in range(d - 1):
+        odd ^= path[:, r + 1] < path[:, r]
+    vals[at] = np.copysign(np.sqrt(np.abs(square)), 0.5 - odd)[order]
+    return cols.reshape(size, w), vals.reshape(size, w)
 
 
 def cg_closed(lam: Partition) -> CGTransform:
     """Closed-form transform for any d, from GT patterns and exact integer
-    arithmetic, built by the chain walk over all source patterns at once;
-    for d=2 it reproduces cg_qubit bit for bit.  A block whose walk does
-    not reach each of its targets raises DegeneracyError."""
-    d = lam.d
+    arithmetic, built by one chain walk over every block and source
+    pattern at once; for d=2 it reproduces cg_qubit bit for bit.  A block
+    whose walk does not reach each of its targets raises DegeneracyError."""
     blocks = _blocks_for(lam)
-    # one GT pattern per row, its rows concatenated top to bottom
-    source = np.array([sum(pat, ()) for pat in enumerate_gt(lam)], dtype=np.int64)
-    npat = len(source)
-    size = npat * d
-    starts = [r * d - r * (r - 1) // 2 for r in range(d)]
-    shifted = source - np.concatenate([np.arange(d - r) for r in range(d)])
-    rows = np.split(shifted, starts[1:], axis=1)
-    steps = [_factors(rows[r], rows[r + 1]) for r in range(d - 1)]
-    # mixed-radix pattern keys: every entry of a target is at most lam_0 + 1
-    base, width = lam.parts[0] + 2, source.shape[1]
-    weights = np.array([base ** (width - 1 - c) for c in range(width)], dtype=object)
-    keys = source.astype(object) @ weights
-    ones = np.ones(npat, dtype=object)
-    entries = []  # (row, column, value) per block
-    for blk in blocks:
-        fund, pats, num, den, sign, inc = zip(*_walk(
-            steps, starts, weights, 0, blk.j, np.arange(npat), ones, ones, 1, 0))
-        num, den = np.concatenate(num), np.concatenate(den)
-        sign = np.repeat(sign, [len(p) for p in pats])
-        key = np.concatenate([keys[p] + c for p, c in zip(pats, inc)])
-        col = np.concatenate([p * d + a for p, a in zip(pats, fund)])
-        live = np.flatnonzero(num != 0)
-        # enumerate_gt is descending on the flattened rows, so on the keys
-        tkeys, pos = np.unique(key[live], return_inverse=True)
-        if len(tkeys) != blk.dim:
-            raise DegeneracyError(f"the walk to {blk.target} reaches {len(tkeys)} "
-                                  f"of its {blk.dim} patterns")
-        entries.append((blk.offset + blk.dim - 1 - pos, col[live],
-                        sign[live] * np.sqrt(np.abs((num[live] / den[live]).astype(float)))))
-    row, col, val = map(np.concatenate, zip(*entries))
-    # the rows in column order, each padded to the longest
-    order = np.lexsort((col, row))
-    row, col, val = row[order], col[order], val[order]
-    count = np.bincount(row, minlength=size)
-    slot = np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count)
-    cols = np.zeros((size, count.max()), dtype=np.intp)
-    vals = np.zeros((size, count.max()))
-    cols[row, slot] = col
-    vals[row, slot] = val
-    t = CGTransform(lam=lam, blocks=blocks, cols=cols, vals=vals)
+    t = CGTransform(lam, blocks, *_rows(lam, blocks))
     t.check_unitary()
     return t
 
@@ -365,16 +432,15 @@ def _build_bytes(d: int, size: int) -> int:
     """Peak bytes of a build.  d=2: the coefficients, 32 size, their float
     temporaries and the blocks (tracemalloc peak at most 49 size + 2.5 KB
     at sides 4 to 400002, of which 32 size + 2.4 KB stay).  d >= 3, all
-    O(size): the exact-integer factor arrays of each row step, about
-    32 d^2 bytes per unit of size for the top row; the walk's entries and
-    keys and the ranking of each block's keys; the sparse rows; and
-    check_unitary's runs of pairs.  Tracemalloc
-    peak through cg_transform: d=3, at most 1.4 KB size at sides 24 to
-    990 and 1.0 KB size at sides 1029 to 15150; d=4, 1.8 KB size at sides
-    24 to 19840; d=5, 2.5 KB size at sides 200 to 42000; d=6, 2.3 KB size
-    at sides 420 to 26460 and 3.0 KB size at side 48384, whose rows hold
-    up to 68 entries; d=8, 3.3 KB size at sides 2688 to 43008; and 14 KB
-    in all at side 3."""
+    O(size): the exact-integer factor tables of each row step, a run of
+    terms per pair of adjacent rows the step meets; the frontier and the
+    entries it leaves; the keys and order of the ranking; the sparse
+    rows; and check_unitary's column index and runs of pairs.  Tracemalloc
+    peak through cg_transform: d=3, at most 3.0 KB size at sides 9 to 990
+    and 0.5 KB size at sides 15150 to 22680; d=4, 2.5 KB size at sides 16
+    to 19840; d=5, 2.7 KB size at sides 25 to 42000; d=6, 2.2 KB size at
+    sides 36 to 48384, whose rows hold up to 68 entries; d=8, 2.4 KB size
+    at sides 64 to 43008; and 18 to 52 KB in all at side d, d = 3 to 6."""
     if d == 2:
         return 64 * size + 4096
     return (3072 + 32 * d * d) * size + 65536

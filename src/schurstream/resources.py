@@ -178,14 +178,19 @@ def qudit_m_integral_bound(n: int, d: int) -> float:
 def qudit_gate_bound(n: int, d: int, epsilon: float, p: float = 4.0,
                      c: float = 1.0) -> QuditGateBound:
     """Total gate-count model M * n * ceil(log2(1/delta))^p with
-    delta = epsilon / (c d n^(2d-1))."""
+    delta = epsilon / (c d n^(2d-1)); a p whose estimate overflows a
+    float is refused."""
     if d < 2:
         raise ValueError("need d >= 2")
     delta = _model_delta(n, epsilon, c, (d, n ** (2 * d - 1)), p)
     m_exact = qudit_m_sum(n, d)
-    depth = math.ceil(math.log2(1 / delta)) ** p
+    try:
+        total = int(m_exact * n * math.ceil(math.log2(1 / delta)) ** p)
+    except OverflowError:
+        raise ValueError(f"p = {p!r} overflows the qudit gate model's estimate "
+                         "M n ceil(log2(1/delta))^p") from None
     return QuditGateBound(n=n, d=d, epsilon=epsilon, p=p, c=c,
                           m_exact=m_exact,
                           m_integral_bound=qudit_m_integral_bound(n, d),
                           delta=delta,
-                          total_estimate=int(m_exact * n * depth))
+                          total_estimate=total)

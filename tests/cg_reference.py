@@ -1,6 +1,8 @@
 """Numeric reference constructions that the tests compare against.
 
-`build_irrep` is the dense U(d) irrep on the GT basis of `enumerate_gt`:
+`gt_patterns` lists the GT patterns of a label as tuples of rows, one
+itertools product per row, in the order `gt_basis.enumerate_gt` must
+give them.  `build_irrep` is the dense U(d) irrep on that GT basis:
 the simple raising generators E_{a,a+1} come from the closed-form
 orthonormal-basis matrix elements and the lowering generators are their
 transposes, so every ladder matrix element is real and non-negative (the
@@ -35,6 +37,7 @@ random unitaries and pure states that the tests feed in.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
@@ -44,12 +47,27 @@ import scipy.linalg as sla
 
 from schurstream.cg import (UNITARITY_TOL, Block, DegeneracyError, _blocks_for,
                             cg_transform)
-from schurstream.gt_basis import enumerate_gt
 from schurstream.oracle import SchurUnitary, _as_density, _schur_diagonal, schur_transform
 from schurstream.partitions import LatticePath, Partition, dim_unitary
 from schurstream.resources import givens_decompose
 
 CASIMIR_MATCH_TOL = 0.25  # analytic gaps are integers >= 1
+
+
+def gt_patterns(lam: Partition) -> list[tuple[tuple[int, ...], ...]]:
+    """All GT patterns with top row lam as tuples of rows,
+    lexicographically descending on the flattened rows."""
+    patterns = [(lam.parts,)]
+    for _ in range(lam.d - 1):
+        new = []
+        for pat in patterns:
+            above = pat[-1]
+            ranges = [range(above[i], above[i + 1] - 1, -1)
+                      for i in range(len(above) - 1)]
+            for row in itertools.product(*ranges):
+                new.append(pat + (row,))
+        patterns = new
+    return patterns
 
 
 @dataclass
@@ -163,7 +181,7 @@ class IrrepRep:
 
 def _build(lam: Partition) -> IrrepRep:
     d = lam.d
-    basis = enumerate_gt(lam)
+    basis = gt_patterns(lam)
     index = {pat: i for i, pat in enumerate(basis)}
     weights = [pattern_weight(p) for p in basis]
     dim = len(basis)
@@ -431,11 +449,11 @@ def cg_closed_loop(lam: Partition) -> DenseCG:
     arithmetic; for d=2 it reproduces cg_qubit bit for bit."""
     d = lam.d
     blocks = _blocks_for(lam)
-    source = enumerate_gt(lam)
+    source = gt_patterns(lam)
     size = len(source) * d
     mat = np.zeros((size, size))
     for blk in blocks:
-        index = {pat: r for r, pat in enumerate(enumerate_gt(blk.target))}
+        index = {pat: r for r, pat in enumerate(gt_patterns(blk.target))}
         for g, pat in enumerate(source):
             sh = [[m - s for s, m in enumerate(row)] for row in pat]
             for a, moved, num, den, sign in _chains(sh, 0, blk.j, 1, 1, 1, ()):

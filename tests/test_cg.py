@@ -5,8 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cg_reference import (_chains, cg_closed_loop, cg_numeric, haar_unitary,
-                          irrep_unitary)
+from cg_reference import (_chains, cg_closed_loop, cg_numeric, gt_patterns,
+                          haar_unitary, irrep_unitary)
 from schurstream import cg, errors
 from schurstream.cg import (CGTransform, DegeneracyError, cg_closed, cg_qubit,
                             cg_transform, verify_sparsity)
@@ -205,7 +205,7 @@ class TestCgClosed:
     def test_integers_pass_float_precision(self):
         lam = Partition((8, 0, 0, 0, 0))
         top = max(max(abs(num), abs(den))
-                  for pat in enumerate_gt(lam)
+                  for pat in gt_patterns(lam)
                   for _, _, num, den, _ in _chains(
                       [[m - s for s, m in enumerate(row)] for row in pat],
                       0, 0, 1, 1, 1, ()))
@@ -213,20 +213,46 @@ class TestCgClosed:
 
     @pytest.mark.parametrize("parts", [(1, 0, 0), (2, 1, 0), (3, 1, 0, 0)])
     def test_walk_missing_a_target_is_refused(self, monkeypatch, parts):
-        """Target rows are ranked from the walk's own keys, so a walk that
-        misses a target pattern is refused: here every block loses the
-        shape that stops on the top row."""
-        walk = cg._walk
+        """Target rows are ranked from the walk's own entries, so a walk
+        that misses a target pattern is refused: here every block loses
+        the entries whose box stops on the top row."""
+        factors = cg._factors
+        d = len(parts)
 
-        def without_top_stop(steps, starts, weights, r, *rest):
-            shapes = walk(steps, starts, weights, r, *rest)
-            if r == 0:
-                next(shapes)
-            yield from shapes
+        def without_top_stop(t, b):
+            stop, tden, move, mden = factors(t, b)
+            return (stop * 0 if t.shape[1] == d else stop), tden, move, mden
 
-        monkeypatch.setattr(cg, "_walk", without_top_stop)
+        monkeypatch.setattr(cg, "_factors", without_top_stop)
         with pytest.raises(DegeneracyError, match="reaches"):
             cg_closed(Partition(parts))
+
+    @pytest.mark.parametrize("d,n_max", [(3, 8), (4, 8), (5, 8), (6, 8)])
+    def test_rows_follow_the_target_gt_order(self, d, n_max):
+        """Row r of a block is pattern r of enumerate_gt(target): each of
+        its entries, column g d + a, reaches that pattern from source
+        pattern g by one unit step on each row the box entered, from
+        position j of the top row down to the row of length a + 1."""
+        starts = np.cumsum([0, *range(d, 0, -1)])
+        for n in range(1, n_max + 1):
+            for lam in partitions_of(n, d):
+                t = cg_closed(lam)
+                source = enumerate_gt(lam)
+                for blk in t.blocks:
+                    target = enumerate_gt(blk.target)
+                    rows = np.arange(blk.offset, blk.offset + blk.dim)
+                    live = t.vals[rows] != 0
+                    r, slot = np.nonzero(live)
+                    col = t.cols[rows][live]
+                    step = target[r] - source[col // d]
+                    stop_row = d - 1 - col % d
+                    # one unit step per row down to the stop row, none below
+                    per_row = np.add.reduceat(step, starts[:-1], axis=1)
+                    assert np.all(step >= 0) and np.all(step <= 1), (lam, blk.j)
+                    assert np.array_equal(per_row, np.arange(d) <= stop_row[:, None]), (lam, blk.j)
+                    assert np.all(step[:, blk.j] == 1), (lam, blk.j)
+                    # and every target pattern has a row
+                    assert np.all(live.any(axis=1)), (lam, blk.j)
 
     def test_enumerates_the_source_patterns_only(self, monkeypatch):
         calls = []
@@ -257,6 +283,10 @@ class TestSparseRows:
         assert t.cols.shape == t.vals.shape == (t.size, width)
         assert np.array_equal(np.count_nonzero(t.matrix, axis=1),
                               np.count_nonzero(t.vals, axis=1))
+        # each row's entries in column order, then the padding
+        live = t.vals != 0
+        assert np.all(live[:, :-1] >= live[:, 1:])
+        assert np.all(np.diff(t.cols, axis=1)[live[:, 1:]] > 0)
         assert not any(isinstance(v, np.ndarray) and v.size >= t.size ** 2
                        for v in vars(t).values())
 

@@ -353,6 +353,13 @@ class TestRefusedInputs:
         assert code == 1
         assert "error" in json.loads(out)
 
+    @pytest.mark.parametrize("p", ["300", "1000"])
+    def test_resources_overflowing_p_exit_1(self, p):
+        code, out = run(["resources", "--n", "3", "--d", "3",
+                         "--epsilon", "0.01", "--p", p])
+        assert code == 1
+        assert json.loads(out)["error"].startswith(f"p = {float(p)!r} overflows the qudit gate model")
+
     @pytest.mark.parametrize("command", ["dist", "sample", "full", "oracle"])
     @pytest.mark.parametrize("form", ["vector", "rho"])
     def test_nan_state_exit_1(self, tmp_path, command, form):

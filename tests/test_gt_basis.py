@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from cg_reference import (build_irrep, casimir2, haar_unitary, irrep_unitary,
-                          pattern_weight)
+from cg_reference import (build_irrep, casimir2, gt_patterns, haar_unitary,
+                          irrep_unitary, pattern_weight)
 from schurstream.gt_basis import enumerate_gt
 from schurstream.partitions import (Partition, add_box, dim_unitary, one_box,
                                     partitions_of, valid_rows)
@@ -13,9 +13,7 @@ from schurstream.partitions import (Partition, add_box, dim_unitary, one_box,
 class TestEnumerateGT:
     def test_fundamental(self):
         pats = enumerate_gt(one_box(2))
-        assert len(pats) == 2
-        assert pats[0] == ((1, 0), (1,))
-        assert pats[1] == ((1, 0), (0,))
+        assert pats.tolist() == [[1, 0, 1], [1, 0, 0]]
 
     def test_3_1_has_three_patterns(self):
         assert len(enumerate_gt(Partition((3, 1)))) == 3
@@ -27,7 +25,8 @@ class TestEnumerateGT:
                 assert len(enumerate_gt(lam)) == dim_unitary(lam)
 
     def test_interlacing(self):
-        for pat in enumerate_gt(Partition((3, 2, 1))):
+        for flat in enumerate_gt(Partition((3, 2, 1))).tolist():
+            pat = [flat[:3], flat[3:5], flat[5:]]
             for k in range(len(pat) - 1):
                 above, below = pat[k], pat[k + 1]
                 for i, b in enumerate(below):
@@ -35,14 +34,24 @@ class TestEnumerateGT:
 
     def test_descending_order(self):
         for lam in partitions_of(4, 3):
-            flat = [sum(pat, ()) for pat in enumerate_gt(lam)]
+            flat = enumerate_gt(lam).tolist()
             assert flat == sorted(flat, reverse=True)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_equals_tuple_reference(self, d):
+        """Row for row the patterns of the itertools reference, for every
+        lam with at most 8 boxes."""
+        for n in range(9):
+            for lam in partitions_of(n, d) if n else [Partition((0,) * d)]:
+                pats = enumerate_gt(lam)
+                assert pats.dtype == np.int64
+                assert pats.tolist() == [list(sum(p, ())) for p in gt_patterns(lam)], lam
 
 
 class TestWeights:
     def test_weight_sums_equal_box_count(self):
         for lam in partitions_of(4, 3):
-            for pat in enumerate_gt(lam):
+            for pat in gt_patterns(lam):
                 assert sum(pattern_weight(pat)) == 4
 
     def test_diagonal_generators_are_weights(self):

@@ -154,6 +154,13 @@ class TestQubitCounts:
             model()
 
 
+    @pytest.mark.parametrize("p", [300.0, 1000.0])
+    def test_rejects_p_whose_estimate_overflows(self, p):
+        # ceil(log2(1/delta))^p passes the largest float
+        with pytest.raises(ValueError, match=f"p = {p!r} overflows the qudit gate model"):
+            qudit_gate_bound(3, 3, 0.01, p=p)
+
+
 class TestQuditCounts:
     def test_d2_sum_matches_qubit_path(self):
         for n in range(2, 21):

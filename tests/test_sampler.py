@@ -9,11 +9,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cg_reference import haar_state, haar_unitary, path_probs, pattern_weight
+from cg_reference import gt_patterns, haar_state, haar_unitary, path_probs, pattern_weight
 from schurstream import errors
 from schurstream.cg import cg_transform
 from schurstream.errors import SizeLimitError
-from schurstream.gt_basis import enumerate_gt
 from schurstream.oracle import schur_transform, weak_schur_probs
 from schurstream.partitions import (LatticePath, Partition, dim_symmetric,
                                     dim_unitary, one_box, partitions_of)
@@ -448,7 +447,7 @@ class TestCouple:
 
 def schur_polynomial(lam, r):
     """s_lam(r) as the sum over the GT patterns of lam of r^weight."""
-    return sum(np.prod(r ** np.array(pattern_weight(p))) for p in enumerate_gt(lam))
+    return sum(np.prod(r ** np.array(pattern_weight(p))) for p in gt_patterns(lam))
 
 
 class TestIidLaw:
