@@ -22,20 +22,20 @@ tests/cg_reference.py), and the transform intertwines in that basis.
 For d = 2 this is the spin-j (x) spin-1/2 coupling with Condon-Shortley
 phases, whose squared coefficients are k / dim Q.  cg_qubit keeps it as
 dim Q 2 x 2 rotations, two coefficients per row (QubitCG), built from lam
-by a few O(dim Q) numpy operations: the sampler applies them in
-O(dim Q) per amplitude column, and no (2 dim Q)^2 matrix is built, checked
-or cached.
+by a few O(dim Q) numpy operations and applied in O(dim Q) per amplitude
+column; no (2 dim Q)^2 matrix is built, checked or cached.
 
 For d >= 3, cg_closed keeps the transform as fixed-width sparse rows
 (CGTransform): each row lists its columns and values, at most one per
 chain shape (5 at d = 3, 16 at d = 4), so the rows take O(size) bytes.
 check_unitary sums the products of each row's pairs of entries, O(nnz w)
-work, through a column index of the entries, and the sampler applies the
-rows in O(w) per amplitude, gathering the coupled input by the stored
+work, through a column index of the entries, and the rows are applied
+in O(w) per amplitude, gathering the coupled input by the stored
 columns.  No size^2 matrix is built, checked or cached on either path:
 QubitCG.matrix and CGTransform.matrix form the dense matrix on request,
 for the `schur cg` report, the oracle and the sparsity check, and both
-equal the entry-by-entry build (tests/cg_reference.py) bit for bit.
+equal the entry-by-entry build (tests/cg_reference.py) bit for bit.  Each
+type applies itself (`_apply`, `_product`), so no other module reads a format.
 
 cg_closed walks one frontier of (block, source pattern, box position)
 items a row at a time, every block and pattern at once.  The factors of
@@ -97,9 +97,7 @@ class CGTransform:
 
     each row in column order.  The width w is the largest row count of
     lam, at most one entry per chain shape (5 at d=3, 16 at d=4); shorter
-    rows are padded with value 0 at column 0.  The values are real.  These
-    two arrays are all a transform keeps: every step, product steps
-    included, gathers its input by cols."""
+    rows are padded with value 0 at column 0.  The values are real."""
     lam: Partition
     blocks: list[Block]
     cols: np.ndarray  # (size, w), intp
@@ -117,6 +115,37 @@ class CGTransform:
     def matrix(self) -> np.ndarray:
         """The dense size x size matrix, formed on each access."""
         return _sparse_matrix(self)
+
+    def _held_bytes(self) -> int:
+        """Bytes a cached transform holds: its rows and 4 KB of objects."""
+        return self.cols.nbytes + self.vals.nbytes + 4096
+
+    def _apply(self, x: np.ndarray, axis: int = 0) -> np.ndarray:
+        """self (x) I_rest on axis `axis` of x, of length size * rest: slot
+        k gathers input row cols[r, k] for every output row r, scales it by
+        vals[r, k] and adds it, O(w size rest) per column with one buffer
+        the size of x.  A lone vector (rest 1, every product step) gathers
+        all w slots at once in two numpy calls, where the slots take 3 w."""
+        if x.shape == (self.size,):
+            return np.einsum("rk,rk->r", self.vals, x[self.cols])
+        # np.take copies an input that is not C-contiguous on every call
+        rows = np.ascontiguousarray(x)
+        rows = rows.reshape(x.shape[:axis] + (self.size, -1) + x.shape[axis + 1:])
+        along = [1] * rows.ndim  # the shape of one slot's values
+        along[axis] = self.size
+        out = np.take(rows, self.cols[:, 0], axis=axis)
+        out *= self.vals[:, 0].reshape(along)
+        buf = np.empty_like(out)
+        for cols, vals in zip(self.cols.T[1:], self.vals.T[1:]):
+            # mode="clip" writes into buf directly, where "raise" buffers
+            np.take(rows, cols, axis=axis, out=buf, mode="clip")
+            buf *= vals.reshape(along)
+            out += buf
+        return out.reshape(x.shape)
+
+    def _product(self, v: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """The transform of v (x) q, a vector coupled to a pure qudit, formed first."""
+        return self._apply((v[:, None] * q).ravel())
 
     def check_unitary(self) -> float:
         """M^T M = I from the rows, in O(nnz w): an entry (r, c, v) adds
@@ -214,6 +243,36 @@ class QubitCG:
     def matrix(self) -> np.ndarray:
         """The dense size x size matrix, formed on each access."""
         return _qubit_matrix(self)
+
+    def _held_bytes(self) -> int:
+        """Bytes a cached transform holds: coef, rotations and 4 KB of objects."""
+        return self.coef.nbytes + self.coef.real.nbytes + 4096
+
+    def _apply(self, x: np.ndarray, axis: int = 0) -> np.ndarray:
+        """self (x) I_rest on axis `axis` of x, of length size * rest, by the
+        rotations on the interleaved real and imaginary parts, O(size rest):
+        shifted by one qubit-1 slot, x lists the pairs (b[r-1], a[r]) that
+        block r takes to rows r and dim Q + r."""
+        if axis:
+            return self._apply(x.T).T
+        rest = len(x) // self.size
+        pairs = np.concatenate((x[-rest:], x[:-rest]), out=np.empty(x.shape, dtype=complex))
+        pairs = pairs.view(float).reshape(self.size // 2, 2, -1)
+        rotated = np.empty((2,) + pairs.shape[::2])
+        np.matmul(self.rotations, pairs, out=rotated.transpose(1, 0, 2))
+        return rotated.view(complex).reshape(x.shape)
+
+    def _product(self, v: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """The transform of v (x) q, a vector coupled to a pure qubit, with q
+        folded into the rotation: row k is coef[0, k] q[0] v[k mod dim Q] +
+        coef[1, k] q[1] v[(k - 1) mod dim Q], `wrapped` listing v around its ends."""
+        wrapped = np.concatenate((v[-1:], v, v))
+        rotated = self.coef[0] * wrapped[1:]
+        rotated *= q[0]
+        part = self.coef[1] * wrapped[:-1]
+        part *= q[1]
+        rotated += part
+        return rotated
 
     def check_unitary(self) -> float:
         """Each 2 x 2 block is a rotation [[c, s], [-s, c]] with
@@ -423,7 +482,8 @@ def cg_closed(lam: Partition) -> CGTransform:
 # skewed trajectory never meets a label twice, so their cache stays small.
 QUBIT_CACHE_BYTES = 3 << 22
 
-_cache: dict = {}  # lam.parts -> QubitCG or CGTransform
+Transform = CGTransform | QubitCG
+_cache: dict = {}  # lam.parts -> Transform
 _cache_bytes = 0  # the bytes its entries hold, 4 KB of objects each included
 _cache_lock = threading.Lock()
 
@@ -436,13 +496,17 @@ def _build_bytes(d: int, size: int) -> int:
     terms per pair of adjacent rows the step meets; the frontier and the
     entries it leaves; the keys and order of the ranking; the sparse
     rows; and check_unitary's column index and runs of pairs.  Tracemalloc
-    peak through cg_transform: d=3, at most 3.0 KB size at sides 9 to 990
-    and 0.5 KB size at sides 15150 to 22680; d=4, 2.5 KB size at sides 16
-    to 19840; d=5, 2.7 KB size at sides 25 to 42000; d=6, 2.2 KB size at
-    sides 36 to 48384, whose rows hold up to 68 entries; d=8, 2.4 KB size
-    at sides 64 to 43008; and 18 to 52 KB in all at side d, d = 3 to 6."""
+    peak through cg_transform: d=3, at most 1.02 KB size at sides 45 to
+    3000, where check_unitary takes every pair in one run, and 0.47 to
+    0.49 KB size at sides 15150 to 397953, so 576 size + 1.5 MiB, at
+    most 0.92 of it; d=4, 2.5 KB size at sides 16 to 19840; d=5, 2.7 KB
+    size at sides 25 to 42000; d=6, 2.2 KB size at sides 36 to 48384,
+    whose rows hold up to 68 entries; d=8, 2.4 KB size at sides 64 to
+    43008; and 18 to 52 KB in all at side d, d = 3 to 6."""
     if d == 2:
         return 64 * size + 4096
+    if d == 3:
+        return 576 * size + (3 << 19)
     return (3072 + 32 * d * d) * size + 65536
 
 
@@ -456,19 +520,12 @@ def _step_bytes(size: int) -> int:
     return 80 * size * size + 4096 * size
 
 
-def _held_bytes(t: CGTransform | QubitCG) -> int:
-    """Bytes a cached transform holds: its arrays (rotations too) and 4 KB of objects."""
-    if isinstance(t, QubitCG):
-        return t.coef.nbytes + t.coef.real.nbytes + 4096
-    return t.cols.nbytes + t.vals.nbytes + 4096
-
-
-def cg_transform(lam: Partition, *, mixed: bool = False) -> CGTransform | QubitCG:
+def cg_transform(lam: Partition, *, mixed: bool = False) -> Transform:
     """Cached CG transform: cg_qubit's rotations for d=2, cg_closed's
     sparse rows otherwise.  A build over the memory budget is refused, and
     a density-matrix step (`mixed`) whose step, `_step_bytes`, is over it
     is refused whether its transform is built or found.  One cache serves
-    every d, counting each entry at _held_bytes.  It is emptied, keeping
+    every d, counting each entry at its _held_bytes.  It is emptied, keeping
     the transform returned, before a build would take it over its cap (the
     budget, and at d=2 at most QUBIT_CACHE_BYTES), or before a
     density-matrix lookup, built or found, would leave less than its step
@@ -495,11 +552,11 @@ def cg_transform(lam: Partition, *, mixed: bool = False) -> CGTransform | QubitC
                 _cache.clear()
                 _cache_bytes = 0
             t = _cache[key] = cg_qubit(lam) if lam.d == 2 else cg_closed(lam)
-            _cache_bytes += _held_bytes(t)
+            _cache_bytes += t._held_bytes()
         if mixed and _cache_bytes + _step_bytes(size) > errors.MEMORY_BUDGET:
             _cache.clear()
             _cache[key] = t
-            _cache_bytes = _held_bytes(t)
+            _cache_bytes = t._held_bytes()
         return t
 
 
@@ -519,7 +576,7 @@ class SparsityReport:
         return {"lambda": str(self.lam), **out}
 
 
-def verify_sparsity(t: CGTransform | QubitCG) -> SparsityReport:
+def verify_sparsity(t: Transform) -> SparsityReport:
     """Empirical check of the <=2-nonzeros-per-row structure under this
     module's row ordering, plus the exact Givens count the decomposer uses."""
     from .resources import ZERO_TOL, givens_decompose

@@ -23,7 +23,8 @@ import numpy as np
 
 from . import __version__
 from .cg import cg_transform, verify_sparsity
-from .errors import InvalidInputError, SizeLimitError, check_budget, check_state
+from .errors import (InvalidInputError, SizeLimitError, check_budget, check_state,
+                     check_stream)
 from .oracle import schur_transform, weak_schur_probs
 from .partitions import LatticePath, Partition, dim_unitary
 from .resources import (memory_profile, peak_width, qubit_gate_count,
@@ -203,11 +204,10 @@ def cmd_oracle(args) -> str:
         if len(stream) != args.n:
             raise InvalidInputError(f"compare stream has {len(stream)} qudits, "
                                     f"not --n {args.n}")
-        for i, q in enumerate(stream):
-            try:
-                check_state(q, args.d)
-            except InvalidInputError as e:
-                raise InvalidInputError(f"compare stream element {i}: {e}") from e
+        try:
+            check_stream(stream, args.d)
+        except InvalidInputError as e:
+            raise InvalidInputError(f"compare {e}") from e
     state = None
     if args.state:  # also refused before the D^3 work
         state = load_state(args.state)

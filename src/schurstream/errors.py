@@ -1,5 +1,6 @@
-"""The error taxonomy, the one check that an input is a physical state, and
-the one memory budget that every allocator checks its byte estimate against.
+"""The error taxonomy, the one check that an input is a physical state (and
+its stream form), and the one memory budget that every allocator checks
+its byte estimate against.
 
 The CLI maps `InvalidInputError` (and every other `ValueError`) to exit
 code 1, and `SizeLimitError` to exit code 2.
@@ -69,3 +70,19 @@ def check_state(state, dim: int) -> np.ndarray:
         except np.linalg.LinAlgError:
             raise InvalidInputError("density matrix not positive semidefinite") from None
     return state
+
+
+def check_stream(stream, d: int) -> list[np.ndarray]:
+    """The elements of a non-empty stream of qudits, each checked by
+    check_state on C^d once per distinct array (the iid form is n
+    references to one array); an error names the element it was found on."""
+    if len(stream) < 1:
+        raise InvalidInputError("empty stream")
+    checked = {}
+    for i, q in enumerate(stream):
+        if id(q) not in checked:
+            try:
+                checked[id(q)] = check_state(q, d)
+            except InvalidInputError as e:
+                raise InvalidInputError(f"stream element {i}: {e}") from e
+    return [checked[id(q)] for q in stream]

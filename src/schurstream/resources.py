@@ -26,9 +26,9 @@ def qudit_width(k: int, d: int) -> int:
     at most lam_i - lam_j + 1 <= k+2, so this bounds dim Q; at d=2 it is
     dim Q's own bound k+2."""
     bound = (k + 2) ** (d * (d - 1) // 2)
-    m = 0
-    while d ** m < bound:
-        m += 1
+    m, power = 0, 1
+    while power < bound:
+        m, power = m + 1, power * d
     return 1 + m
 
 
@@ -170,22 +170,37 @@ def qudit_m_generic_sum(n: int, d: int) -> int:
 
 
 def qudit_m_integral_bound(n: int, d: int) -> float:
-    """Closed-form integral upper bound on the generic sum."""
+    """Closed-form integral upper bound on the generic sum; one past the
+    float range is refused."""
     e = 2 * d - 1
-    return d * d * ((n + 1) ** e - 2 ** e) / e
+    try:
+        return d * d * ((n + 1) ** e - 2 ** e) / e
+    except OverflowError:
+        raise ValueError(f"the qudit gate model's integral bound d^2 ((n+1)^(2d-1) - "
+                         f"2^(2d-1)) / (2d-1) passes the float range at n={n}, d={d}"
+                         ) from None
 
 
 def qudit_gate_bound(n: int, d: int, epsilon: float, p: float = 4.0,
                      c: float = 1.0) -> QuditGateBound:
     """Total gate-count model M * n * ceil(log2(1/delta))^p with
-    delta = epsilon / (c d n^(2d-1)); a p whose estimate overflows a
-    float is refused."""
+    delta = epsilon / (c d n^(2d-1)); an n^(2d-1) or an M n past the
+    float range, or a p whose estimate overflows a float, is refused."""
     if d < 2:
         raise ValueError("need d >= 2")
-    delta = _model_delta(n, epsilon, c, (d, n ** (2 * d - 1)), p)
+    try:
+        delta = _model_delta(n, epsilon, c, (d, n ** (2 * d - 1)), p)
+    except OverflowError:
+        raise ValueError(f"n^(2d-1) = {n}^{2 * d - 1} passes the float range in the qudit "
+                         "gate model's delta = epsilon / (c d n^(2d-1))") from None
     m_exact = qudit_m_sum(n, d)
     try:
-        total = int(m_exact * n * math.ceil(math.log2(1 / delta)) ** p)
+        m_n = float(m_exact * n)
+    except OverflowError:
+        raise ValueError(f"M n passes the float range in the qudit gate model's estimate "
+                         f"M n ceil(log2(1/delta))^p at n={n}, d={d}") from None
+    try:
+        total = int(m_n * math.ceil(math.log2(1 / delta)) ** p)
     except OverflowError:
         raise ValueError(f"p = {p!r} overflows the qudit gate model's estimate "
                          "M n ceil(log2(1/delta))^p") from None

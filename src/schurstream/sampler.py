@@ -23,16 +23,10 @@ couples and projects, `_enumerate` walks every branch depth first and
 `_sample` draws one.  Register mode is one more outcomes function on the
 same walk and draw.
 
-A step applies the CG transform to the leading axis of the state, with
-no dense matrix.  For d >= 3 that is the transform's sparse rows
-(cg.CGTransform), O(w) work per amplitude, w the longest row (5 at
-d = 3, 16 at d = 4); for d = 2 it is its dim Q 2 x 2 rotations
-(cg.QubitCG), O(1) per amplitude.  `_apply` applies it to the coupled
-state: to full states, to density matrices on both sides, and at d >= 3
-to vector states too, which `_product_outcomes` couples first, O(size).
-A vector state coupled to a pure qubit, which is every step of `sample`
-at d = 2, takes one pass: the qubit is folded into the rotations, so the
-coupled state is never formed.
+A step applies the CG transform with no dense matrix, through the two
+kernels that each transform format owns (see cg): `_apply` on the
+leading axis of a coupled state, on both sides of a density matrix, and
+`_product` on a vector state coupled to a pure qudit.
 """
 
 from __future__ import annotations
@@ -42,9 +36,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cg import CGTransform, QubitCG, cg_transform
+from .cg import Transform, cg_transform
 from .errors import (InvalidInputError, NumericalCollapseError, check_budget,
-                     check_state)
+                     check_state, check_stream)
 from .partitions import (LatticePath, Partition, dim_symmetric, dim_unitary,
                          one_box, partitions_of)
 from .resources import qudit_width, removal
@@ -67,59 +61,20 @@ def _weight(x: np.ndarray) -> float:
     return float(np.trace(x).real) if x.ndim == 2 else float(np.vdot(x, x).real)
 
 
-def _apply(t: CGTransform | QubitCG, x: np.ndarray, axis: int = 0) -> np.ndarray:
-    """t (x) I_rest on axis `axis` of x, of length t.size * rest.  A d >= 3
-    transform does so slot by slot: slot k of its rows gathers input row
-    cols[r, k] for every output row r, scales it by vals[r, k] and adds
-    it, in O(w size rest) per column with one buffer the size of x.  A
-    lone vector (rest 1, every product step) gathers all w slots at once,
-    w size entries, in two numpy calls where the slots take 3 w.  A d=2
-    transform does so by its dim Q 2 x 2 blocks (see cg.QubitCG), on the
-    leading axis of x or of its transpose, in O(size * rest) per column on
-    the interleaved real and imaginary parts: shifted by one qubit-1 slot,
-    x lists the pairs (b[r-1], a[r]) that block r takes to rows r and
-    dim Q + r."""
-    if isinstance(t, CGTransform):
-        if x.shape == (t.size,):
-            return np.einsum("rk,rk->r", t.vals, x[t.cols])
-        # np.take copies an input that is not C-contiguous on every call
-        rows = np.ascontiguousarray(x)
-        rows = rows.reshape(x.shape[:axis] + (t.size, -1) + x.shape[axis + 1:])
-        along = [1] * rows.ndim  # the shape of one slot's values
-        along[axis] = t.size
-        out = np.take(rows, t.cols[:, 0], axis=axis)
-        out *= t.vals[:, 0].reshape(along)
-        buf = np.empty_like(out)
-        for cols, vals in zip(t.cols.T[1:], t.vals.T[1:]):
-            # mode="clip" writes into buf directly, where "raise" buffers
-            np.take(rows, cols, axis=axis, out=buf, mode="clip")
-            buf *= vals.reshape(along)
-            out += buf
-        return out.reshape(x.shape)
-    if axis:
-        return _apply(t, x.T).T
-    rest = len(x) // t.size
-    pairs = np.concatenate((x[-rest:], x[:-rest]), out=np.empty(x.shape, dtype=complex))
-    pairs = pairs.view(float).reshape(t.size // 2, 2, -1)
-    rotated = np.empty((2,) + pairs.shape[::2])
-    np.matmul(t.rotations, pairs, out=rotated.transpose(1, 0, 2))
-    return rotated.view(complex).reshape(x.shape)
-
-
-def _outcomes(t: CGTransform | QubitCG, big: np.ndarray
+def _outcomes(t: Transform, big: np.ndarray
               ) -> list[tuple[int, Partition, float, np.ndarray]]:
     """Rotate `big` (a vector or a density matrix of side t.size * rest) by
     t (x) I_rest, on both sides of a density matrix (t is real, so
     t^dag = t^T), and split it along the blocks of t: (j, lam+e_j, weight,
     unnormalized part) per block, j ascending.  `big` must be complex128,
     as every state from check_state is."""
-    rotated = _apply(t, big)
+    rotated = t._apply(big)
     if big.ndim == 2:
-        rotated = _apply(t, rotated, axis=1)
+        rotated = t._apply(rotated, axis=1)
     return _split(t, rotated, len(big) // t.size)
 
 
-def _split(t: CGTransform | QubitCG, rotated: np.ndarray, rest: int = 1
+def _split(t: Transform, rotated: np.ndarray, rest: int = 1
            ) -> list[tuple[int, Partition, float, np.ndarray]]:
     """(j, lam+e_j, weight, unnormalized part) per block of t, j ascending,
     from a vector or density matrix rotated by t (x) I_rest."""
@@ -142,24 +97,14 @@ def _couple(state: np.ndarray, qudit: np.ndarray) -> np.ndarray:
 
 def _product_outcomes(lam: Partition, amplitudes: np.ndarray, qudit: np.ndarray
                       ) -> list[tuple[int, Partition, float, np.ndarray]]:
-    """The outcomes of coupling a product-state qudit into Q^d_lam.  A
-    d >= 3 transform, or a mixed factor, couples the state with `_couple`
-    and applies the transform to it (`_outcomes`).  A vector v =
-    amplitudes coupled to a pure qubit q folds q into the rotation, and
-    v (x) q is never formed: row k is coef[0, k] q[0] v[k mod dim Q] +
-    coef[1, k] q[1] v[(k - 1) mod dim Q], and `wrapped` lists v around its
-    ends for both terms."""
+    """The outcomes of coupling a product-state qudit into Q^d_lam.  A mixed
+    factor is coupled with `_couple` and goes through `_outcomes`; a vector
+    and a pure qudit go to the transform's own product step."""
     mixed = amplitudes.ndim == 2 or qudit.ndim == 2
     t = cg_transform(lam, mixed=mixed)
-    if mixed or isinstance(t, CGTransform):
+    if mixed:
         return _outcomes(t, _couple(amplitudes, qudit))
-    wrapped = np.concatenate((amplitudes[-1:], amplitudes, amplitudes))
-    rotated = t.coef[0] * wrapped[1:]
-    rotated *= qudit[0]
-    part = t.coef[1] * wrapped[:-1]
-    part *= qudit[1]
-    rotated += part
-    return _split(t, rotated)
+    return _split(t, t._product(amplitudes, qudit))
 
 
 def _sample(outcomes: list, rng: np.random.Generator) -> tuple[tuple, float]:
@@ -314,9 +259,9 @@ def run_stream(stream: list[np.ndarray], d: int, seed: int = 0) -> RunResult:
     eigenvectors, drawn with its eigenvalue as probability.  The
     measurement is linear in each qudit, so the (lambda, path) law is the
     one of the density-matrix step, at the cost of a vector step.  Vector
-    elements draw nothing."""
-    if len(stream) < 1:
-        raise InvalidInputError("empty stream")
+    elements draw nothing.  Each element is checked as its step takes it,
+    and an error names the element."""
+    check_stream(stream[:1], d)  # refuses an empty stream, names a bad element 0
     rng = make_rng(seed)
     components = {}  # id of a density-matrix element -> (i, None, w_i, v_i)
 
@@ -331,8 +276,11 @@ def run_stream(stream: list[np.ndarray], d: int, seed: int = 0) -> RunResult:
 
     state = init_state(pure(stream[0]), d)
     state.rng = rng  # one generator draws the components and the labels
-    for k in range(len(stream) - 1):
-        state, _, _ = step(state, pure(stream[k + 1]))
+    for k in range(1, len(stream)):
+        try:
+            state, _, _ = step(state, pure(stream[k]))
+        except InvalidInputError as e:
+            raise InvalidInputError(f"stream element {k}: {e}") from e
     return RunResult(lam=state.lam, path=LatticePath(tuple(state.path)),
                      amplitudes=state.amplitudes)
 
@@ -340,9 +288,7 @@ def run_stream(stream: list[np.ndarray], d: int, seed: int = 0) -> RunResult:
 def branch_distribution(stream: list[np.ndarray], d: int,
                         prune: float = DEFAULT_PRUNE) -> BranchDistribution:
     """Every measurement branch of a product stream, with its probability."""
-    if len(stream) < 1:
-        raise InvalidInputError("empty stream")
-    stream = [check_state(q, d) for q in stream]
+    stream = check_stream(stream, d)
     return _enumerate(
         d, len(stream), stream[0],
         lambda k, lam, amp: _product_outcomes(lam, amp, stream[k]),
@@ -386,9 +332,7 @@ def _register_stream(stream: list[np.ndarray]) -> tuple[list[np.ndarray], np.nda
     """The checked qubits of a register-mode stream, each a pure state, and
     the first one on the register held after k = 1: 2^(qudit_width(1, 2)
     - 1) = 4 amplitudes."""
-    if len(stream) < 1:
-        raise InvalidInputError("empty stream")
-    stream = [check_state(q, 2) for q in stream]
+    stream = check_stream(stream, 2)
     if any(_is_matrix(q) for q in stream):
         raise InvalidInputError("register mode needs pure qubit states")
     return stream, np.pad(stream[0], (0, 2))

@@ -381,6 +381,32 @@ class TestRefusedInputs:
         assert code == 1
         assert "non-finite" in json.loads(out)["error"]
 
+    @pytest.mark.parametrize("command", ["sample", "dist"])
+    @pytest.mark.parametrize("bad,says", [
+        ([1, 1], "state vector not normalized"),
+        ({"rho": [[0.6, 0], [0, 0.5]]}, "density matrix trace != 1"),
+    ], ids=["vector", "rho"])
+    def test_unphysical_stream_element_is_named_exit_1(self, tmp_path, command, bad, says):
+        p = tmp_path / "stream.json"
+        p.write_text(json.dumps([[1, 0], [0, 1], [0.6, 0.8], bad, [1, 0]]))
+        extra = ["--trials", "3"] if command == "sample" else []
+        code, out = run([command, "--stream", str(p)] + extra)
+        assert code == 1
+        assert json.loads(out) == {"error": f"stream element 3: {says}"}
+
+    @pytest.mark.parametrize("n,d", [(100, 80), (2, 330), (100, 77)])
+    def test_resources_gate_model_past_float_range_exit_1(self, n, d):
+        """n^(2d-1), the integral bound and M n, each past the float range."""
+        code, out = run(["resources", "--n", str(n), "--d", str(d), "--epsilon", "0.99"])
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert "passes the float range" in error and "qudit gate model" in error
+
+    def test_resources_d200_runs(self):
+        code, out = run(["resources", "--n", "3", "--d", "200", "--epsilon", "0.01"])
+        assert code == 0
+        assert json.loads(out)["gate_model"]["d"] == 200
+
     @pytest.mark.parametrize("d", ["1", "0"])
     def test_full_d_below_2_exit_1(self, tmp_path, d):
         p = tmp_path / "state.json"

@@ -160,6 +160,15 @@ class TestQubitCounts:
         with pytest.raises(ValueError, match=f"p = {p!r} overflows the qudit gate model"):
             qudit_gate_bound(3, 3, 0.01, p=p)
 
+    @pytest.mark.parametrize("n,d,epsilon,what", [
+        (100, 80, 0.01, r"n\^\(2d-1\) = 100\^159 passes the float range in the qudit gate model"),
+        (2, 330, 0.01, r"qudit gate model's integral bound .* passes the float range at n=2, d=330"),
+        (100, 77, 0.99, r"M n passes the float range in the qudit gate model"),
+    ], ids=["delta", "integral-bound", "m-n"])
+    def test_rejects_a_factor_past_the_float_range(self, n, d, epsilon, what):
+        with pytest.raises(ValueError, match=what):
+            qudit_gate_bound(n, d, epsilon)
+
 
 class TestQuditCounts:
     def test_d2_sum_matches_qubit_path(self):

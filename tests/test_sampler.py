@@ -97,6 +97,33 @@ class TestInputValidation:
         with pytest.raises(InvalidInputError):
             run_full_state(rho, 2)
 
+    # element 3 of each stream is not a state
+    NAMED = [([1.0, 1.0], "state vector not normalized"),
+             (np.diag([0.6, 0.5]), "density matrix trace != 1")]
+
+    @pytest.mark.parametrize("bad,says", NAMED, ids=["vector", "rho"])
+    @pytest.mark.parametrize("mode", [run_stream, branch_distribution,
+                                      lambda s, d: register_run(s),
+                                      lambda s, d: register_branch_distribution(s)],
+                             ids=["run_stream", "branch_distribution", "register_run",
+                                  "register_branch_distribution"])
+    def test_error_names_its_stream_element(self, mode, bad, says):
+        stream = [KET0, KET1, np.array([0.6, 0.8]), np.array(bad), KET0]
+        with pytest.raises(InvalidInputError) as info:
+            mode(stream, 2)
+        assert str(info.value) == f"stream element 3: {says}"
+
+    def test_check_stream_checks_each_distinct_array_once(self, monkeypatch):
+        calls = []
+        check_state = errors.check_state
+        monkeypatch.setattr(errors, "check_state",
+                            lambda q, d: calls.append(q) or check_state(q, d))
+        stream = errors.check_stream([MIXED] * 40 + [KET0], 2)
+        assert len(calls) == 2 and len(stream) == 41
+        assert all(q is stream[0] for q in stream[:40])
+        with pytest.raises(InvalidInputError, match="^empty stream$"):
+            errors.check_stream([], 2)
+
     def test_psd_not_diagonally_dominant_accepted(self):
         # a pure state whose off-diagonal entry (0.48) exceeds a diagonal
         # one (0.36): the Gershgorin bound fails, the eigenvalues pass

@@ -14,3 +14,28 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name}: assert statements on lines {lines}"
+
+
+def test_sampler_does_not_read_the_transform_formats():
+    """cg owns the two transform formats, and each type applies itself:
+    the sampler reads none of their storage, tests no transform's type and
+    imports from cg only the lookup and the annotation alias.  Nor does cg
+    test a type; cg_transform picks the format by d."""
+    def tree(name):
+        path = SRC[0].parent / name
+        return ast.parse(path.read_text(), filename=str(path))
+
+    sampler, cg = tree("sampler.py"), tree("cg.py")
+    storage = {"coef", "rotations", "cols", "vals"}
+    reads = [(node.lineno, node.attr) for node in ast.walk(sampler)
+             if isinstance(node, ast.Attribute) and node.attr in storage]
+    assert reads == [], f"sampler.py reads transform storage: {reads}"
+    imported = {alias.name for node in ast.walk(sampler)
+                if isinstance(node, ast.ImportFrom) and node.module == "cg"
+                for alias in node.names}
+    assert imported <= {"cg_transform", "Transform"}, imported
+    for name, module in (("sampler.py", sampler), ("cg.py", cg)):
+        checks = [node.lineno for node in ast.walk(module)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in ("isinstance", "type")]
+        assert checks == [], f"{name}: type tests on lines {checks}"
