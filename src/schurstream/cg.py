@@ -55,6 +55,16 @@ entry, and since the GT basis lists patterns in descending order and the
 blocks' top rows descend with j, an entry's row is its target's rank.
 Only the source patterns are enumerated, and a block whose walk does not
 reach every one of its targets is refused.
+
+lam and lam + c (1^d) are one SU(d) irrep up to det^c, and their
+coefficients are the same numbers: the patterns of lam + c (1^d) are those
+of lam with c added to every entry, and every factor above is a product of
+differences of entries (at d = 2, the coefficients depend on dim Q
+alone).  Their blocks have the same j, offsets and dims.  So cg_transform
+builds each transform once, at its reduced label, lam less min(lam_{d-1},
+lam_0 - 1) full columns, and every label with that reduced form gets its
+own entry, with its own lam and blocks, that shares the reduced entry's
+read-only coef or cols/vals.
 """
 
 from __future__ import annotations
@@ -119,6 +129,11 @@ class CGTransform:
     def _held_bytes(self) -> int:
         """Bytes a cached transform holds: its rows and 4 KB of objects."""
         return self.cols.nbytes + self.vals.nbytes + 4096
+
+    def _relabel(self, lam: Partition) -> CGTransform:
+        """This transform at lam, a label with the same reduced form: lam's
+        own blocks, these rows, shared."""
+        return CGTransform(lam, _blocks_for(lam), self.cols, self.vals)
 
     def _apply(self, x: np.ndarray, axis: int = 0) -> np.ndarray:
         """self (x) I_rest on axis `axis` of x, of length size * rest: slot
@@ -229,7 +244,9 @@ class QubitCG:
     def rotations(self) -> np.ndarray:
         """The 2 x 2 blocks as a real (dim Q, 2, 2) array, laid out from coef
         on first use: block r takes (b[r - 1], a[r]) to rows (r, dim Q + r)."""
-        return np.ascontiguousarray(self.coef.real.reshape(2, 2, -1)[::-1].T)
+        rotations = np.ascontiguousarray(self.coef.real.reshape(2, 2, -1)[::-1].T)
+        rotations.flags.writeable = False  # shared by every label with lam's reduced form
+        return rotations
 
     @property
     def d(self) -> int:
@@ -247,6 +264,14 @@ class QubitCG:
     def _held_bytes(self) -> int:
         """Bytes a cached transform holds: coef, rotations and 4 KB of objects."""
         return self.coef.nbytes + self.coef.real.nbytes + 4096
+
+    def _relabel(self, lam: Partition) -> QubitCG:
+        """This transform at lam, a label with the same reduced form: lam's
+        own blocks, this coef and its rotations, laid out now so that the
+        two labels share one copy."""
+        t = QubitCG(lam, _blocks_for(lam), self.coef)
+        t.rotations = self.rotations
+        return t
 
     def _apply(self, x: np.ndarray, axis: int = 0) -> np.ndarray:
         """self (x) I_rest on axis `axis` of x, of length size * rest, by the
@@ -312,6 +337,7 @@ def cg_qubit(lam: Partition) -> QubitCG:
     coef[0, dimq + 1:] = -sin[:-1]
     coef[1, 1:dimq + 1] = sin
     coef[1, dimq + 1:] = cos[1:]
+    coef.flags.writeable = False  # shared by every label with lam's reduced form
     t = QubitCG(lam=lam, blocks=_blocks_for(lam), coef=coef)
     t.check_unitary()
     return t
@@ -473,13 +499,17 @@ def cg_closed(lam: Partition) -> CGTransform:
     pattern at once; for d=2 it reproduces cg_qubit bit for bit.  A block
     whose walk does not reach each of its targets raises DegeneracyError."""
     blocks = _blocks_for(lam)
-    t = CGTransform(lam, blocks, *_rows(lam, blocks))
+    cols, vals = _rows(lam, blocks)
+    cols.flags.writeable = vals.flags.writeable = False  # shared, as cg_qubit's coef
+    t = CGTransform(lam, blocks, cols, vals)
     t.check_unitary()
     return t
 
 
-# The d=2 rotations cost about as much to rebuild as to apply, and a long
-# skewed trajectory never meets a label twice, so their cache stays small.
+# The d=2 rotations cost about as much to rebuild as to apply, so their
+# cache stays small.  A trajectory meets its reduced labels, (a, 0) and
+# (1, 1), again and again, and they fit: those of sides up to about 940
+# hold 12 MiB in all, with their rotations.
 QUBIT_CACHE_BYTES = 3 << 22
 
 Transform = CGTransform | QubitCG
@@ -520,16 +550,40 @@ def _step_bytes(size: int) -> int:
     return 80 * size * size + 4096 * size
 
 
+def _reduced(lam: Partition) -> Partition:
+    """lam less m full columns, m = min(lam_{d-1}, lam_0 - 1): the same
+    SU(d) irrep up to det^m, with the same CG coefficients in the GT basis.
+    A rectangle (c^d) reduces to (1^d), so a reduced label keeps a box
+    (m is 0 on the empty label)."""
+    m = min(lam.parts[-1], max(lam.parts[0] - 1, 0))
+    return Partition(tuple(p - m for p in lam.parts))
+
+
+def _make_room(need: int, cap: int) -> None:
+    """Empty the cache if `need` more bytes would take it over `cap`."""
+    global _cache_bytes
+    if _cache_bytes + need > cap:
+        _cache.clear()
+        _cache_bytes = 0
+
+
 def cg_transform(lam: Partition, *, mixed: bool = False) -> Transform:
     """Cached CG transform: cg_qubit's rotations for d=2, cg_closed's
-    sparse rows otherwise.  A build over the memory budget is refused, and
-    a density-matrix step (`mixed`) whose step, `_step_bytes`, is over it
-    is refused whether its transform is built or found.  One cache serves
-    every d, counting each entry at its _held_bytes.  It is emptied, keeping
-    the transform returned, before a build would take it over its cap (the
-    budget, and at d=2 at most QUBIT_CACHE_BYTES), or before a
-    density-matrix lookup, built or found, would leave less than its step
-    of the budget beside it."""
+    sparse rows otherwise, built once per reduced label (_reduced).  A
+    build over the memory budget is refused, and a density-matrix step
+    (`mixed`) whose step, `_step_bytes`, is over it is refused whether its
+    transform is built or found.
+
+    One cache serves every d.  A label has its own entry, with its own lam
+    and blocks; one that is not its reduced label shares the reduced
+    entry's read-only coef or cols/vals, built or found first, and counts
+    4 KB of objects while that entry is cached, or all it holds once an
+    eviction leaves it alone.  Every other entry counts its _held_bytes.
+    The cache is emptied before an insertion, built or shared, would take
+    it over its cap (the budget, and at d=2 at most QUBIT_CACHE_BYTES),
+    and, keeping the transform returned, before a density-matrix lookup,
+    built or found, would leave less than its step of the budget beside
+    it."""
     global _cache_bytes
     key = lam.parts
     t = _cache.get(key)
@@ -548,11 +602,16 @@ def cg_transform(lam: Partition, *, mixed: bool = False) -> Transform:
             cap = errors.MEMORY_BUDGET
             if lam.d == 2:
                 cap = min(cap, QUBIT_CACHE_BYTES)
-            if _cache_bytes + _build_bytes(lam.d, size) > cap:
-                _cache.clear()
-                _cache_bytes = 0
-            t = _cache[key] = cg_qubit(lam) if lam.d == 2 else cg_closed(lam)
-            _cache_bytes += t._held_bytes()
+            base = _reduced(lam)
+            t = _cache.get(base.parts)  # before any eviction
+            if t is None:
+                _make_room(_build_bytes(lam.d, size), cap)
+                t = _cache[base.parts] = cg_qubit(base) if lam.d == 2 else cg_closed(base)
+                _cache_bytes += t._held_bytes()
+            if base != lam:
+                _make_room(4096, cap)
+                t = _cache[key] = t._relabel(lam)
+                _cache_bytes += 4096 if base.parts in _cache else t._held_bytes()
         if mixed and _cache_bytes + _step_bytes(size) > errors.MEMORY_BUDGET:
             _cache.clear()
             _cache[key] = t

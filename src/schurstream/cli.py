@@ -27,7 +27,7 @@ from .errors import (InvalidInputError, SizeLimitError, check_budget, check_stat
                      check_stream)
 from .oracle import schur_transform, weak_schur_probs
 from .partitions import LatticePath, Partition, dim_unitary
-from .resources import (memory_profile, peak_width, qubit_gate_count,
+from .resources import (check_profile, memory_profile, peak_width, qubit_gate_count,
                         qudit_gate_bound, two_level_total)
 from .sampler import (DEFAULT_PRUNE, branch_distribution, run_full_state,
                       run_stream)
@@ -172,6 +172,7 @@ def cmd_sample(args) -> str:
     stream = load_stream(args.stream, args.d)
     check_budget(f"sample report of {args.trials} trials on n={len(stream)}",
                  args.trials * _trial_bytes(len(stream)))
+    check_stream(stream, args.d)  # each distinct array once, before any trial
     trials = []
     for t in range(args.trials):
         res = run_stream(stream, args.d, seed=args.seed + t)
@@ -257,11 +258,14 @@ def cmd_cg(args) -> str:
 
 
 def cmd_resources(args) -> str:
-    profile = memory_profile(args.n, args.d)
+    # the profile's budget before the model's O(n) sum, and the model, which
+    # may refuse, before the profile's records, each costing a few qudit_widths
+    check_profile(args.n)
     if args.d == 2:
         model = qubit_gate_count(args.n, args.epsilon, c=args.c)
     else:
         model = qudit_gate_bound(args.n, args.d, args.epsilon, p=args.p, c=args.c)
+    profile = memory_profile(args.n, args.d)
     if args.format == "csv":
         return _csv(["k", "width", "removal"],
                     [(r.k, r.width, int(r.removal)) for r in profile])

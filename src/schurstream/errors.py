@@ -46,7 +46,7 @@ def check_state(state, dim: int) -> np.ndarray:
     Hermitian, has trace 1 and no eigenvalue below -STATE_TOL.  Every
     entry must be finite: the comparisons below are all false on NaN."""
     state = np.asarray(state, dtype=complex)
-    if not np.all(np.isfinite(state)):
+    if not np.isfinite(state).all():  # the method skips np.all's dispatch
         raise InvalidInputError("state has a non-finite entry")
     if state.ndim == 1:
         if state.shape != (dim,):

@@ -45,13 +45,19 @@ class IterationRecord:
     removal: bool
 
 
-def memory_profile(n: int, d: int = 2) -> list[IterationRecord]:
-    """Per-iteration register widths and qudit-removal events for a run
-    on n qudits (iterations k = 1 .. n-1).  A record holds 1100 bytes with
-    its share of the report (measured 980 B in JSON at n=50000)."""
+def check_profile(n: int) -> None:
+    """memory_profile's checks, in O(1): n >= 2, and its records within
+    the memory budget.  A record holds 1100 bytes with its share of the
+    report (measured 980 B in JSON at n=50000)."""
     if n < 2:
         raise ValueError("n >= 2 required")
     check_budget(f"resources profile of n={n}", 1100 * (n - 1))
+
+
+def memory_profile(n: int, d: int = 2) -> list[IterationRecord]:
+    """Per-iteration register widths and qudit-removal events for a run
+    on n qudits (iterations k = 1 .. n-1), once check_profile passes."""
+    check_profile(n)
     return [IterationRecord(k=k, width=qudit_width(k, d), removal=removal(k, d))
             for k in range(1, n)]
 

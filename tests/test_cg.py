@@ -334,3 +334,110 @@ class TestSizeLimit:
         assert cg._cache == {}
         monkeypatch.setattr(errors, "MEMORY_BUDGET", cg._build_bytes(d, size))
         assert cg_transform(lam).size == size
+
+
+def _plus_columns(lam, c):
+    return Partition(tuple(p + c for p in lam.parts))
+
+
+class TestSharedRows:
+    """lam and lam + c (1^d) are one SU(d) irrep up to det^c, so they have
+    the same coefficients: cg_transform builds each transform once, at its
+    reduced label, and every label with that reduced form shares its rows."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self, monkeypatch):
+        monkeypatch.setattr(cg, "_cache", {})
+        monkeypatch.setattr(cg, "_cache_bytes", 0)
+
+    @staticmethod
+    def build(lam):
+        return cg_qubit(lam) if lam.d == 2 else cg_closed(lam)
+
+    @pytest.mark.parametrize("d,n_max", [(2, 8), (3, 5), (4, 4), (5, 3)])
+    def test_equal_to_the_build_at_each_label(self, d, n_max):
+        """The shared entry of lam + c (1^d) has the bytes of the
+        transform built at that label, and the offsets and dims of lam's
+        blocks."""
+        arrays = ("coef",) if d == 2 else ("cols", "vals")
+        for n in range(1, n_max + 1):
+            for lam in partitions_of(n, d):
+                base = cg_transform(lam)
+                for c in (1, 2, 3):
+                    shifted = _plus_columns(lam, c)
+                    t, want = cg_transform(shifted), self.build(shifted)
+                    for name in arrays:
+                        got, built = getattr(t, name), getattr(want, name)
+                        assert got.dtype == built.dtype and got.shape == built.shape
+                        assert got.tobytes() == built.tobytes(), (shifted, name)
+                        assert got.tobytes() == getattr(base, name).tobytes()
+                    assert ([(b.j, b.offset, b.dim) for b in t.blocks]
+                            == [(b.j, b.offset, b.dim) for b in base.blocks]
+                            == [(b.j, b.offset, b.dim) for b in want.blocks]), shifted
+
+    @pytest.mark.parametrize("parts", [(2, 1, 0), (3, 3, 0), (2, 1, 0, 0), (3, 1, 1, 0),
+                                       (2, 1, 1, 0, 0)])
+    def test_equal_to_the_loop_reference(self, parts):
+        lam = Partition(parts)
+        for c in (1, 2):
+            shifted = _plus_columns(lam, c)
+            assert np.array_equal(cg_transform(shifted).matrix,
+                                  cg_closed_loop(shifted).matrix), shifted
+
+    @pytest.mark.parametrize("parts", [(3, 1), (2, 2), (2, 1, 0), (1, 1, 1),
+                                       (3, 2, 0, 0), (2, 1, 1, 0, 0)])
+    def test_lookup_after_the_same_reduced_form_builds_nothing(self, monkeypatch, parts):
+        """After any label with the same reduced form is looked up, a new
+        label runs no build, and its entry holds its own lam and blocks."""
+        builds = []
+        for name in ("cg_qubit", "cg_closed"):
+            monkeypatch.setattr(cg, name, lambda lam, f=getattr(cg, name):
+                                builds.append(lam) or f(lam))
+        lam = Partition(parts)
+        labels = [_plus_columns(lam, c) for c in (2, 0, 3, 1)]
+        for label in labels:
+            t = cg_transform(label)
+            assert t.lam == label
+            assert [b.j for b in t.blocks] == valid_rows(label)
+            assert [b.target for b in t.blocks] == [add_box(label, b.j) for b in t.blocks]
+            assert len(builds) == 1, (label, builds)
+            assert cg_transform(label) is t
+        assert builds == [cg._reduced(lam)]
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_a_rectangle_reduces_to_one_column(self, d):
+        """(c^d) is built at (1^d), a label with a box; no entry is made
+        for a label no caller asked for but its reduced one."""
+        for c in (1, 2, 5):
+            cg_transform(Partition((c,) * d))
+        assert set(cg._cache) == {(c,) * d for c in (1, 2, 5)}
+        row = Partition((2,) + (0,) * (d - 1))
+        assert cg._reduced(row) == row
+        assert cg._reduced(Partition((7,) + (3,) * (d - 1))) == Partition((4,) + (0,) * (d - 1))
+
+    @pytest.mark.parametrize("parts", [(4, 1), (3, 1, 0), (2, 1, 0, 0)])
+    def test_shared_arrays_are_read_only(self, parts):
+        lam = Partition(parts)
+        base, t = cg_transform(lam), cg_transform(_plus_columns(lam, 2))
+        arrays = ("coef", "rotations") if lam.d == 2 else ("cols", "vals")
+        for name in arrays:
+            assert getattr(t, name) is getattr(base, name)
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(t, name)[0, 0] = 1
+        assert t.check_unitary() <= 1e-12
+
+    @pytest.mark.parametrize("parts", [(5, 0), (3, 1, 0)])
+    def test_shared_entry_counts_its_objects(self, monkeypatch, parts):
+        """A shared entry counts 4 KB beside its base, and all it holds
+        once an eviction keeps it alone."""
+        lam = Partition(parts)
+        base = cg_transform(lam)
+        assert cg._cache_bytes == base._held_bytes()
+        shifted = _plus_columns(lam, 1)
+        t = cg_transform(shifted)
+        assert cg._cache_bytes == base._held_bytes() + 4096
+        monkeypatch.setattr(errors, "MEMORY_BUDGET",
+                            cg._cache_bytes + cg._step_bytes(t.size) - 1)
+        assert cg_transform(shifted, mixed=True) is t
+        assert list(cg._cache) == [shifted.parts]
+        assert cg._cache_bytes == t._held_bytes() == base._held_bytes()

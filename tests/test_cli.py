@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -401,6 +402,37 @@ class TestRefusedInputs:
         assert code == 1
         error = json.loads(out)["error"]
         assert "passes the float range" in error and "qudit gate model" in error
+
+    def test_resources_model_refused_before_the_profile(self):
+        """The gate model runs before the width profile's records, so a
+        model past the float range is refused at once."""
+        start = time.monotonic()
+        code, out = run(["resources", "--n", "3000", "--d", "80", "--epsilon", "0.01"])
+        assert time.monotonic() - start < 1
+        assert code == 1
+        assert json.loads(out) == {"error": "n^(2d-1) = 3000^159 passes the float range in "
+                                            "the qudit gate model's delta = epsilon / "
+                                            "(c d n^(2d-1))"}
+
+    def test_resources_profile_budget_refused_before_the_model(self, monkeypatch):
+        """The profile's budget check comes before the model's O(n) sum."""
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", 10 ** 6)
+        start = time.monotonic()
+        code, out = run(["resources", "--n", "100000000", "--d", "3", "--epsilon", "0.1"])
+        assert time.monotonic() - start < 1
+        assert code == 2
+        assert "resources profile of n=100000000" in json.loads(out)["error"]
+
+    def test_sample_refuses_a_late_element_before_the_first_trial(self, tmp_path):
+        """Every distinct array is checked before the first trial: 10^4
+        valid qubits and one unnormalized one are refused at once."""
+        p = tmp_path / "stream.json"
+        p.write_text(json.dumps([[0.6, [0, 0.8]]] * 10 ** 4 + [[1, 1]]))
+        start = time.monotonic()
+        code, out = run(["sample", "--stream", str(p), "--trials", "3"])
+        assert time.monotonic() - start < 1
+        assert code == 1
+        assert json.loads(out) == {"error": "stream element 10000: state vector not normalized"}
 
     def test_resources_d200_runs(self):
         code, out = run(["resources", "--n", "3", "--d", "200", "--epsilon", "0.01"])
