@@ -583,7 +583,9 @@ def cg_transform(lam: Partition, *, mixed: bool = False) -> Transform:
     it over its cap (the budget, and at d=2 at most QUBIT_CACHE_BYTES),
     and, keeping the transform returned, before a density-matrix lookup,
     built or found, would leave less than its step of the budget beside
-    it."""
+    it.  A kept label that shares rows keeps its reduced entry too, when
+    the step still fits beside both: then the next label with that
+    reduced form finds the rows."""
     global _cache_bytes
     key = lam.parts
     t = _cache.get(key)
@@ -597,11 +599,11 @@ def cg_transform(lam: Partition, *, mixed: bool = False) -> Transform:
         errors.check_budget(f"a density-matrix step of side {size} at lambda={lam}",
                             _step_bytes(size))
     with _cache_lock:
+        cap = errors.MEMORY_BUDGET
+        if lam.d == 2:
+            cap = min(cap, QUBIT_CACHE_BYTES)
         t = _cache.get(key)
         if t is None:
-            cap = errors.MEMORY_BUDGET
-            if lam.d == 2:
-                cap = min(cap, QUBIT_CACHE_BYTES)
             base = _reduced(lam)
             t = _cache.get(base.parts)  # before any eviction
             if t is None:
@@ -613,9 +615,14 @@ def cg_transform(lam: Partition, *, mixed: bool = False) -> Transform:
                 t = _cache[key] = t._relabel(lam)
                 _cache_bytes += 4096 if base.parts in _cache else t._held_bytes()
         if mixed and _cache_bytes + _step_bytes(size) > errors.MEMORY_BUDGET:
+            kept, base = {key: t}, _reduced(lam)
+            room = min(cap, errors.MEMORY_BUDGET - _step_bytes(size))
+            if base != lam and t._held_bytes() + 4096 <= room:
+                reduced = _cache.get(base.parts)
+                kept[base.parts] = t._relabel(base) if reduced is None else reduced
             _cache.clear()
-            _cache[key] = t
-            _cache_bytes = t._held_bytes()
+            _cache.update(kept)
+            _cache_bytes = t._held_bytes() + 4096 * (len(kept) - 1)
         return t
 
 

@@ -219,10 +219,9 @@ def cmd_oracle(args) -> str:
         except InvalidInputError as e:
             raise InvalidInputError(f"state file: {e}") from e
     su = schur_transform(args.n, args.d, limit=args.limit)
-    if state is None:
-        size = args.d ** args.n
-        state = np.eye(size) / size
-    probs = weak_schur_probs(state, su)
+    size = args.d ** args.n
+    # I/D is passed, not held: the oracle takes it as its own Re rho
+    probs = weak_schur_probs(np.eye(size) / size if state is None else state, su)
     if args.format == "csv":
         return _csv(["lambda", "probability"], probs.items())
     body = {"marginal": {str(lam): p for lam, p in probs.items()}}

@@ -21,8 +21,11 @@ from .partitions import Partition, one_box, partitions_of
 
 
 def _transform_bytes(n: int, d: int) -> int:
-    """Bytes the oracle on D = d^n holds with its report (measured 88 D^2 at
-    D = 1024 and 729); d^64 is over any budget, so the power stops there."""
+    """Bytes the oracle on D = d^n holds with its report.  Tracemalloc
+    reads 33-34 D^2 for a whole `oracle --compare` call at D = 1024 and
+    729, at the state check (U, I/D and its complex copy), and 45-46 D^2
+    at D = 256 and 243; 96 D^2 is kept, so no refusal moves.  d^64 is over
+    any budget, so the power stops there."""
     return 96 * d ** (2 * min(n, 64))
 
 
@@ -103,9 +106,15 @@ def _schur_diagonal(rho: np.ndarray, su: SchurUnitary) -> np.ndarray:
 def weak_schur_probs(rho: np.ndarray, su: SchurUnitary) -> dict[Partition, float]:
     """tr[rho Pi^Std_lam] for every lam |- n, via both the standard-basis
     and Schur-basis routes (asserted equal within 1e-10).  Pi^Std_lam is
-    real symmetric, so only Re rho enters; the complex rho is released
-    before the products."""
-    rho = np.ascontiguousarray(_as_density(rho, su.d ** su.n).real)
+    real symmetric, so only Re rho enters.  The checked complex copy is
+    released before the products, and a real density matrix is its own
+    Re rho, so no second D x D copy of it is made."""
+    density = _as_density(rho, su.d ** su.n)
+    rho = np.asarray(rho)
+    if rho.ndim != 2 or rho.dtype.kind not in "biuf":
+        rho = density.real
+    del density
+    rho = np.ascontiguousarray(rho, dtype=float)
     diag = _schur_diagonal(rho, su)
     out = {}
     for lam in partitions_of(su.n, su.d):

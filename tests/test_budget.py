@@ -153,6 +153,30 @@ class TestEstimatesAreUpperBounds:
         assert list(cache) == [lam.parts]
         assert cg._cache_bytes + room <= errors.MEMORY_BUDGET
 
+    def test_density_lookup_keeps_the_shared_rows(self, monkeypatch):
+        """A density-matrix lookup whose eviction keeps a label that shares
+        rows keeps its reduced entry too when the step still fits beside
+        both, so the next label with that reduced form builds nothing;
+        one byte short of that, the shared label is kept alone."""
+        builds = []
+        cg_qubit = cg.cg_qubit
+        monkeypatch.setattr(cg, "cg_qubit", lambda lam: builds.append(lam) or cg_qubit(lam))
+        for room, kept in [(4096, [(30, 10), (20, 0)]), (4095, [(30, 10)])]:
+            cache = fresh_cache(monkeypatch)
+            for parts in [(20, 0), (30, 10), (10, 0)]:
+                cg.cg_transform(Partition(parts))
+            t, step_room = cache[(30, 10)], cg._step_bytes(cg_side(2, (30, 10)))
+            budget = t._held_bytes() + room + step_room
+            assert cg._cache_bytes + step_room > budget  # the lookup evicts
+            monkeypatch.setattr(errors, "MEMORY_BUDGET", budget)
+            assert cg.cg_transform(Partition((30, 10)), mixed=True) is t
+            assert sorted(cache) == sorted(kept)
+            assert cg._cache_bytes == t._held_bytes() + 4096 * (len(kept) - 1)
+            assert cg._cache_bytes + step_room <= budget
+            builds.clear()
+            cg.cg_transform(Partition((31, 11)))
+            assert builds == ([] if len(kept) == 2 else [Partition((20, 0))])
+
     @pytest.mark.parametrize("d,lam", [(2, "60,0"), (3, "5,2,0")])
     def test_cg_report(self, monkeypatch, d, lam):
         fresh_cache(monkeypatch)
