@@ -37,24 +37,32 @@ for the `schur cg` report, the oracle and the sparsity check, and both
 equal the entry-by-entry build (tests/cg_reference.py) bit for bit.  Each
 type applies itself (`_apply`, `_product`), so no other module reads a format.
 
-cg_closed walks one frontier of (block, source pattern, box position)
-items a row at a time, every block and pattern at once.  The factors of
+cg_closed walks one frontier of chains, (block, source pattern, box
+path), a row at a time, every block and pattern at once.  The factors of
 each row step r -> r + 1 are products of entry differences, evaluated
 once per run of patterns that share rows 1 .. r + 1 (so once per
 distinct pair of adjacent rows at the top two steps; the top step
-depends only on the second row) and kept as numpy object arrays of
-Python ints, so they are exact at any size (at d = 5 they already pass
-2^53).  At each row an item's box stops, or moves to every next position
-k whose factor is nonzero, all taken in one gather; an item whose box
-stops becomes an entry, its squared coefficient one Python int true
-division, so every entry is the float of the entry-by-entry build, bit
-for bit, and no exact integer outlives its row step.  An entry's target
-is its source pattern plus one unit step on each row the box entered;
-one lexsort of j and the target's integer rows below the top ranks every
-entry, and since the GT basis lists patterns in descending order and the
-blocks' top rows descend with j, an entry's row is its target's rank.
-Only the source patterns are enumerated, and a block whose walk does not
-reach every one of its targets is refused.
+depends only on the second row).  At each row every outcome of every
+chain, a stop or a move to each next position, is taken in one gather
+where its numerator and denominator are both nonzero, and a chain whose
+box stops becomes an entry, its squared coefficient one true division.
+The exact integers are float64 when a bound from lam proves that every
+one stays below 2^53 (_in_machine_words: every d = 3 label with lam_0 -
+lam_2 <= 9739, d = 4 with lam_0 - lam_3 <= 56 and d = 5 with lam_0 -
+lam_4 <= 5): every factor is an integer, so each product is then formed
+exactly, and the quotient of two such floats is their ratio correctly
+rounded, as Python's int / int.  Past the bound, and at every d >= 6,
+they are numpy object arrays of Python ints, exact at any size (a row
+step's factor tables are still float64 products while those stay below
+2^53).  Either way every entry is the float of the entry-by-entry build,
+bit for bit.
+
+An entry's target is its source pattern plus one unit step on each row
+the box entered; one lexsort of j and the target's integer rows below
+the top ranks every entry, and since the GT basis lists patterns in
+descending order and the blocks' top rows descend with j, an entry's row
+is its target's rank.  Only the source patterns are enumerated, and a
+block whose walk does not reach every one of its targets is refused.
 
 lam and lam + c (1^d) are one SU(d) irrep up to det^c, and their
 coefficients are the same numbers: the patterns of lam + c (1^d) are those
@@ -347,44 +355,76 @@ def cg_qubit(lam: Partition) -> QubitCG:
 def _terms(l: int):
     """The factors of one row step, from a row t of length l to the row
     b below it, as products of terms v[a] - v[c] + k of the vector v =
-    (t_0 .. t_{l-1}, b_0 .. b_{l-2}), each product a run of terms
-    starting at `starts`, with the term 1 where a product skips a
-    factor: tden[i] = prod_{s != i}(t_s - t_i), stop[i] =
-    prod_s(b_s - t_i - 1), kden[k] = prod_{s != k}(b_s - b_k - 1) and
-    move[i, k] = prod_{s != k}(b_s - t_i - 1) prod_{s != i}(t_s - b_k)."""
+    (t_0 .. t_{l-1}, b_0 .. b_{l-2}), one run of terms each, in order:
+
+        stop[i] = prod_s (b_s - t_i - 1)
+        tden[i] = prod_{s != i} (t_s - t_i)
+        move[k, i] = prod_{s != k} (b_s - t_i - 1) prod_{s != i} (t_s - b_k)
+        mden[k, i] = tden[i] prod_{s != k} (b_s - b_k - 1)
+
+    Every run is padded with the term 1 to 2 l - 1 terms.  With D the
+    differences v[a] - v[c], a row per a (2 l - 1) + c, of many vectors
+    v at once, the terms are D[diff] + shift, a row per term slot of
+    each run, runs fastest."""
     one = (0, 0, 1)
-    runs = ([[one if s == i else (s, i, 0) for s in range(l)] for i in range(l)]
-            + [[(l + s, i, -1) for s in range(l - 1)] for i in range(l)]
-            + [[one if s == k else (l + s, l + k, -1) for s in range(l - 1)]
-               for k in range(l - 1)]
-            + [[one if s == k else (l + s, i, -1) for s in range(l - 1)]
-               + [one if s == i else (s, l + k, 0) for s in range(l)]
-               for i in range(l) for k in range(l - 1)])
-    terms = np.array([term for run in runs for term in run]).T
-    starts = np.cumsum([0] + [len(run) for run in runs[:-1]])
-    terms.flags.writeable = starts.flags.writeable = False  # shared by every caller
-    return *terms, starts
+    stop = [[(l + s, i, -1) for s in range(l - 1)] + [one] * l for i in range(l)]
+    tden = [[one if s == i else (s, i, 0) for s in range(l)] for i in range(l)]
+    kden = [[one if s == k else (l + s, l + k, -1) for s in range(l - 1)] for k in range(l - 1)]
+    move = [[one if s == k else (l + s, i, -1) for s in range(l - 1)]
+            + [one if s == i else (s, l + k, 0) for s in range(l)]
+            for k in range(l - 1) for i in range(l)]
+    runs = stop + [run + [one] * (l - 1) for run in tden] + move + [
+        tden[i] + kden[k] for k in range(l - 1) for i in range(l)]
+    a, c, k = np.array(runs).transpose(2, 1, 0)
+    diff, shift = (a * (2 * l - 1) + c).ravel(), k.reshape(-1, 1).astype(float)
+    diff.flags.writeable = shift.flags.writeable = False  # shared by every caller
+    return diff, shift
 
 
 def _factors(t: np.ndarray, b: np.ndarray):
     """The squared-coefficient factors of one row step for many pairs of
-    rows at once, exact, from the shifted entries t (pairs x l) of a row
-    and b of the row below: the box at position i of the row stops there
-    with stop[:, i] / tden[:, i], or moves to position k of the row below
-    with move[:, i, k] / mden[:, i, k], mden = tden kden; move is zeroed
-    where mden is 0 (that step is never taken)."""
-    l = t.shape[1]
-    a, c, k, starts = _terms(l)
-    v = np.concatenate([t, b], axis=1)
-    prod = np.multiply.reduceat((v[:, a] - v[:, c] + k).astype(object), starts, axis=1)
-    tden, stop, kden = prod[:, :l], prod[:, l:2 * l], prod[:, 2 * l:3 * l - 1]
-    mden = tden[:, :, None] * kden[:, None, :]
-    return stop, tden, np.where(mden == 0, 0, prod[:, 3 * l - 1:].reshape(-1, l, l - 1)), mden
+    rows at once, from the shifted entries t (pairs x l) of a row and b
+    of the row below (_terms): the box at position i of the row of pair p
+    stops there with stop[i, p] / tden[i, p], or moves to position k of
+    the row below with move[k, i, p] / mden[k, i, p], a step never taken
+    where mden is 0.
+
+    The terms are small integers, formed exactly in float64, and each
+    factor is the float64 product of its run, exact below 2^53 (_walk's
+    bound keeps float64 walks there).  For rows of Python ints (object)
+    the tables are Python ints too: those float64 products when every
+    one is below 2^53, the runs multiplied out in Python ints otherwise."""
+    pairs, l = t.shape
+    diff, shift = _terms(l)
+    v = np.asarray(np.concatenate([t, b], axis=1), dtype=float).T
+    terms = np.take((v[:, None] - v).reshape(-1, pairs), diff, axis=0)
+    terms += shift
+    prod = np.multiply.reduce(terms.reshape(2 * l - 1, -1, pairs), axis=0)
+    if t.dtype == object:
+        if np.abs(prod).max(initial=0) < _EXACT:
+            prod = prod.astype(np.int64).astype(object)
+        else:
+            terms = terms.astype(np.int64).astype(object)
+            prod = np.multiply.reduce(terms.reshape(2 * l - 1, -1, pairs), axis=0)
+    move, mden = prod[2 * l:].reshape(2, l - 1, l, pairs)
+    return prod[:l], prod[l:2 * l], move, mden
 
 
-def _scale(acc, items, factor):
-    """acc[items] * factor, with acc None standing for ones."""
-    return factor if acc is None else acc[items] * factor
+# Every integer below 2^53 in magnitude is a float64, and so is every
+# product of such integers that stays below it.
+_EXACT = 2 ** 53
+
+
+def _in_machine_words(lam: Partition) -> bool:
+    """Whether every integer of the walk at lam stays below 2^53.  Each
+    term of a factor (_terms) is at most lam_0 - lam_{d-1} + d - 1 in
+    magnitude, the spread of a row's shifted entries, and a chain's
+    numerator and denominator each take at most (d - 1)^2 terms: 2 l - 3
+    for a move from a row of length l, and l - 1 for a stop.  So every
+    lam with lam_0 - lam_{d-1} <= 9739 at d = 3, 56 at d = 4 and 5 at
+    d = 5, and none at d >= 6."""
+    d = lam.d
+    return (lam.parts[0] - lam.parts[-1] + d - 1) ** ((d - 1) ** 2) < _EXACT
 
 
 @cache
@@ -404,44 +444,62 @@ def _walk(lam: Partition, blocks: list[Block], source: np.ndarray):
     block and source pattern at once, a row at a time: each entry's
     source pattern, the box's position on every row (d below the row it
     stopped on) and squared coefficient, rounded once from its exact
-    integer ratio.  No exact integer outlives its row step."""
+    integer ratio.
+
+    The integers are float64 where they all stay below 2^53
+    (_in_machine_words), and Python ints (object) otherwise.  Every
+    factor is an integer, so a product below 2^53 is formed exactly, and
+    the quotient of two such floats is their ratio correctly rounded:
+    either way each entry is the float of Python's int / int.  A zero
+    factor drops its chain before any product is divided."""
     d = lam.d
-    npat = len(source)
     starts, pos, _, _ = _grid(d)
-    shifted = source - pos
-    # the frontier: one item per block and source pattern, the box at
+    npat = len(source)
+    shifted = (source - pos).astype(float if _in_machine_words(lam) else object)
+    # the frontier: one chain per block and source pattern, the box at
     # position j of the top row
     pat = np.arange(len(blocks) * npat) % npat
+    at = np.repeat([b.j for b in blocks], npat)  # the box's position on row r
     path = np.full((len(pat), d), d, dtype=np.min_scalar_type(d))
-    path[:, 0] = np.repeat([b.j for b in blocks], npat)
-    num = den = None  # each item's squared coefficient so far, exact
+    path[:, 0] = at
+    frac = None  # each chain's squared coefficient so far, numerator over denominator
     stops = []
-    new = np.zeros(npat, dtype=bool)
-    new[0] = True
+    # differs[p, c - d]: pattern p is the first of a run that shares
+    # entries d .. c, rows 1 .. r + 1 when c = starts[r + 2] - 1
+    differs = np.ones((npat, starts[-1] - d), dtype=bool)
+    np.logical_or.accumulate(source[1:, d:] != source[:-1, d:], axis=1, out=differs[1:])
     for r in range(d - 1):
         # the factors of rows r and r + 1 once per run of patterns that
         # share rows 1 .. r + 1 (row 0 is lam), so once per distinct pair
         # of rows at the top two steps
-        for c in range(starts[r + 1], starts[r + 2]):
-            new[1:] |= source[1:, c] != source[:-1, c]
-        stop, tden, move, mden = _factors(shifted[new, starts[r]:starts[r + 1]],
-                                          shifted[new, starts[r + 1]:starts[r + 2]])
-        # each item's (pair, position) cell of the factor tables
-        l = d - r
-        cell = (np.cumsum(new) - 1)[pat] * l + path[:, r]
-        item = np.flatnonzero(np.take(stop.ravel() != 0, cell))
-        at = cell[item]
-        stops.append((pat[item], np.take(path, item, axis=0),
-                      (_scale(num, item, np.take(stop, at)) /
-                       _scale(den, item, np.take(tden, at))).astype(float)))
-        # every next position k of every item in one gather
-        item, k = np.nonzero(np.take((move != 0).reshape(-1, l - 1), cell, axis=0))
-        at = cell[item] * (l - 1) + k
-        num, den = _scale(num, item, np.take(move, at)), _scale(den, item, np.take(mden, at))
-        pat, path = pat[item], np.take(path, item, axis=0)
-        path[:, r + 1] = k
-    stops.append((pat, path, (num / den).astype(float)))  # a row of length 1
+        new = differs[:, starts[r + 2] - d - 1]
+        rows = shifted[new, starts[r]:starts[r + 2]]
+        l, pairs = d - r, len(rows)
+        stop, tden, move, mden = _factors(rows[:, :l], rows[:, l:])
+        # outcome o of the box at position i of row r: a move to position
+        # o of the row below or, last, a stop, taken where its numerator
+        # and denominator are both nonzero
+        out = np.empty((2, l, l, pairs), dtype=stop.dtype)
+        out[0, :-1], out[1, :-1], out[0, -1], out[1, -1] = move, mden, stop, tden
+        # each chain's (position, pair) cell of the outcomes
+        cell = at * pairs + (np.cumsum(new) - 1)[pat]
+        live = np.take(np.logical_and(out[0], out[1], dtype=bool).reshape(l, -1), cell, axis=1)
+        o, chain = np.nonzero(live)
+        factor = np.take(out.reshape(2, -1), o * (l * pairs) + cell[chain], axis=1)
+        frac = factor if frac is None else np.take(frac, chain, axis=1) * factor
+        pat, path = pat[chain], np.take(path, chain, axis=0)
+        # nonzero lists the outcomes in order, so the stops come last
+        moved = len(o) - np.count_nonzero(live[-1])
+        stops.append((pat[moved:], path[moved:], _ratio(frac[:, moved:])))
+        pat, path, frac, at = pat[:moved], path[:moved], frac[:, :moved], o[:moved]
+        path[:, r + 1] = at
+    stops.append((pat, path, _ratio(frac)))  # a row of length 1
     return map(np.concatenate, zip(*stops))
+
+
+def _ratio(frac: np.ndarray) -> np.ndarray:
+    """Numerators over denominators, each rounded once to float64."""
+    return (frac[0] / frac[1]).astype(float, copy=False)
 
 
 def _rows(lam: Partition, blocks: list[Block]) -> tuple[np.ndarray, np.ndarray]:
@@ -522,17 +580,21 @@ def _build_bytes(d: int, size: int) -> int:
     """Peak bytes of a build.  d=2: the coefficients, 32 size, their float
     temporaries and the blocks (tracemalloc peak at most 49 size + 2.5 KB
     at sides 4 to 400002, of which 32 size + 2.4 KB stay).  d >= 3, all
-    O(size): the exact-integer factor tables of each row step, a run of
-    terms per pair of adjacent rows the step meets; the frontier and the
-    entries it leaves; the keys and order of the ranking; the sparse
-    rows; and check_unitary's column index and runs of pairs.  Tracemalloc
-    peak through cg_transform: d=3, at most 1.02 KB size at sides 45 to
-    3000, where check_unitary takes every pair in one run, and 0.47 to
-    0.49 KB size at sides 15150 to 397953, so 576 size + 1.5 MiB, at
-    most 0.92 of it; d=4, 2.5 KB size at sides 16 to 19840; d=5, 2.7 KB
-    size at sides 25 to 42000; d=6, 2.2 KB size at sides 36 to 48384,
-    whose rows hold up to 68 entries; d=8, 2.4 KB size at sides 64 to
-    43008; and 18 to 52 KB in all at side d, d = 3 to 6."""
+    O(size): the factor tables of each row step (float64, or Python ints
+    past _in_machine_words), a run of terms per pair of adjacent rows the
+    step meets; the frontier and the entries it leaves; the keys and
+    order of the ranking; the sparse rows; and check_unitary's column
+    index and runs of pairs.  Tracemalloc peak through cg_transform, a
+    fresh process per label: d=3, at most 1.31 KB size at sides 24 to
+    3000 (0.98 to 0.99 KB at 1029 to 3000, where check_unitary takes every
+    pair in one run) and 0.46 to 0.48 KB size at sides 12288 to 397953, so
+    576 size + 1.5 MiB, at most 0.92 of it (side 3000); d=4, 0.85 to
+    2.13 KB size at sides 80 to 35840; d=5, 1.19 to 2.19 KB size at
+    sides 200 to 42000 (1.97 KB at 42000, on Python ints); d=6, 1.10 to
+    2.21 KB size at sides 420 to 48384, whose rows hold up to 68
+    entries; d=8, 1.16 to 1.18 KB size at sides 1344 to 3024 (2.4 KB to
+    side 43008 in an earlier survey); and 29 to 246 KB in all at side d,
+    d = 3, 4, 5, 6 and 8."""
     if d == 2:
         return 64 * size + 4096
     if d == 3:

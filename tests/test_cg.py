@@ -1,6 +1,7 @@
 """Clebsch-Gordan transform construction and structural checks."""
 
 from dataclasses import replace
+from math import prod
 
 import numpy as np
 import pytest
@@ -269,6 +270,103 @@ class TestCgClosed:
             for lam in partitions_of(n, 2):
                 assert np.array_equal(cg_closed(lam).matrix,
                                       cg_qubit(lam).matrix), lam
+
+
+def _factor_dtypes(monkeypatch):
+    """Record the dtype of every row step's factor tables."""
+    dtypes = []
+    factors = cg._factors
+
+    def recorded(t, b):
+        dtypes.append(t.dtype)
+        return factors(t, b)
+
+    monkeypatch.setattr(cg, "_factors", recorded)
+    return dtypes
+
+
+class TestMachineWords:
+    """The walk's exact integers are float64 wherever they provably stay
+    below 2^53, and Python ints past that bound."""
+
+    def test_benchmark_and_ci_labels_fit(self):
+        """Every d=3 label up to 60 boxes (the iid qutrit run) and every
+        d=4 label up to 7 boxes is within the bound."""
+        for d, n_max in ((3, 60), (4, 7)):
+            for n in range(1, n_max + 1):
+                assert all(cg._in_machine_words(lam) for lam in partitions_of(n, d)), (d, n)
+
+    @pytest.mark.parametrize("d,n_max", [(3, 18), (4, 7)])
+    def test_builds_take_float64(self, monkeypatch, d, n_max):
+        """Every d=3 label up to 18 boxes, so every label an 18-qutrit
+        `sample` reaches, and every d=4 label up to 7 boxes is built with
+        no object-dtype table."""
+        dtypes = _factor_dtypes(monkeypatch)
+        for n in range(1, n_max + 1):
+            for lam in partitions_of(n, d):
+                cg_closed(lam)
+        assert dtypes and set(dtypes) == {np.dtype(float)}
+
+    @pytest.mark.parametrize("parts", [(60, 0, 0), (30, 30, 0), (40, 20, 0)])
+    def test_largest_qutrit_labels_take_float64(self, monkeypatch, parts):
+        dtypes = _factor_dtypes(monkeypatch)
+        cg_closed(Partition(parts))
+        assert set(dtypes) == {np.dtype(float)}
+
+    # (bound, label just below it, label just above it); a bound of None is
+    # 2^53 itself, which at d=3 and d=4 first fails at sides past 10^5
+    @pytest.mark.parametrize("bound,below,above", [
+        (9 ** 4, (6, 2, 0), (7, 2, 0)),
+        (7 ** 9, (3, 1, 0, 0), (4, 1, 0, 0)),
+        (None, (5, 0, 0, 0, 0), (6, 0, 0, 0, 0)),
+        (None, (5, 5, 5, 5, 0), (6, 6, 6, 6, 0)),
+    ])
+    def test_both_sides_of_the_bound_equal_the_loop_reference(self, monkeypatch, bound,
+                                                              below, above):
+        if bound is not None:
+            monkeypatch.setattr(cg, "_EXACT", bound)
+        dtypes = _factor_dtypes(monkeypatch)
+        for parts, dtype in ((below, float), (above, object)):
+            lam = Partition(parts)
+            dtypes.clear()
+            assert cg._in_machine_words(lam) == (dtype is float)
+            assert np.array_equal(cg_closed(lam).matrix, cg_closed_loop(lam).matrix), lam
+            assert set(dtypes) == {np.dtype(dtype)}, lam
+
+    @pytest.mark.parametrize("scale", [1, 10 ** 6])
+    def test_tables_of_python_int_rows_are_exact(self, scale):
+        """Python-int rows get Python-int tables, equal to the products
+        written out, whether or not the float64 products pass 2^53 (at
+        scale 10^6 they pass 2^63)."""
+        l = 6
+        top = [scale * (l - s) - s for s in range(l)]
+        below = [scale * (l - 1 - s) + 2 * (l - s) - s for s in range(l - 1)]
+        stop, tden, move, mden = cg._factors(np.array([top], dtype=object),
+                                             np.array([below], dtype=object))
+        for i, t_i in enumerate(top):
+            assert stop[i, 0] == prod(b_s - t_i - 1 for b_s in below)
+            assert tden[i, 0] == prod(t_s - t_i for s, t_s in enumerate(top) if s != i)
+            for k, b_k in enumerate(below):
+                assert move[k, i, 0] == (
+                    prod(b_s - t_i - 1 for s, b_s in enumerate(below) if s != k)
+                    * prod(t_s - b_k for s, t_s in enumerate(top) if s != i))
+                assert mden[k, i, 0] == tden[i, 0] * prod(
+                    b_s - b_k - 1 for s, b_s in enumerate(below) if s != k)
+        assert all(type(x) is int for x in np.concatenate([stop.ravel(), mden.ravel()]))
+        assert (abs(max(move.ravel(), key=abs)) > 2 ** 63) == (scale > 1)
+
+    @pytest.mark.parametrize("d,n_max", [(3, 9), (4, 6), (5, 5)])
+    def test_python_ints_give_the_same_rows(self, monkeypatch, d, n_max):
+        """Forced onto Python ints, every build has the same columns and
+        values, bit for bit."""
+        labels = [lam for n in range(1, n_max + 1) for lam in partitions_of(n, d)]
+        machine = [cg_closed(lam) for lam in labels]
+        monkeypatch.setattr(cg, "_EXACT", 0)
+        dtypes = _factor_dtypes(monkeypatch)
+        for lam, t in zip(labels, machine):
+            exact = cg_closed(lam)
+            assert np.array_equal(exact.cols, t.cols) and np.array_equal(exact.vals, t.vals), lam
+        assert set(dtypes) == {np.dtype(object)}
 
 
 class TestSparseRows:

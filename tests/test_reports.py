@@ -48,6 +48,8 @@ EXACT = {
     "cg-d4": ["cg", "--d", "4", "--lambda", "1,1,0,0"],
     "sample-iid-json": ["sample", "--stream", "iid.json", "--seed", "5",
                         "--trials", "4"],
+    "sample-iid-d3-json": ["sample", "--d", "3", "--stream", "iid_d3.json",
+                           "--seed", "7", "--trials", "3"],
     "schema": ["--schema"],
 }
 
