@@ -72,7 +72,8 @@ alone).  Their blocks have the same j, offsets and dims.  So cg_transform
 builds each transform once, at its reduced label, lam less min(lam_{d-1},
 lam_0 - 1) full columns, and every label with that reduced form gets its
 own entry, with its own lam and blocks, that shares the reduced entry's
-read-only coef or cols/vals.
+read-only coef or cols/vals.  Its blocks are the reduced entry's, each
+target moved by the full columns between the two labels (_shifted).
 """
 
 from __future__ import annotations
@@ -141,7 +142,7 @@ class CGTransform:
     def _relabel(self, lam: Partition) -> CGTransform:
         """This transform at lam, a label with the same reduced form: lam's
         own blocks, these rows, shared."""
-        return CGTransform(lam, _blocks_for(lam), self.cols, self.vals)
+        return CGTransform(lam, _shifted(self, lam), self.cols, self.vals)
 
     def _apply(self, x: np.ndarray, axis: int = 0) -> np.ndarray:
         """self (x) I_rest on axis `axis` of x, of length size * rest: slot
@@ -229,6 +230,14 @@ def _blocks_for(lam: Partition) -> list[Block]:
     return blocks
 
 
+def _shifted(t: Transform, lam: Partition) -> list[Block]:
+    """lam's blocks from t's, lam being t.lam plus c full columns (c may be
+    negative): the same j, offsets and dims, each target moved by c."""
+    c = lam.parts[0] - t.lam.parts[0]
+    return [Block(b.j, Partition(tuple(p + c for p in b.target.parts)), b.offset, b.dim)
+            for b in t.blocks]
+
+
 @dataclass
 class QubitCG:
     """The d=2 transform as rotations.  With a[r] = x[2r] and b[r] =
@@ -277,7 +286,7 @@ class QubitCG:
         """This transform at lam, a label with the same reduced form: lam's
         own blocks, this coef and its rotations, laid out now so that the
         two labels share one copy."""
-        t = QubitCG(lam, _blocks_for(lam), self.coef)
+        t = QubitCG(lam, _shifted(self, lam), self.coef)
         t.rotations = self.rotations
         return t
 

@@ -1,7 +1,7 @@
 """The streaming weak Schur sampling engine.
 
 Each step couples one new qudit in with a Clebsch-Gordan transform and
-measures the block label j.  Four execution modes share that step:
+measures the block label j.  Three execution modes share that step:
 
 * trajectory mode (`step` / `run_stream`): the simulated state is the
   dim Q^d_lam amplitude vector (or, for `step`, density matrix) itself,
@@ -12,16 +12,13 @@ measures the block label j.  Four execution modes share that step:
 * exhaustive branch enumeration (`branch_distribution`) over all
   measurement outcomes of a product-state stream;
 * full-state mode (`run_full_state`) applying each step's CG transform to
-  the leading qudits of a d^n state, which also handles entangled inputs;
-* register-level qubit mode (`register_run`, `register_branch_distribution`),
-  whose outcomes (`_register_outcomes`) lay the state out on an explicit
-  ceil(log2(2k+4))-qubit register, let the leading (L) qubit index j and
-  keep the qubits the width bookkeeping keeps.
+  the leading qudits of a d^n state, which also handles entangled inputs.
 
-The modes differ only in how they form one step's outcomes: `_outcomes`
-couples and projects, `_enumerate` walks every branch depth first and
-`_sample` draws one.  Register mode is one more outcomes function on the
-same walk and draw.
+The modes differ only in how they form one step's outcomes and what they
+do with them.  Trajectory mode and branch enumeration couple a
+product-state qudit in with `_product_outcomes`; full-state mode rotates
+the leading qudits of the whole state with `_outcomes`.  `_enumerate`
+walks every branch depth first, and `_sample` draws one.
 
 A step applies the CG transform with no dense matrix, through the two
 kernels that each transform format owns (see cg): `_apply` on the
@@ -39,9 +36,8 @@ import numpy as np
 from .cg import Transform, cg_transform
 from .errors import (InvalidInputError, NumericalCollapseError, check_budget,
                      check_state, check_stream)
-from .partitions import (LatticePath, Partition, dim_symmetric, dim_unitary,
-                         one_box, partitions_of)
-from .resources import qudit_width, removal
+from .partitions import (LatticePath, Partition, dim_symmetric, one_box,
+                         partitions_of)
 
 DEFAULT_PRUNE = 1e-12
 _TINY = np.finfo(float).tiny  # the smallest normal float
@@ -322,63 +318,3 @@ def run_full_state(state: np.ndarray, d: int,
         lambda k, lam, cur: _outcomes(cg_transform(lam), cur),
         prune, 0 if limit is not None else held)
 
-
-# ---------------------------------------------------------------------------
-# register-level qubit mode (Algorithm 2)
-
-PAD_TOL = 1e-12
-
-
-def _register_stream(stream: list[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
-    """The checked qubits of a register-mode stream, each a pure state, and
-    the first one on the register held after k = 1: 2^(qudit_width(1, 2)
-    - 1) = 4 amplitudes."""
-    stream = check_stream(stream, 2)
-    if any(_is_matrix(q) for q in stream):
-        raise InvalidInputError("register mode needs pure qubit states")
-    return stream, np.pad(stream[0], (0, 2))
-
-
-def _register_outcomes(k: int, lam: Partition, vec: np.ndarray, qubit: np.ndarray
-                       ) -> list[tuple[int, Partition, float, np.ndarray]]:
-    """One Algorithm-2 iteration on the explicit register after k qubits.
-    `vec` holds 2^(width-1) amplitudes, width = qudit_width(k, 2), of which
-    the leading dim Q^2_lam carry the state and the rest are zero padding.
-    The qubit is coupled in by the CG transform, the rearrangement lets the
-    leading (L) qubit index j, and each block comes back on top of the
-    register kept once L is measured: 2^(width - removal(k, 2)) amplitudes,
-    the half itself when L is discarded, else a zeroed 2^width register
-    (for j = 1 the step-6 permutation brings the block up)."""
-    width = qudit_width(k, 2)
-    if 2 * len(vec) != 2 ** width:
-        raise NumericalCollapseError(
-            f"register of {len(vec)} amplitudes after k={k} qubits, not 2^{width - 1}")
-    dimq = dim_unitary(lam)
-    if np.max(np.abs(vec[dimq:])) > PAD_TOL:
-        raise NumericalCollapseError("padding qubits are not exactly zero")
-    kept = 2 ** (width - removal(k, 2))
-    return [(j, target, p, np.pad(sub, (0, kept - len(sub))))
-            for j, target, p, sub in _product_outcomes(lam, vec[:dimq], qubit)]
-
-
-def register_run(stream: list[np.ndarray], seed: int = 0) -> RunResult:
-    """Register-level analogue of run_stream (d = 2, pure states only)."""
-    stream, vec = _register_stream(stream)
-    rng = make_rng(seed)
-    lam, path = one_box(2), []
-    for k in range(1, len(stream)):
-        (j, lam, p, sub), _ = _sample(_register_outcomes(k, lam, vec, stream[k]), rng)
-        vec = _normalized(sub, p)
-        path.append(j)
-    return RunResult(lam=lam, path=LatticePath(tuple(path)), amplitudes=vec)
-
-
-def register_branch_distribution(stream: list[np.ndarray],
-                                 prune: float = DEFAULT_PRUNE) -> BranchDistribution:
-    """Exhaustive branch enumeration in register mode, for cross-checking
-    the abstract mode's measurement law."""
-    stream, root = _register_stream(stream)
-    return _enumerate(
-        2, len(stream), root,
-        lambda k, lam, vec: _register_outcomes(k, lam, vec, stream[k]),
-        prune)

@@ -22,8 +22,8 @@ from schurstream.partitions import (Partition, add_box, dim_symmetric,
                                     dim_unitary, one_box, partitions_of,
                                     valid_rows)
 from schurstream.resources import qubit_gate_count, qudit_m_sum, two_level_total
-from schurstream.sampler import (branch_distribution, register_branch_distribution,
-                                 register_run, _register_outcomes, run_full_state)
+from register_mode import _register_outcomes, register_branch_distribution, register_run
+from schurstream.sampler import branch_distribution, run_full_state
 
 
 def _emit(criterion: int, ok: bool, detail: str) -> None:

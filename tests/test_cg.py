@@ -539,3 +539,47 @@ class TestSharedRows:
         assert cg_transform(shifted, mixed=True) is t
         assert list(cg._cache) == [shifted.parts]
         assert cg._cache_bytes == t._held_bytes() == base._held_bytes()
+
+    @pytest.mark.parametrize("d,n_max", [(2, 12), (3, 12), (4, 8), (5, 6)])
+    def test_relabelled_blocks_equal_the_built_ones(self, monkeypatch, d, n_max):
+        """Every label that is not its own reduced label gets the blocks
+        _blocks_for would build for it, field by field, from its reduced
+        entry's blocks: _blocks_for runs once per build and never for a
+        relabel."""
+        blocks_for, calls = cg._blocks_for, []
+        monkeypatch.setattr(cg, "_blocks_for", lambda lam: calls.append(lam) or blocks_for(lam))
+        shifted = [lam for n in range(1, n_max + 1) for lam in partitions_of(n, d)
+                   if cg._reduced(lam) != lam]
+        assert shifted
+        for lam in shifted:
+            t = cg_transform(lam)
+            assert t.lam == lam
+            assert t.blocks == blocks_for(lam), lam
+        assert sorted(calls) == sorted({cg._reduced(lam) for lam in shifted})
+
+    @pytest.mark.parametrize("parts,other", [((20, 0), (9, 0)), ((2, 1, 0), (3, 1, 0)),
+                                             ((2, 1, 0, 0), (3, 0, 0, 0))])
+    def test_entry_kept_through_an_eviction_has_the_reduced_blocks(
+            self, monkeypatch, parts, other):
+        """A density-matrix lookup that keeps a shared label whose reduced
+        entry is gone makes that entry again from the label's own: the
+        reduced label's blocks, field by field, and the same arrays."""
+        budget = errors.MEMORY_BUDGET
+        base = Partition(parts)
+        shifted = _plus_columns(base, 2)
+        t = cg_transform(shifted)
+        step_room = cg._step_bytes(t.size)
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", t._held_bytes() + 4095 + step_room)
+        assert cg_transform(shifted, mixed=True) is t
+        assert list(cg._cache) == [shifted.parts]  # kept alone
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", budget)
+        cg_transform(Partition(other))
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", t._held_bytes() + 4096 + step_room)
+        assert cg_transform(shifted, mixed=True) is t
+        assert sorted(cg._cache) == sorted([shifted.parts, base.parts])
+        kept = cg._cache[base.parts]
+        assert kept.lam == base
+        assert kept.blocks == cg._blocks_for(base)
+        arrays = ("coef", "rotations") if base.d == 2 else ("cols", "vals")
+        for name in arrays:
+            assert getattr(kept, name) is getattr(t, name)

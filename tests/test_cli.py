@@ -13,8 +13,8 @@ import pytest
 from schurstream import cg, cli, errors
 from schurstream.cli import run
 from schurstream.partitions import Partition
-from schurstream.sampler import (_leaf_bytes, init_state, register_branch_distribution,
-                                 step)
+from register_mode import register_branch_distribution
+from schurstream.sampler import _leaf_bytes, init_state, step
 
 IID_MIXED_N3 = {"iid": {"rho": [[0.5, 0], [0, 0.5]], "n": 3}}
 ZEROS_N5 = [[1, 0]] * 5

@@ -17,12 +17,11 @@ from schurstream.oracle import schur_transform, weak_schur_probs
 from schurstream.partitions import (LatticePath, Partition, dim_symmetric,
                                     dim_unitary, one_box, partitions_of)
 from schurstream.resources import qudit_width
+from register_mode import _register_outcomes, register_branch_distribution, register_run
 from schurstream.sampler import (InvalidInputError, NumericalCollapseError,
                                  _leaf_bytes, branch_distribution,
-                                 init_state, register_branch_distribution,
-                                 register_run, run_full_state, run_stream, step,
-                                 _couple, _outcomes, _product_outcomes,
-                                 _register_outcomes)
+                                 init_state, run_full_state, run_stream, step,
+                                 _couple, _outcomes, _product_outcomes)
 
 KET0 = np.array([1.0, 0.0])
 KET1 = np.array([0.0, 1.0])

@@ -39,3 +39,26 @@ def test_sampler_does_not_read_the_transform_formats():
                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                   and node.func.id in ("isinstance", "type")]
         assert checks == [], f"{name}: type tests on lines {checks}"
+
+
+def test_register_mode_stays_in_the_tests():
+    """Register mode (Algorithm 2 on an explicit qubit register) is a test
+    harness, tests/register_mode.py: the sampler imports nothing from
+    resources, and no name in the package starts with register_."""
+    sampler = ast.parse((SRC[0].parent / "sampler.py").read_text())
+    edges = [node.lineno for node in ast.walk(sampler)
+             if isinstance(node, ast.ImportFrom)
+             and (node.module or "").split(".")[-1] == "resources"
+             or isinstance(node, ast.alias) and node.name.split(".")[-1] == "resources"]
+    assert edges == [], f"sampler.py imports from resources on lines {edges}"
+    for path in SRC:
+        names = []
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.append((node.lineno, node.name))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names.append((node.lineno, node.id))
+            elif isinstance(node, ast.alias):
+                names.append((node.lineno, node.asname or node.name))
+        found = [(line, name) for line, name in names if name.startswith("register_")]
+        assert found == [], f"{path.name}: register-mode names {found}"
