@@ -4,8 +4,9 @@ its byte estimate against.
 
 The state check reads a density matrix a block of rows at a time, so it
 holds about 1 MiB of temporaries beside its input (and the complex copy of
-a real one) at any size.  The CLI maps `InvalidInputError` (and every
-other `ValueError`) to exit code 1, and `SizeLimitError` to exit code 2.
+a real one, unless the caller keeps it real) at any size.  The CLI maps
+`InvalidInputError` (and every other `ValueError`) to exit code 1, and
+`SizeLimitError` to exit code 2.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def _row_blocks(dim: int):
     return [slice(i, i + rows) for i in range(0, dim, rows)]
 
 
-def check_state(state, dim: int) -> np.ndarray:
+def check_state(state, dim: int, *, keep_real: bool = False) -> np.ndarray:
     """`state` as a complex array once it is checked to be a state on C^dim:
     a unit vector of length dim, or a dim x dim density matrix that is
     Hermitian, has trace 1 and no eigenvalue below -STATE_TOL.  Every
@@ -63,8 +64,13 @@ def check_state(state, dim: int) -> np.ndarray:
     |rho_ij - conj rho_ji|, the numbers a whole-array pass gives, with
     about 1 MiB of temporaries.  Entries are searched for a non-finite one
     only when those sums are not finite (a finite input can overflow them);
-    one is still reported before any other fault."""
-    state = np.asarray(state, dtype=complex)
+    one is still reported before any other fault.
+
+    With `keep_real`, a real input is checked and returned as float64,
+    with no complex copy (16 dim^2 bytes of a density matrix)."""
+    state = np.asarray(state)
+    real = keep_real and state.dtype.kind in "biuf"
+    state = np.asarray(state, dtype=float if real else complex)
     if state.ndim == 1:
         squared = float(np.vdot(state, state).real)
         if not math.isfinite(squared) and not np.isfinite(state).all():
@@ -80,13 +86,15 @@ def check_state(state, dim: int) -> np.ndarray:
         raise InvalidInputError(f"density matrix shape {state.shape} != ({dim}, {dim})")
     # each block's deviation runs over j from its first row on, which
     # meets every pair (i, j) once; a non-finite or overflowing entry is
-    # reported after the pass, so its arithmetic here warns of nothing
+    # reported after the pass, so its arithmetic here warns of nothing.
+    # np.conjugate always makes a new array: a real array's .conj() is
+    # the array itself, and the subtraction would overwrite the input
     sums, deviation = np.empty(dim), 0.0
     with np.errstate(invalid="ignore", over="ignore"):
         for rows in _row_blocks(dim):
             block = state[rows]
             sums[rows] = np.abs(block).sum(axis=1)
-            diff = state[rows.start:, rows].T.conj()
+            diff = np.conjugate(state[rows.start:, rows].T)
             np.subtract(block[:, rows.start:], diff, out=diff)
             deviation = max(deviation, float(np.abs(diff).max()))
             del diff  # before the next block's temporaries

@@ -29,10 +29,11 @@ chain of reduced Wigner factors per GT pattern in plain Python ints, that
 `two_level_total_by_sum` sums the qubit two-level bound term by term.
 `perm_rep` and `tensor_rep` are the S_n and U^(x)n actions on the d^n
 space that the symmetry checks apply.  `super_cg` is one level of the
-oracle's Schur transform as a single block-diagonal matrix, and
-`rows_for_path`, `copy_projector` and `path_probs` read single copies of
-an irrep off that transform.  `haar_unitary` and `haar_state` draw the
-random unitaries and pure states that the tests feed in.
+oracle's Schur transform as a single block-diagonal matrix,
+`isotypic_projector` is the dense D x D projector onto one label's rows of
+that transform, and `rows_for_path`, `copy_projector` and `path_probs`
+read single copies of an irrep off it.  `haar_unitary` and `haar_state`
+draw the random unitaries and pure states that the tests feed in.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ import scipy.linalg as sla
 
 from schurstream.cg import (UNITARITY_TOL, Block, DegeneracyError, _blocks_for,
                             cg_transform)
-from schurstream.oracle import SchurUnitary, _as_density, _schur_diagonal, schur_transform
+from schurstream.errors import check_state
+from schurstream.oracle import SchurUnitary, _schur_diagonal, schur_transform
 from schurstream.partitions import LatticePath, Partition, dim_unitary
 from schurstream.resources import givens_decompose
 
@@ -548,6 +550,12 @@ def super_cg(k: int, d: int) -> np.ndarray:
                             for s in schur_transform(k, d).sectors))
 
 
+def isotypic_projector(su: SchurUnitary, lam: Partition) -> np.ndarray:
+    """Pi^Std_lam = U^T Pi^Sch_lam U, real symmetric."""
+    sel = su.matrix[su.rows_for(lam), :]
+    return sel.T @ sel
+
+
 def rows_for_path(su: SchurUnitary, lam: Partition, path: LatticePath) -> list[int]:
     """The rows of U_Sch that carry the copy of Q^d_lam reached along `path`."""
     for s in su.sectors:
@@ -564,8 +572,7 @@ def copy_projector(su: SchurUnitary, lam: Partition, path: LatticePath) -> np.nd
 
 def path_probs(rho: np.ndarray, su: SchurUnitary) -> dict[tuple[Partition, tuple[int, ...]], float]:
     """tr[rho Pi^Std_{lam, p_lam}] for every copy, keyed by (lam, path)."""
-    rho = _as_density(rho, su.d ** su.n)
-    diag = _schur_diagonal(rho, su)
+    diag = _schur_diagonal(check_state(rho, su.d ** su.n), su)
     out = {}
     for s in su.sectors:
         out[(s.lam, s.path)] = float(np.sum(diag[s.offset:s.offset + s.dim]))

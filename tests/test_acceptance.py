@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 from cg_reference import (cg_givens_count, cg_numeric, enumerate_paths,
-                          haar_state, haar_unitary, irrep_unitary, path_probs,
-                          perm_rep, tensor_rep, two_level_total_by_sum)
+                          haar_state, haar_unitary, irrep_unitary,
+                          isotypic_projector, path_probs, perm_rep, tensor_rep,
+                          two_level_total_by_sum)
 from schurstream.cg import cg_qubit, cg_transform
 from schurstream.cli import run as cli_run
-from schurstream.oracle import isotypic_projector, schur_transform, weak_schur_probs
+from schurstream.oracle import schur_transform, weak_schur_probs
 from schurstream.partitions import (Partition, add_box, dim_symmetric,
                                     dim_unitary, one_box, partitions_of,
                                     valid_rows)

@@ -200,7 +200,7 @@ class TestEstimatesAreUpperBounds:
         peak, dist = traced_peak(run_full_state, state, 2)
         assert peak <= 64 * state.size + len(dist.entries) * _leaf_bytes(n)
 
-    @pytest.mark.parametrize("d,n", [(2, 8), (3, 5)])
+    @pytest.mark.parametrize("d,n", [(2, 8), (3, 5), (400, 1)])
     def test_oracle(self, tmp_path, d, n):
         argv = ["oracle", "--d", str(d), "--n", str(n),
                 "--compare", iid_mixed(tmp_path, n, d)]

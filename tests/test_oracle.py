@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from cg_reference import (copy_projector, enumerate_paths, haar_unitary,
-                          path_probs, perm_rep, rows_for_path, super_cg,
-                          tensor_rep)
+from cg_reference import (copy_projector, enumerate_paths, gt_patterns, haar_unitary,
+                          isotypic_projector, path_probs, pattern_weight, perm_rep,
+                          rows_for_path, super_cg, tensor_rep)
 from schurstream import errors
 from schurstream.cg import cg_qubit
 from schurstream.errors import InvalidInputError, SizeLimitError
-from schurstream.oracle import (_schur_diagonal, isotypic_projector, schur_transform,
+from schurstream.oracle import (SchurUnitary, _schur_diagonal, schur_transform,
                                 weak_schur_probs)
 from schurstream.partitions import (LatticePath, Partition, dim_symmetric,
                                     dim_unitary, one_box, partitions_of,
@@ -188,6 +188,80 @@ class TestWeakSchurProbs:
         u = su.matrix
         want = np.real(np.diag(u @ rho @ u.conj().T))
         assert np.max(np.abs(_schur_diagonal(rho, su) - want)) <= 1e-15
+
+
+def letter_counts(index, n, d):
+    """How often each letter a < d appears in basis state `index` of n qudits."""
+    digits = np.base_repr(index, d).zfill(n)
+    return tuple(digits.count(str(a)) for a in range(d))
+
+
+def full_rank_density(size, rng):
+    """A random full-rank complex density matrix: every entry is nonzero,
+    so rho holds coherences between every pair of weight blocks."""
+    a = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho)
+
+
+class TestWeightBlocks:
+    @pytest.mark.parametrize("n,d", [(8, 2), (4, 3), (3, 4)])
+    def test_blocked_routes_equal_the_dense_two_route_reference(self, n, d):
+        """Both routes, run a weight block at a time, give what the dense
+        D x D products give: tr(rho Pi^Std_lam) and diag(U rho U^T)."""
+        rng = np.random.default_rng(100 * n + d)
+        size = d ** n
+        rho = full_rank_density(size, rng)
+        su = schur_transform(n, d)
+        u = su.matrix
+        want = np.real(np.diag(u @ rho @ u.T))
+        assert np.max(np.abs(_schur_diagonal(rho, su) - want)) <= 1e-15
+        for lam, p in weak_schur_probs(rho, su).items():
+            assert abs(p - np.trace(rho @ isotypic_projector(su, lam)).real) <= 1e-15
+
+    @pytest.mark.parametrize("n,d", [(8, 2), (4, 3)])
+    def test_vector_equals_its_density_matrix(self, n, d):
+        rng = np.random.default_rng(n + 10 * d)
+        size = d ** n
+        v = rng.normal(size=size) + 1j * rng.normal(size=size)
+        v /= np.linalg.norm(v)
+        su = schur_transform(n, d)
+        rho = np.outer(v, v.conj())
+        assert np.max(np.abs(_schur_diagonal(v, su) - _schur_diagonal(rho, su))) <= 1e-15
+        pure, mixed = weak_schur_probs(v, su), weak_schur_probs(rho, su)
+        assert all(abs(pure[lam] - mixed[lam]) <= 1e-15 for lam in mixed)
+
+    @pytest.mark.parametrize("n,d", [(4, 2), (3, 3)])
+    def test_a_nonzero_outside_its_weight_block_is_refused(self, n, d):
+        """One entry of U moved to a column of another weight, in its own
+        row, keeps U's nonzero count and is refused."""
+        su = schur_transform(n, d)
+        matrix = su.matrix.copy()
+        r, c = np.argwhere(matrix != 0)[1]
+        other = next(k for k in range(d ** n)
+                     if letter_counts(k, n, d) != letter_counts(c, n, d))
+        matrix[r, other], matrix[r, c] = matrix[r, c], 0.0
+        moved = SchurUnitary(matrix=matrix, sectors=su.sectors)
+        mixed = np.eye(d ** n) / d ** n
+        with pytest.raises(AssertionError, match="^U_Sch has 1 nonzeros outside its weight"):
+            weak_schur_probs(mixed, moved)
+        with pytest.raises(AssertionError, match="outside its weight blocks"):
+            _schur_diagonal(mixed, moved)
+
+    @pytest.mark.parametrize("n,d", [(6, 2), (4, 3), (3, 4), (1, 3)])
+    def test_row_weight_is_the_letter_count_of_its_columns(self, n, d):
+        """Each row's GT weight, read off the reference patterns, counts
+        the letters of every basis state its row of U touches."""
+        su = schur_transform(n, d)
+        weight = {}
+        for s in su.sectors:
+            for i, pat in enumerate(gt_patterns(s.lam)):
+                weight[s.offset + i] = pattern_weight(pat)
+        for r, c in np.argwhere(su.matrix != 0):
+            assert weight[r] == letter_counts(c, n, d)
+        blocks = su.weight_blocks
+        assert sorted(np.concatenate([r for r, _, _ in blocks])) == list(range(d ** n))
+        assert sorted(np.concatenate([c for _, c, _ in blocks])) == list(range(d ** n))
 
 
 class TestGroupActions:

@@ -42,6 +42,10 @@ def whole_array_check(state, dim):
     return state
 
 
+def check_kept_real(state, dim):
+    return check_state(state, dim, keep_real=True)
+
+
 def verdict(check, state, dim):
     try:
         check(state, dim)
@@ -111,6 +115,28 @@ def test_verdicts_match_the_whole_array_check(dim):
                 "density matrix not positive semidefinite"} <= seen
 
 
+@pytest.mark.parametrize("dim", [2, 1000])
+def test_a_real_input_kept_real_gets_the_same_verdicts_and_stays_as_it_was(dim):
+    """Every case whose entries are all real, checked as float64, gets the
+    whole-array verdict and is left unchanged: a real array's .conj() is
+    the array itself, so a subtraction into it would overwrite the input."""
+    seen = set()
+    for name, rho in cases(dim):
+        if np.iscomplexobj(rho) and rho.imag.any():
+            continue
+        real, before = np.array(rho.real), np.array(rho.real)
+        want = verdict(whole_array_check, real, dim)
+        assert verdict(check_kept_real, real, dim) == want, name
+        assert np.array_equal(real, before, equal_nan=True), name
+        seen.add(want)
+    assert {"ok", "state has a non-finite entry", "density matrix trace != 1",
+            "density matrix not Hermitian",
+            "density matrix not positive semidefinite"} <= seen
+    mixed = np.eye(dim) / dim
+    assert check_kept_real(mixed, dim).dtype == np.float64
+    assert check_state(mixed, dim).dtype == np.complex128
+
+
 def test_an_overflowing_row_sum_is_not_a_non_finite_entry():
     """Finite entries near the float limit make the row sums infinite;
     the check then looks at the entries, and reports the trace."""
@@ -133,11 +159,13 @@ def traced_added(fn, *args):
 
 def test_temporaries_stay_near_one_mebibyte():
     """At D = 1024 a complex input adds at most 2 MiB; a float input adds
-    its complex copy, 16 D^2, and at most 2 MiB beside it."""
+    its complex copy, 16 D^2, and at most 2 MiB beside it, unless it is
+    kept real."""
     dim = 1024
     mixed = np.eye(dim) / dim
     assert traced_added(check_state, mixed.astype(complex), dim) <= 2 << 20
     assert traced_added(check_state, mixed, dim) <= 16 * dim * dim + (2 << 20)
+    assert traced_added(check_kept_real, mixed, dim) <= 2 << 20
 
 
 @pytest.mark.parametrize("vector,dim,says", [
