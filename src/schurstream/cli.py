@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 validation error, 2 over the memory budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import os
@@ -25,7 +26,7 @@ from . import __version__
 from .cg import cg_transform, verify_sparsity
 from .errors import (InvalidInputError, SizeLimitError, check_budget, check_state,
                      check_stream)
-from .oracle import schur_transform, weak_schur_probs
+from .oracle import check_size, schur_transform, weak_schur_probs
 from .partitions import LatticePath, Partition, dim_unitary
 from .resources import (check_profile, memory_profile, peak_width, qubit_gate_count,
                         qudit_gate_bound, two_level_total)
@@ -195,8 +196,7 @@ def cmd_dist(args) -> str:
 
 def cmd_full(args) -> str:
     state = load_state(args.state)
-    return _emit_dist(args, run_full_state(state, args.d, prune=args.prune,
-                                           limit=args.limit))
+    return _emit_dist(args, run_full_state(state, args.d, prune=args.prune))
 
 
 def cmd_oracle(args) -> str:
@@ -218,7 +218,12 @@ def cmd_oracle(args) -> str:
             state = check_state(state, args.d ** min(args.n, 64))
         except InvalidInputError as e:
             raise InvalidInputError(f"state file: {e}") from e
-    su = schur_transform(args.n, args.d, limit=args.limit)
+    if args.compare and args.format == "json":
+        # the oracle's estimate, then the walk under its own, so that either
+        # refusal comes before the D^3 work and the walk never runs beside U
+        check_size(args.n, args.d)
+        marg = branch_distribution(stream, args.d).marginal
+    su = schur_transform(args.n, args.d)
     size = args.d ** args.n
     # I/D is passed, not held: the oracle takes it as its own Re rho
     probs = weak_schur_probs(np.eye(size) / size if state is None else state, su)
@@ -226,7 +231,6 @@ def cmd_oracle(args) -> str:
         return _csv(["lambda", "probability"], probs.items())
     body = {"marginal": {str(lam): p for lam, p in probs.items()}}
     if args.compare:
-        marg = branch_distribution(stream, args.d).marginal
         body["sampler_marginal"] = {str(lam): p for lam, p in marg.items()}
         body["max_deviation"] = max(abs(marg.get(lam, 0.0) - p)
                                     for lam, p in probs.items())
@@ -276,6 +280,7 @@ def cmd_resources(args) -> str:
     })
 
 
+@functools.cache  # parse_args fills a new namespace on every call
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="schur",
                                 description="streaming weak Schur sampling tools")
@@ -304,14 +309,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("full", help="full-state simulation (entangled inputs)")
     common(sp, state=True)
     sp.add_argument("--prune", type=float, default=DEFAULT_PRUNE)
-    sp.add_argument("--limit", type=int, default=None)
 
     sp = sub.add_parser("oracle", help="brute-force distribution, optional compare")
     common(sp)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--state", default=None)
     sp.add_argument("--compare", default=None)
-    sp.add_argument("--limit", type=int, default=None)
 
     sp = sub.add_parser("cg", help="emit a Clebsch-Gordan transform")
     common(sp, formats=("json",))

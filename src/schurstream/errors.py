@@ -31,18 +31,12 @@ class NumericalCollapseError(RuntimeError):
     """All branch probabilities vanished; the state is corrupted."""
 
 
-def check_budget(request: str, estimate: int, n: int = 0,
-                 limit: int | None = None) -> None:
+def check_budget(request: str, estimate: int) -> None:
     """Refuse `request` when `estimate`, the bytes it will hold, is over
-    MEMORY_BUDGET; an explicit `limit` (at least 1) replaces the budget by
-    n <= limit."""
-    if limit is not None and limit < 1:
-        raise InvalidInputError(f"limit={limit}: need limit >= 1")
-    if limit is None and estimate > MEMORY_BUDGET:
+    MEMORY_BUDGET."""
+    if estimate > MEMORY_BUDGET:
         raise SizeLimitError(f"{request} needs about {estimate} bytes, over the "
                              f"memory budget of {MEMORY_BUDGET} bytes")
-    if limit is not None and n > limit:
-        raise SizeLimitError(f"{request}: n={n} exceeds the limit {limit}")
 
 
 def _row_blocks(dim: int):

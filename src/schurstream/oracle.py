@@ -21,21 +21,29 @@ from functools import cached_property
 
 import numpy as np
 
-from .cg import cg_transform
+from .cg import _build_bytes, cg_transform
 from .errors import check_budget, check_state
 from .gt_basis import enumerate_gt
 from .partitions import Partition, one_box, partitions_of
 
 
 def _transform_bytes(n: int, d: int) -> int:
-    """Bytes the oracle on D = d^n holds with its report.  Tracemalloc
-    reads 17-19 D^2 for a whole `oracle --compare` call at D = 729 to
-    2187, at the last level's build (its rows beside their stacked copy)
-    or at the weight-block products (U and I/D, which is checked as it
-    is, and the blocks), and 25-26 D^2 at D = 256 and 243; 96 D^2 is
-    kept, so no refusal moves.  d^64 is over any budget, so the power
-    stops there."""
-    return 96 * d ** (2 * min(n, 64))
+    """Bytes the oracle on D = d^n holds with its inputs and report, with
+    headroom, plus at n >= 2 the estimate of a CG build of side D.  Whole
+    cold `oracle --compare` calls trace 16-20 D^2 at D = 1000 to 4913
+    (n >= 3), at the weight-block products; at most 3 MiB to D = 256; 90
+    d^2 at n = 1, the d x d rho parsed from JSON.  At n = 2 (d = 58, no
+    walk): 39 D^2 cold, the build's cached row-step tables (16 d^4) beside
+    22 D^2.  The walk runs before U, under the CG layer's own estimates.
+    d^64 is over any budget, so the power stops there."""
+    size = d ** min(n, 64)
+    return 32 * size * size + 128 * d * d + (1 << 24) + (n > 1) * _build_bytes(d, size)
+
+
+def check_size(n: int, d: int) -> None:
+    """Refuse the oracle on d^n dimensions when its estimate is over the
+    memory budget."""
+    check_budget(f"oracle for n={n}, d={d}", _transform_bytes(n, d))
 
 
 @dataclass(frozen=True)
@@ -93,15 +101,6 @@ class SchurUnitary:
                                  f"nonzeros outside its weight blocks")
         return blocks
 
-    def rows_for(self, lam: Partition) -> list[int]:
-        out = []
-        for s in self.sectors:
-            if s.lam == lam:
-                out.extend(range(s.offset, s.offset + s.dim))
-        if not out:
-            raise KeyError(f"no rows for {lam} in U_Sch({self.n})")
-        return out
-
 
 def _pattern_weights(lam: Partition) -> np.ndarray:
     """The weight of each GT pattern of lam, in enumerate_gt's order: letter
@@ -116,30 +115,33 @@ def _pattern_weights(lam: Partition) -> np.ndarray:
     return -np.diff(sums, axis=1, append=0)[:, ::-1]
 
 
-def schur_transform(n: int, d: int, limit: int | None = None) -> SchurUnitary:
+def schur_transform(n: int, d: int) -> SchurUnitary:
     """U_Sch(n) = S(n-1) (S(n-2) (x) I_d) ... (S(1) (x) I_d^(n-2)), one level at
     a time: S(k) is block diagonal over the sectors, one CG transform each,
-    whose dense matrix is formed once per distinct label of the level."""
+    whose dense matrix is formed once per distinct label of the level.  A
+    sector's rows are written into the level's one array as they are made."""
     if n < 1:
         raise ValueError("n >= 1 required")
-    check_budget(f"oracle for n={n}, d={d}", _transform_bytes(n, d), n, limit)
+    check_size(n, d)
     u = np.eye(d)
     sectors = [Sector(lam=one_box(d), path=(), offset=0, dim=d)]
     for _ in range(n - 1):
-        rows, spawned, level = [], [], {}
+        side = len(u)
+        out, spawned, level = np.empty((side * d, side * d)), [], {}
         for s in sectors:
             if s.lam not in level:
                 t = cg_transform(s.lam)
                 level[s.lam] = t, t.matrix.reshape(t.size, s.dim, d)
             t, matrix = level[s.lam]
-            # t (u_s (x) I_d) without the kron: contract t's (a, e) columns
-            # with u_s's rows a, then order the columns (c, e)
-            part = np.tensordot(matrix, u[s.offset:s.offset + s.dim], axes=(1, 0))
-            rows.append(part.transpose(0, 2, 1).reshape(t.size, -1))
+            # t (u_s (x) I_d) without the kron or a copy of t's matrix: t's
+            # columns (a, e) with u_s's rows a give the columns (c, e), per e
+            rows = out[s.offset * d:(s.offset + s.dim) * d].reshape(t.size, side, d)
+            for e in range(d):
+                rows[:, :, e] = matrix[:, :, e] @ u[s.offset:s.offset + s.dim]
             spawned.extend(Sector(lam=b.target, path=s.path + (b.j,),
                                   offset=s.offset * d + b.offset, dim=b.dim)
                            for b in t.blocks)
-        u, sectors = np.vstack(rows), spawned
+        u, sectors = out, spawned
     return SchurUnitary(matrix=u, sectors=sectors)
 
 

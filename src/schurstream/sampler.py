@@ -107,7 +107,7 @@ def _sample(outcomes: list, rng: np.random.Generator) -> tuple[tuple, float]:
     """Inverse-CDF draw over `outcomes` in order (j ascending), weighted by
     their third field; returns the drawn outcome and its probability."""
     total = sum(o[2] for o in outcomes)
-    if total < 1e-12:
+    if not total >= 1e-12:
         raise NumericalCollapseError("all branch probabilities below 1e-12")
     r = rng.random() * total
     acc = 0.0
@@ -117,7 +117,7 @@ def _sample(outcomes: list, rng: np.random.Generator) -> tuple[tuple, float]:
         if r < acc:
             chosen = o
             break
-    if chosen[2] < 1e-12:
+    if not chosen[2] >= 1e-12:
         raise NumericalCollapseError("sampled branch has vanishing probability")
     return chosen, chosen[2] / total
 
@@ -202,10 +202,11 @@ class StreamState:
         return _is_matrix(self.amplitudes)
 
     def check(self) -> None:
+        """Refuse a state whose trace or norm has drifted from 1, or is NaN."""
         if self.mixed:
-            if abs(np.trace(self.amplitudes).real - 1.0) > 1e-9:
+            if not abs(np.trace(self.amplitudes).real - 1.0) <= 1e-9:
                 raise NumericalCollapseError("state trace drifted from 1")
-        elif abs(math.sqrt(np.vdot(self.amplitudes, self.amplitudes).real) - 1.0) > 1e-9:
+        elif not abs(math.sqrt(np.vdot(self.amplitudes, self.amplitudes).real) - 1.0) <= 1e-9:
             raise NumericalCollapseError("state norm drifted from 1")
 
 
@@ -292,8 +293,7 @@ def branch_distribution(stream: list[np.ndarray], d: int,
 
 
 def run_full_state(state: np.ndarray, d: int,
-                   prune: float = DEFAULT_PRUNE,
-                   limit: int | None = None) -> BranchDistribution:
+                   prune: float = DEFAULT_PRUNE) -> BranchDistribution:
     """Couple the qudits of a full d^n state (vector or density matrix) in
     one by one, each CG transform acting on the leading qudits and the
     identity on the rest, enumerating all branches; handles entangled
@@ -311,10 +311,10 @@ def run_full_state(state: np.ndarray, d: int,
     # about 1 MiB: measured 3.0 to 3.3 times the state on top of it (a
     # density matrix at n=9 and 10, a vector at n=14 and 16)
     held = 64 * state.size
-    check_budget(f"full state of n={n}, d={d}", held, n, limit)
+    check_budget(f"full state of n={n}, d={d}", held)
     state = check_state(state, size)
     return _enumerate(
         d, n, state,
         lambda k, lam, cur: _outcomes(cg_transform(lam), cur),
-        prune, 0 if limit is not None else held)
+        prune, held)
 

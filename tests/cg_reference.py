@@ -31,9 +31,10 @@ chain of reduced Wigner factors per GT pattern in plain Python ints, that
 space that the symmetry checks apply.  `super_cg` is one level of the
 oracle's Schur transform as a single block-diagonal matrix,
 `isotypic_projector` is the dense D x D projector onto one label's rows of
-that transform, and `rows_for_path`, `copy_projector` and `path_probs`
-read single copies of an irrep off it.  `haar_unitary` and `haar_state`
-draw the random unitaries and pure states that the tests feed in.
+that transform, `rows_for` lists one label's rows of it, and
+`rows_for_path`, `copy_projector` and `path_probs` read single copies of
+an irrep off it.  `haar_unitary` and `haar_state` draw the random
+unitaries and pure states that the tests feed in.
 """
 
 from __future__ import annotations
@@ -550,9 +551,20 @@ def super_cg(k: int, d: int) -> np.ndarray:
                             for s in schur_transform(k, d).sectors))
 
 
+def rows_for(su: SchurUnitary, lam: Partition) -> list[int]:
+    """The rows of U_Sch that carry every copy of Q^d_lam."""
+    out = []
+    for s in su.sectors:
+        if s.lam == lam:
+            out.extend(range(s.offset, s.offset + s.dim))
+    if not out:
+        raise KeyError(f"no rows for {lam} in U_Sch({su.n})")
+    return out
+
+
 def isotypic_projector(su: SchurUnitary, lam: Partition) -> np.ndarray:
     """Pi^Std_lam = U^T Pi^Sch_lam U, real symmetric."""
-    sel = su.matrix[su.rows_for(lam), :]
+    sel = su.matrix[rows_for(su, lam), :]
     return sel.T @ sel
 
 

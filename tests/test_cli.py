@@ -12,6 +12,7 @@ import pytest
 
 from schurstream import cg, cli, errors
 from schurstream.cli import run
+from schurstream.oracle import _transform_bytes
 from schurstream.partitions import Partition
 from register_mode import register_branch_distribution
 from schurstream.sampler import _leaf_bytes, init_state, step
@@ -70,6 +71,16 @@ class TestSample:
         report = json.loads(out)
         assert report["lambda"] == "5,0"
         assert report["path"] == "0,0,0,0"
+
+    def test_a_parsed_option_does_not_leak_into_the_next_call(self, zeros_file):
+        """The parser is built once per process; each call starts from the
+        defaults."""
+        assert cli.build_parser() is cli.build_parser()
+        _, out = run(["sample", "--stream", zeros_file, "--seed", "5"])
+        assert json.loads(out)["seed"] == 5
+        _, out = run(["sample", "--stream", zeros_file])
+        assert json.loads(out)["seed"] == 0
+        assert json.loads(out)["config"]["seed"] == 0
 
     def test_trials_fan_out(self, zeros_file):
         _, out = run(["sample", "--d", "2", "--stream", zeros_file,
@@ -131,6 +142,23 @@ class TestOracle:
             code, out = run(["oracle", "--n", "3", "--compare", stream])
             assert code == 1
             assert says in json.loads(out)["error"]
+
+    def test_compare_walk_is_refused_before_the_transform(self, tmp_path, monkeypatch):
+        """At d=40, n=2 a budget of the oracle's estimate admits U but not
+        the compare walk's density-matrix step of side 1600, which is
+        refused before U is built."""
+        def transform(*args, **kwargs):
+            raise AssertionError("the compare walk runs first")
+
+        monkeypatch.setattr(cli, "schur_transform", transform)
+        monkeypatch.setattr(cg, "_cache", {})
+        monkeypatch.setattr(cg, "_cache_bytes", 0)
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", _transform_bytes(2, 40))
+        p = tmp_path / "iid.json"
+        p.write_text(json.dumps({"iid": {"rho": (np.eye(40) / 40).tolist(), "n": 2}}))
+        code, out = run(["oracle", "--d", "40", "--n", "2", "--compare", str(p)])
+        assert code == 2
+        assert "density-matrix step of side 1600" in json.loads(out)["error"]
 
     @pytest.mark.parametrize("flag,data,says", [
         ("--compare", [[1, 1], [1, 0], [1, 0]],
@@ -295,10 +323,10 @@ class TestContract:
         assert cg._cache == {}
 
     def test_oracle_size_limit_exit_2(self):
-        code, _ = run(["oracle", "--d", "2", "--n", "12"])
+        code, _ = run(["oracle", "--d", "2", "--n", "13"])
         assert code == 2
 
-    @pytest.mark.parametrize("n", ["12", "1000000000"])
+    @pytest.mark.parametrize("n", ["12", "13", "1000000000"])
     def test_oracle_unphysical_state_exit_1_over_the_limit(self, tmp_path, n):
         p = tmp_path / "state.json"
         p.write_text(json.dumps([1, 0]))
@@ -514,15 +542,16 @@ class TestRefusedInputs:
         assert match in error
 
     @pytest.mark.parametrize("command", ["full", "oracle"])
-    @pytest.mark.parametrize("limit", ["0", "-1", "-5"])
-    def test_limit_below_1_exit_1(self, tmp_path, command, limit):
+    def test_limit_is_an_unknown_option(self, tmp_path, capsys, command):
+        """The memory budget is the one guard; no option replaces it."""
         p = tmp_path / "state.json"
         p.write_text(json.dumps({"vector": [1] + [0] * 7}))
         argv = (["full", "--state", str(p)] if command == "full"
                 else ["oracle", "--n", "3"])
-        code, out = run(argv + ["--limit", limit])
-        assert code == 1
-        assert "limit" in json.loads(out)["error"]
+        with pytest.raises(SystemExit) as e:
+            run(argv + ["--limit", "3"])
+        assert e.value.code == 2
+        assert "unrecognized arguments: --limit 3" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,data", [
         ("sample", [{"rho": [1, 0]}]),

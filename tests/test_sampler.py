@@ -19,7 +19,7 @@ from schurstream.partitions import (LatticePath, Partition, dim_symmetric,
 from schurstream.resources import qudit_width
 from register_mode import _register_outcomes, register_branch_distribution, register_run
 from schurstream.sampler import (InvalidInputError, NumericalCollapseError,
-                                 _leaf_bytes, branch_distribution,
+                                 _leaf_bytes, _sample, branch_distribution,
                                  init_state, run_full_state, run_stream, step,
                                  _couple, _outcomes, _product_outcomes)
 
@@ -65,6 +65,24 @@ class TestStep:
         state = init_state(KET0, 2, seed=0)
         with pytest.raises(InvalidInputError):
             step(state, np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("amplitudes,says", [
+        (np.array([np.nan, 0], dtype=complex), "norm drifted"),
+        (np.diag([np.nan, 0]).astype(complex), "trace drifted"),
+    ], ids=["vector", "density"])
+    def test_nan_state_is_refused(self, amplitudes, says):
+        """Every comparison with NaN is false, so each drift check is
+        stated to fail on it."""
+        state = init_state(KET0, 2, seed=0)
+        state.amplitudes = amplitudes
+        with pytest.raises(NumericalCollapseError, match=says):
+            step(state, KET0)
+
+    @pytest.mark.parametrize("weights", [[np.nan, 0.5], [0.5, np.nan]])
+    def test_nan_weight_is_refused(self, weights):
+        outcomes = [(j, None, w, None) for j, w in enumerate(weights)]
+        with pytest.raises(NumericalCollapseError):
+            _sample(outcomes, np.random.default_rng(0))
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(17)
