@@ -374,7 +374,11 @@ def _terms(l: int):
     Every run is padded with the term 1 to 2 l - 1 terms.  With D the
     differences v[a] - v[c], a row per a (2 l - 1) + c, of many vectors
     v at once, the terms are D[diff] + shift, a row per term slot of
-    each run, runs fastest."""
+    each run, runs fastest.
+
+    The tables, about 64 l^3 bytes, stay cached until the CG cache is
+    emptied, and count in its bytes from when they are made."""
+    global _cache_bytes
     one = (0, 0, 1)
     stop = [[(l + s, i, -1) for s in range(l - 1)] + [one] * l for i in range(l)]
     tden = [[one if s == i else (s, i, 0) for s in range(l)] for i in range(l)]
@@ -387,6 +391,7 @@ def _terms(l: int):
     a, c, k = np.array(runs).transpose(2, 1, 0)
     diff, shift = (a * (2 * l - 1) + c).ravel(), k.reshape(-1, 1).astype(float)
     diff.flags.writeable = shift.flags.writeable = False  # shared by every caller
+    _cache_bytes += diff.nbytes + shift.nbytes
     return diff, shift
 
 
@@ -581,7 +586,8 @@ QUBIT_CACHE_BYTES = 3 << 22
 
 Transform = CGTransform | QubitCG
 _cache: dict = {}  # lam.parts -> Transform
-_cache_bytes = 0  # the bytes its entries hold, 4 KB of objects each included
+_cache_bytes = 0  # the bytes its entries hold, 4 KB of objects each included,
+                  # and the term tables (_terms) of its builds
 _cache_lock = threading.Lock()
 
 
@@ -630,12 +636,18 @@ def _reduced(lam: Partition) -> Partition:
     return Partition(tuple(p - m for p in lam.parts))
 
 
+def _clear() -> None:
+    """Empty the cache and the row-step term tables (_terms) of its builds."""
+    global _cache_bytes
+    _cache.clear()
+    _terms.cache_clear()
+    _cache_bytes = 0
+
+
 def _make_room(need: int, cap: int) -> None:
     """Empty the cache if `need` more bytes would take it over `cap`."""
-    global _cache_bytes
     if _cache_bytes + need > cap:
-        _cache.clear()
-        _cache_bytes = 0
+        _clear()
 
 
 def cg_transform(lam: Partition, *, mixed: bool = False) -> Transform:
@@ -649,12 +661,13 @@ def cg_transform(lam: Partition, *, mixed: bool = False) -> Transform:
     and blocks; one that is not its reduced label shares the reduced
     entry's read-only coef or cols/vals, built or found first, and counts
     4 KB of objects while that entry is cached, or all it holds once an
-    eviction leaves it alone.  Every other entry counts its _held_bytes.
-    The cache is emptied before an insertion, built or shared, would take
-    it over its cap (the budget, and at d=2 at most QUBIT_CACHE_BYTES),
-    and, keeping the transform returned, before a density-matrix lookup,
-    built or found, would leave less than its step of the budget beside
-    it.  A kept label that shares rows keeps its reduced entry too, when
+    eviction leaves it alone.  Every other entry counts its _held_bytes,
+    and the row-step term tables that d >= 3 builds make (_terms) count
+    until the cache is next emptied, which frees them too.  The cache is
+    emptied before an insertion, built or shared, would take it over its
+    cap (the budget, and at d=2 at most QUBIT_CACHE_BYTES), and, keeping
+    the transform returned, before a density-matrix lookup, built or
+    found, would leave less than its step of the budget beside it.  A kept label that shares rows keeps its reduced entry too, when
     the step still fits beside both: then the next label with that
     reduced form finds the rows."""
     global _cache_bytes
@@ -691,7 +704,7 @@ def cg_transform(lam: Partition, *, mixed: bool = False) -> Transform:
             if base != lam and t._held_bytes() + 4096 <= room:
                 reduced = _cache.get(base.parts)
                 kept[base.parts] = t._relabel(base) if reduced is None else reduced
-            _cache.clear()
+            _clear()
             _cache.update(kept)
             _cache_bytes = t._held_bytes() + 4096 * (len(kept) - 1)
         return t

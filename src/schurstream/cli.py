@@ -27,7 +27,7 @@ from .cg import cg_transform, verify_sparsity
 from .errors import (InvalidInputError, SizeLimitError, check_budget, check_state,
                      check_stream)
 from .oracle import check_size, schur_transform, weak_schur_probs
-from .partitions import LatticePath, Partition, dim_unitary
+from .partitions import Partition, _endpoint, _path_string, dim_unitary
 from .resources import (check_profile, memory_profile, peak_width, qubit_gate_count,
                         qudit_gate_bound, two_level_total)
 from .sampler import (DEFAULT_PRUNE, branch_distribution, run_full_state,
@@ -146,15 +146,15 @@ def _csv(header: list[str], rows) -> str:
 
 def _emit_dist(args, dist) -> str:
     """The `dist` and `full` report: every path in sorted order, then the
-    label marginal and the pruned mass."""
+    label marginal and the pruned mass.  Each path's text is looked up
+    step by step in one table of the d step names."""
+    names = [str(j) for j in range(dist.d)]
     if args.format == "csv":
-        rows = []
-        for steps, p in dist.entries.items():
-            path = LatticePath(steps)
-            rows.append((path.endpoint(dist.d), path, p))
-        return _csv(["lambda", "path", "probability"], rows)
+        return _csv(["lambda", "path", "probability"],
+                    [(_endpoint(s, dist.d), _path_string(s, names), p)
+                     for s, p in dist.entries.items()])
     return _emit(args, {
-        "paths": {str(LatticePath(s)): p for s, p in dist.entries.items()},
+        "paths": {_path_string(s, names): p for s, p in dist.entries.items()},
         "marginal": {str(lam): p for lam, p in dist.marginal.items()},
         "pruned": dist.pruned,
     })
@@ -200,6 +200,9 @@ def cmd_full(args) -> str:
 
 
 def cmd_oracle(args) -> str:
+    if args.compare and args.format == "csv":  # before the stream is read
+        raise InvalidInputError("--compare needs the JSON report: the CSV one "
+                                "holds only lambda,probability")
     if args.compare:  # refused before the D^3 work
         stream = load_stream(args.compare, args.d)
         if len(stream) != args.n:
@@ -218,7 +221,7 @@ def cmd_oracle(args) -> str:
             state = check_state(state, args.d ** min(args.n, 64))
         except InvalidInputError as e:
             raise InvalidInputError(f"state file: {e}") from e
-    if args.compare and args.format == "json":
+    if args.compare:
         # the oracle's estimate, then the walk under its own, so that either
         # refusal comes before the D^3 work and the walk never runs beside U
         check_size(args.n, args.d)

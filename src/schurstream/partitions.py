@@ -79,20 +79,32 @@ class LatticePath:
     steps: tuple[int, ...]
 
     def __str__(self) -> str:
-        return ",".join(str(s) for s in self.steps)
+        return _path_string(self.steps, {j: str(j) for j in self.steps})
 
     def endpoint(self, d: int) -> Partition:
         """The label lam^n the path reaches from (1,0,...); a step off
         Young's lattice raises InvalidPartitionError, as add_box does."""
-        parts = [1] + [0] * (d - 1)
-        for j in self.steps:
-            if not 0 <= j < d:
-                raise InvalidPartitionError(f"row index {j} out of range for d={d}")
-            if j >= 1 and parts[j - 1] == parts[j]:
-                raise InvalidPartitionError(
-                    f"{','.join(map(str, parts))} + e_{j} is not a valid partition")
-            parts[j] += 1
-        return Partition(tuple(parts))
+        return _endpoint(self.steps, d)
+
+
+def _path_string(steps: tuple[int, ...], names) -> str:
+    """The text of a path: the name of each step, names[j] for step j
+    (the text of j), joined by commas.  A report of many paths builds its
+    table of names once."""
+    return ",".join([names[j] for j in steps])
+
+
+def _endpoint(steps: tuple[int, ...], d: int) -> Partition:
+    """LatticePath(steps).endpoint(d), for a report of many paths."""
+    parts = [1] + [0] * (d - 1)
+    for j in steps:
+        if not 0 <= j < d:
+            raise InvalidPartitionError(f"row index {j} out of range for d={d}")
+        if j >= 1 and parts[j - 1] == parts[j]:
+            raise InvalidPartitionError(
+                f"{','.join(map(str, parts))} + e_{j} is not a valid partition")
+        parts[j] += 1
+    return Partition(tuple(parts))
 
 
 def _hooks(lam: Partition) -> Iterator[int]:
@@ -133,20 +145,29 @@ def dim_unitary(lam: Partition) -> int:
 
 
 def partitions_of(n: int, d: int) -> list[Partition]:
-    """All partitions of n with at most d parts, descending lex order."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(remaining: int, maxpart: int, prefix: tuple[int, ...]):
-        if len(prefix) == d:
-            if remaining == 0:
-                out.append(prefix)
-            return
-        lo = -(-remaining // (d - len(prefix)))  # ceil: keep non-increasing
-        for p in range(min(maxpart, remaining), lo - 1, -1):
-            rec(remaining - p, p, prefix + (p,))
-
-    rec(n, n, ())
-    return [Partition(p) for p in out]
+    """All partitions of n with at most d parts, descending lex order.
+    Each one after the first, (n, 0, ..., 0), comes from the one before by
+    taking a box off the last row that can give one to the rows below it
+    and filling those rows greedily; O(d) work each, with no recursion,
+    so that any d works."""
+    if n < 0 or (d < 1 and n > 0):
+        return []
+    parts = [n] + [0] * (d - 1) if d > 0 else []
+    out = []
+    while True:
+        out.append(Partition(tuple(parts)))
+        below = 0  # the boxes in the rows below row i
+        for i in range(d - 2, -1, -1):
+            below += parts[i + 1]
+            if below + 1 <= (parts[i] - 1) * (d - 1 - i):
+                break
+        else:
+            return out
+        parts[i] -= 1
+        below += 1
+        for r in range(i + 1, d):
+            parts[r] = min(parts[i], below)
+            below -= parts[r]
 
 
 def schur_weyl_weight(lam: Partition) -> Fraction:

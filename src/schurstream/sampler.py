@@ -18,7 +18,12 @@ The modes differ only in how they form one step's outcomes and what they
 do with them.  Trajectory mode and branch enumeration couple a
 product-state qudit in with `_product_outcomes`; full-state mode rotates
 the leading qudits of the whole state with `_outcomes`.  `_enumerate`
-walks every branch depth first, and `_sample` draws one.
+walks every branch depth first, and `_sample` draws one.  The walk pushes
+internal nodes only: a node after n - 1 qudits writes its children, the
+leaves, straight into the result, and holds them to the memory budget by
+a count of leaves fixed before the walk starts.  The `dist` and `full`
+reports spell each path with the one path-string formula that
+LatticePath uses (partitions._path_string).
 
 A step applies the CG transform with no dense matrix, through the two
 kernels that each transform format owns (see cg): `_apply` on the
@@ -33,6 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import errors
 from .cg import Transform, cg_transform
 from .errors import (InvalidInputError, NumericalCollapseError, check_budget,
                      check_state, check_stream)
@@ -76,8 +82,9 @@ def _split(t: Transform, rotated: np.ndarray, rest: int = 1
     from a vector or density matrix rotated by t (x) I_rest."""
     out = []
     for b in t.blocks:
-        sl = slice(b.offset * rest, (b.offset + b.dim) * rest)
-        sub = rotated[sl, sl] if rotated.ndim == 2 else rotated[sl]
+        lo = b.offset * rest
+        hi = lo + b.dim * rest
+        sub = rotated[lo:hi] if rotated.ndim == 1 else rotated[lo:hi, lo:hi]
         out.append((b.j, b.target, _weight(sub), sub))
     return out
 
@@ -150,15 +157,20 @@ def _enumerate(d: int, n: int, root: np.ndarray, outcomes_fn,
     Nodes carry unnormalized states, whose weight is the accumulated branch
     probability; `outcomes_fn(k, lam, state)` gives the children of a node
     after k qudits.  Children lighter than `prune` are dropped and their
-    weight is added to `pruned`; `prune` must lie in [0, 1).  Each leaf, on
-    top of the `held` bytes of the walk's states, is checked against the
-    memory budget.  With `prune` = 0 the walk reaches every lattice path,
-    and it is refused before it starts when their leaves are over the
-    budget.
+    weight is added to `pruned`; `prune` must lie in [0, 1).  The leaves,
+    on top of the `held` bytes of the walk's states, are held to the
+    memory budget: the walk is refused at the first leaf past the room
+    the budget leaves them, naming that leaf's count.  With `prune` = 0
+    the walk reaches every lattice path, and it is refused before it
+    starts when their leaves are over the budget.
 
-    Children are pushed in reverse, so each node's are popped j ascending
-    and the leaves arrive in sorted path order: `entries` is sorted, and
-    each `marginal` sum runs over its paths in that order."""
+    Internal nodes are pushed in reverse, so each node's children are
+    popped j ascending.  A node after n - 1 qudits writes its children,
+    the leaves, straight into `entries` and `marginal`, j ascending, so
+    the leaves arrive in sorted path order: `entries` is sorted, and each
+    `marginal` sum runs over its paths in that order.  Every node adds its
+    pruned children to `pruned` j descending, the order in which it
+    pushes the others."""
     if not 0.0 <= prune < 1.0:  # NaN fails both comparisons
         raise InvalidInputError(f"prune={prune}: need 0 <= prune < 1")
     leaf = _leaf_bytes(n)
@@ -166,24 +178,41 @@ def _enumerate(d: int, n: int, root: np.ndarray, outcomes_fn,
         for count in _path_counts(d, n):
             check_budget(f"a walk of at least {count} leaves", held + count * leaf)
     entries: dict[tuple[int, ...], float] = {}
-    marginal: dict[Partition, float] = {}
+    sums: dict[tuple[int, ...], float] = {}  # label parts -> probability
     pruned = 0.0
-    # stack entries: (k, lam, unnormalized state, its weight, steps)
-    stack = [(1, one_box(d), root, _weight(root), ())]
+    room = (errors.MEMORY_BUDGET - held) // leaf  # the most leaves that fit
+
+    def refuse():  # a leaf past the room is over the budget
+        check_budget(f"a walk of {len(entries)} leaves", held + len(entries) * leaf)
+
+    if n == 1:  # the root is the only leaf
+        entries[()] = sums[one_box(d).parts] = _weight(root)
+        if len(entries) > room:
+            refuse()
+    # the nodes still to expand: (k, lam, unnormalized state, steps)
+    stack = [(1, one_box(d), root, ())] if n > 1 else []
     while stack:
-        k, lam, cur, w, steps = stack.pop()
-        if k == n:
-            entries[steps] = w
-            marginal[lam] = marginal.get(lam, 0.0) + w
-            check_budget(f"a walk of {len(entries)} leaves", held + len(entries) * leaf)
-            continue
-        for j, target, p, sub in reversed(outcomes_fn(k, lam, cur)):
+        k, lam, cur, steps = stack.pop()
+        children = outcomes_fn(k, lam, cur)
+        internal = k + 1 < n
+        for j, target, p, sub in reversed(children):
             if p < prune:
                 pruned += p
+            elif internal:
+                stack.append((k + 1, target, sub, steps + (j,)))
+        if internal:
+            continue
+        for j, target, p, _ in children:
+            if p < prune:
                 continue
-            stack.append((k + 1, target, sub, p, steps + (j,)))
-    return BranchDistribution(d=d, entries=entries, marginal=marginal,
-                              pruned=pruned)
+            entries[steps + (j,)] = p
+            key = target.parts
+            sums[key] = sums.get(key, 0.0) + p
+            if len(entries) > room:
+                refuse()
+    return BranchDistribution(
+        d=d, entries=entries, pruned=pruned,
+        marginal={Partition(parts): p for parts, p in sums.items()})
 
 
 @dataclass

@@ -447,6 +447,13 @@ class TestSharedRows:
     def fresh_cache(self, monkeypatch):
         monkeypatch.setattr(cg, "_cache", {})
         monkeypatch.setattr(cg, "_cache_bytes", 0)
+        cg._terms.cache_clear()
+
+    @staticmethod
+    def term_bytes(d):
+        """The bytes of the row-step term tables that a build at d makes
+        and the cache counts (a d=2 build makes none)."""
+        return sum(a.nbytes for l in range(2, d + 1) for a in cg._terms(l)) if d > 2 else 0
 
     @staticmethod
     def build(lam):
@@ -530,12 +537,15 @@ class TestSharedRows:
         once an eviction keeps it alone."""
         lam = Partition(parts)
         base = cg_transform(lam)
-        assert cg._cache_bytes == base._held_bytes()
+        terms = self.term_bytes(lam.d)
+        assert cg._cache_bytes == base._held_bytes() + terms
         shifted = _plus_columns(lam, 1)
         t = cg_transform(shifted)
-        assert cg._cache_bytes == base._held_bytes() + 4096
+        assert cg._cache_bytes == base._held_bytes() + 4096 + terms
+        # one byte short of the two entries beside the step; the eviction
+        # frees the term tables too
         monkeypatch.setattr(errors, "MEMORY_BUDGET",
-                            cg._cache_bytes + cg._step_bytes(t.size) - 1)
+                            cg._cache_bytes - terms + cg._step_bytes(t.size) - 1)
         assert cg_transform(shifted, mixed=True) is t
         assert list(cg._cache) == [shifted.parts]
         assert cg._cache_bytes == t._held_bytes() == base._held_bytes()
@@ -583,3 +593,43 @@ class TestSharedRows:
         arrays = ("coef", "rotations") if base.d == 2 else ("cols", "vals")
         for name in arrays:
             assert getattr(kept, name) is getattr(t, name)
+
+
+class TestTermTables:
+    """The row-step term tables (_terms) that d >= 3 builds leave behind
+    count in the cache's bytes and are freed whenever the cache is
+    emptied."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self, monkeypatch):
+        monkeypatch.setattr(cg, "_cache", {})
+        monkeypatch.setattr(cg, "_cache_bytes", 0)
+        cg._terms.cache_clear()
+
+    @pytest.mark.parametrize("d", [3, 30])
+    def test_counted_after_a_one_box_build(self, d):
+        """A one-box build at d meets every row length 2 .. d; at d = 30
+        its tables hold about 13 MiB, against 32 KiB of rows."""
+        t = cg_transform(one_box(d))
+        assert cg._terms.cache_info().currsize == d - 1
+        tables = sum(a.nbytes for l in range(2, d + 1) for a in cg._terms(l))
+        assert cg._cache_bytes >= tables
+        assert cg._cache_bytes == t._held_bytes() + tables
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_freed_with_the_cache(self, monkeypatch, mixed):
+        """Emptied before a build that would take the cache over its cap,
+        and by a density-matrix lookup that keeps only its own entry."""
+        t = cg_transform(one_box(6))
+        assert cg._terms.cache_info().currsize == 5
+        if mixed:
+            monkeypatch.setattr(errors, "MEMORY_BUDGET",
+                                cg._cache_bytes + cg._step_bytes(t.size) - 1)
+            assert cg_transform(one_box(6), mixed=True) is t
+            assert cg._cache_bytes == t._held_bytes()
+        else:
+            # a d=2 build makes no tables, and its own bytes fill the cap
+            monkeypatch.setattr(errors, "MEMORY_BUDGET", cg._build_bytes(2, 4))
+            cg_transform(one_box(2))
+            assert list(cg._cache) == [(1, 0)]
+        assert cg._terms.cache_info().currsize == 0

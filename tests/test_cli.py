@@ -62,6 +62,26 @@ class TestDist:
             key = path.replace(";", ",")
             assert float(prob) == report["paths"][key]
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_paths_past_row_nine(self, fmt):
+        """The report's path text is LatticePath's, steps of 10 and more
+        included, and each CSV label is the path's endpoint."""
+        from argparse import Namespace
+
+        from schurstream.partitions import LatticePath
+        from schurstream.sampler import BranchDistribution
+
+        paths = [tuple(range(12)), tuple(range(1, 13))]
+        dist = BranchDistribution(d=13, entries={s: 0.5 for s in paths},
+                                  marginal={LatticePath(s).endpoint(13): 0.5 for s in paths})
+        out = cli._emit_dist(Namespace(command="dist", format=fmt, d=13), dist)
+        if fmt == "json":
+            assert list(json.loads(out)["paths"]) == [str(LatticePath(s)) for s in paths]
+        else:
+            assert out.splitlines()[1:] == [
+                f"{str(LatticePath(s).endpoint(13)).replace(',', ';')},"
+                f"{str(LatticePath(s)).replace(',', ';')},0.5" for s in paths]
+
 
 class TestSample:
     def test_symmetric_stream(self, zeros_file):
@@ -119,17 +139,30 @@ class TestOracle:
         report = json.loads(out)
         assert report["max_deviation"] <= 1e-9
 
-    def test_csv_compare_checks_length_without_enumerating(self, iid_file,
-                                                           zeros_file, monkeypatch):
+    def test_csv_compare_is_refused_before_the_stream_is_read(self, tmp_path, iid_file,
+                                                              monkeypatch):
+        """The CSV report holds no sampler marginal and no deviation, so
+        --compare with it exits 1 before the stream is read or walked."""
         def enumerate_(*args, **kwargs):
             raise AssertionError("the CSV report holds no sampler marginal")
 
         monkeypatch.setattr(cli, "branch_distribution", enumerate_)
+        monkeypatch.setattr(cli, "load_stream", enumerate_)
         argv = ["oracle", "--n", "3", "--format", "csv", "--compare"]
-        assert run(argv + [iid_file])[0] == 0
-        code, out = run(argv + [zeros_file])
-        assert code == 1
-        assert "--n 3" in json.loads(out)["error"]
+        for stream in (iid_file, str(tmp_path / "missing.json")):
+            code, out = run(argv + [stream])
+            assert code == 1
+            assert "--compare needs the JSON report" in json.loads(out)["error"]
+        assert run(["oracle", "--n", "3", "--format", "csv"])[0] == 0
+
+    def test_one_copy_at_large_d(self):
+        """d = 1000 rows: the label enumeration holds no frame per row,
+        so the report comes out, not a RecursionError after U is built."""
+        code, out = run(["oracle", "--d", "1000", "--n", "1"])
+        assert code == 0
+        marginal = json.loads(out)["marginal"]
+        assert list(marginal) == [",".join(["1"] + ["0"] * 999)]
+        assert abs(marginal[list(marginal)[0]] - 1.0) <= 1e-12
 
     def test_compare_is_checked_before_the_transform(self, tmp_path, zeros_file,
                                                      monkeypatch):

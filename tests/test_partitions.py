@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from cg_reference import enumerate_paths, path_index
 from schurstream.partitions import (
-    InvalidPartitionError, LatticePath, Partition, add_box, dim_symmetric,
+    InvalidPartitionError, LatticePath, Partition, _path_string, add_box, dim_symmetric,
     dim_unitary, one_box, partitions_of, schur_weyl_weight, valid_rows)
 
 
@@ -214,3 +214,31 @@ class TestPaths:
         with pytest.raises(InvalidPartitionError,
                            match=r"^1,1 \+ e_1 is not a valid partition$"):
             LatticePath((1, 1, 0)).endpoint(2)
+
+
+class TestPartitionsOf:
+    def test_one_box_at_any_d(self):
+        """Any number of rows: no stack frame is held per row."""
+        assert [lam.parts for lam in partitions_of(1, 1000)] == [(1,) + (0,) * 999]
+        assert [lam.parts[:3] for lam in partitions_of(3, 5000)] == [
+            (3, 0, 0), (2, 1, 0), (1, 1, 1)]
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
+    def test_equals_brute_force_in_descending_lex_order(self, d):
+        for n in range(0, 13):
+            want = sorted({tuple(sorted(c, reverse=True))
+                           for c in itertools.combinations_with_replacement(range(n + 1), d)
+                           if sum(c) == n}, reverse=True)
+            assert [lam.parts for lam in partitions_of(n, d)] == want, (n, d)
+
+
+class TestPathString:
+    """One formula gives a path's text, for LatticePath and for the
+    reports, which look each step up in a table of names built once."""
+
+    @pytest.mark.parametrize("steps", [(), (0,), (0, 1, 0, 1), (1, 2, 10),
+                                       (12, 0, 11, 10, 3), tuple(range(13))])
+    def test_table_lookup_is_the_text_of_each_step(self, steps):
+        names = [str(j) for j in range(13)]
+        assert _path_string(steps, names) == str(LatticePath(steps)) == \
+            ",".join(str(j) for j in steps)

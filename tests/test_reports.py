@@ -62,8 +62,7 @@ CLOSE = {
     "full-csv": ["full", "--state", "state.json", "--format", "csv"],
     "oracle-json": ["oracle", "--n", "3", "--state", "state.json",
                     "--compare", "iid.json"],
-    "oracle-csv": ["oracle", "--n", "3", "--compare", "iid.json",
-                   "--format", "csv"],
+    "oracle-csv": ["oracle", "--n", "3", "--format", "csv"],
     "oracle-d3-json": ["oracle", "--d", "3", "--n", "4", "--state", "state_d3.json",
                        "--compare", "qutrits.json"],
 }

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from cg_reference import gt_patterns, haar_state, haar_unitary, path_probs, pattern_weight
-from schurstream import errors
+from schurstream import errors, sampler
 from schurstream.cg import cg_transform
 from schurstream.errors import SizeLimitError
 from schurstream.oracle import schur_transform, weak_schur_probs
@@ -21,7 +21,7 @@ from register_mode import _register_outcomes, register_branch_distribution, regi
 from schurstream.sampler import (InvalidInputError, NumericalCollapseError,
                                  _leaf_bytes, _sample, branch_distribution,
                                  init_state, run_full_state, run_stream, step,
-                                 _couple, _outcomes, _product_outcomes)
+                                 _couple, _outcomes, _product_outcomes, _weight)
 
 KET0 = np.array([1.0, 0.0])
 KET1 = np.array([0.0, 1.0])
@@ -382,6 +382,132 @@ class TestLeafOrder:
         rng = np.random.default_rng(71)
         self.check(register_branch_distribution(
             [random_qubit(rng) for _ in range(9)], prune=1e-2))
+
+
+def reference_walk(d, n, root, outcomes_fn, prune):
+    """The walk with every node pushed, the leaves too, each node's
+    children in reverse; a leaf is recorded when it is popped."""
+    entries, marginal, pruned = {}, {}, 0.0
+    stack = [(1, one_box(d), root, _weight(root), ())]
+    while stack:
+        k, lam, cur, w, steps = stack.pop()
+        if k == n:
+            entries[steps] = w
+            marginal[lam] = marginal.get(lam, 0.0) + w
+            continue
+        for j, target, p, sub in reversed(outcomes_fn(k, lam, cur)):
+            if p < prune:
+                pruned += p
+                continue
+            stack.append((k + 1, target, sub, p, steps + (j,)))
+    return entries, marginal, pruned
+
+
+class TestLeavesAtTheirParent:
+    """A node after n - 1 qudits writes its children, the leaves, into the
+    result itself: the walk's numbers are those of a walk that pushes and
+    pops every leaf, bit for bit, and a walk over the budget is refused at
+    the same leaf, with no node expanded past it."""
+
+    @staticmethod
+    def modes(rng):
+        """(name, d, n, root, outcomes_fn, run) per mode, run(prune)
+        calling the public entry point."""
+        qubits = [random_qubit(rng) for _ in range(7)]
+        # at 11 qubits many a node after 10 prunes both of its children,
+        # whose order of addition moves the last bit of the pruned mass
+        more = [random_qubit(rng) for _ in range(11)]
+        qutrits = [haar_state(3, rng) for _ in range(4)]
+        mixed = [random_density(2, rng) for _ in range(5)]
+        vec, rho = haar_state(2 ** 6, rng), random_density(3 ** 3, rng, rank=3)
+        return [
+            ("qubits", 2, 7, qubits[0],
+             lambda k, lam, amp: _product_outcomes(lam, amp, qubits[k]),
+             lambda prune: branch_distribution(qubits, 2, prune=prune)),
+            ("more qubits", 2, 11, more[0],
+             lambda k, lam, amp: _product_outcomes(lam, amp, more[k]),
+             lambda prune: branch_distribution(more, 2, prune=prune)),
+            ("qutrits", 3, 4, qutrits[0],
+             lambda k, lam, amp: _product_outcomes(lam, amp, qutrits[k]),
+             lambda prune: branch_distribution(qutrits, 3, prune=prune)),
+            ("mixed", 2, 5, mixed[0],
+             lambda k, lam, amp: _product_outcomes(lam, amp, mixed[k]),
+             lambda prune: branch_distribution(mixed, 2, prune=prune)),
+            ("full", 2, 6, vec, lambda k, lam, cur: _outcomes(cg_transform(lam), cur),
+             lambda prune: run_full_state(vec, 2, prune=prune)),
+            ("full-rho", 3, 3, rho, lambda k, lam, cur: _outcomes(cg_transform(lam), cur),
+             lambda prune: run_full_state(rho, 3, prune=prune)),
+        ]
+
+    @pytest.mark.parametrize("prune", [0.0, 1e-12, 3e-3, 1e-2, 3e-2, 0.2])
+    def test_equals_the_walk_that_pushes_every_leaf(self, prune):
+        for name, d, n, root, outcomes_fn, run in self.modes(np.random.default_rng(83)):
+            entries, marginal, pruned = reference_walk(d, n, root, outcomes_fn, prune)
+            dist = run(prune)
+            assert list(dist.entries.items()) == list(entries.items()), name
+            assert list(dist.marginal.items()) == list(marginal.items()), name
+            assert dist.pruned == pruned, name
+
+    @staticmethod
+    def counted(monkeypatch, name):
+        """Count the calls of the sampler's outcomes function `name`."""
+        calls, fn = [], getattr(sampler, name)
+        monkeypatch.setattr(sampler, name, lambda *a: calls.append(a) or fn(*a))
+        return calls
+
+    @pytest.mark.parametrize("kind", ["dist", "full"])
+    def test_refused_at_the_first_leaf_past_the_room(self, monkeypatch, kind):
+        """With room for k of the N leaves the walk is refused at leaf
+        k + 1, naming that count, having expanded only the nodes on the
+        way to it: the proper prefixes of the first k + 1 leaves."""
+        rng = np.random.default_rng(89)
+        if kind == "dist":
+            stream = [random_qubit(rng) for _ in range(8)]
+            run, held, name = (lambda: branch_distribution(stream, 2)), 0, "_product_outcomes"
+        else:
+            vec = haar_state(2 ** 8, rng)
+            run, held, name = (lambda: run_full_state(vec, 2)), 64 * vec.size, "_outcomes"
+        full = run()  # builds every CG transform
+        leaves = list(full.entries)
+        assert full.pruned == 0 and len(leaves) == 70
+        budget = errors.MEMORY_BUDGET
+        for k in (0, 1, 2, 3, 17, 34, 35, 69):
+            for spare in (0, _leaf_bytes(8) - 1):
+                calls = self.counted(monkeypatch, name)
+                monkeypatch.setattr(errors, "MEMORY_BUDGET", held + k * _leaf_bytes(8) + spare)
+                with pytest.raises(SizeLimitError, match=rf"a walk of {k + 1} leaves needs"):
+                    run()
+                prefixes = {s[:i] for s in leaves[:k + 1] for i in range(len(s))}
+                assert len(calls) == len(prefixes), (k, spare)
+                monkeypatch.setattr(errors, "MEMORY_BUDGET", budget)
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", held + 70 * _leaf_bytes(8))
+        assert run().entries == full.entries
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_one_qudit_is_its_own_leaf(self, monkeypatch, d):
+        """At n = 1 the root is the only leaf, of its own weight; no
+        outcomes are formed, and a budget with no room for it refuses it."""
+        rng = np.random.default_rng(97 + d)
+        calls = self.counted(monkeypatch, "_product_outcomes")
+        full_calls = self.counted(monkeypatch, "_outcomes")
+        vec, rho = haar_state(d, rng), random_density(d, rng)
+        for dist in (branch_distribution([vec], d), branch_distribution([rho], d),
+                     run_full_state(vec, d), run_full_state(rho, d)):
+            assert list(dist.entries) == [()]
+            assert abs(dist.entries[()] - 1.0) <= 1e-12
+            assert list(dist.marginal) == [one_box(d)]
+            assert dist.marginal[one_box(d)] == dist.entries[()]
+            assert dist.pruned == 0.0
+        assert calls == [] and full_calls == []
+        if d == 2:
+            reg = register_branch_distribution([vec])
+            assert list(reg.entries) == [()] and list(reg.marginal) == [one_box(2)]
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", _leaf_bytes(1) - 1)
+        with pytest.raises(SizeLimitError, match="a walk of 1 leaves"):
+            branch_distribution([vec], d)
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", 64 * d + _leaf_bytes(1) - 1)
+        with pytest.raises(SizeLimitError, match="a walk of 1 leaves"):
+            run_full_state(vec, d)
 
 
 class TestOutcomes:
