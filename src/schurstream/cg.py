@@ -33,9 +33,10 @@ work, through a column index of the entries, and the rows are applied
 in O(w) per amplitude, gathering the coupled input by the stored
 columns.  No size^2 matrix is built, checked or cached on either path:
 QubitCG.matrix and CGTransform.matrix form the dense matrix on request,
-for the `schur cg` report, the oracle and the sparsity check, and both
-equal the entry-by-entry build (tests/cg_reference.py) bit for bit.  Each
-type applies itself (`_apply`, `_product`), so no other module reads a format.
+for the `schur cg` report, the sparsity check and the tests' Schur
+transform, and both equal the entry-by-entry build (tests/cg_reference.py)
+bit for bit.  Each type applies itself (`_apply`, `_product`), so no other
+module reads a format.
 
 cg_closed walks one frontier of chains, (block, source pattern, box
 path), a row at a time, every block and pattern at once.  The factors of
@@ -210,8 +211,8 @@ class CGTransform:
 
 
 def _sparse_matrix(t: CGTransform) -> np.ndarray:
-    """The dense form of the rows, for the `schur cg` report, the oracle
-    and the sparsity check."""
+    """The dense form of the rows, for the `schur cg` report, the sparsity
+    check and the tests' Schur transform."""
     mat = np.zeros((t.size, t.size))
     np.add.at(mat, (np.arange(t.size)[:, None], t.cols), t.vals)
     return mat
@@ -331,7 +332,8 @@ class QubitCG:
 
 def _qubit_matrix(t: QubitCG) -> np.ndarray:
     """The dense form of the rotations, for the `schur cg` report, the
-    oracle and the sparsity check; bit for bit cg_closed's d=2 matrix."""
+    sparsity check and the tests' Schur transform; bit for bit cg_closed's
+    d=2 matrix."""
     k = np.arange(t.size)
     dimq = t.size // 2
     mat = np.zeros((t.size, t.size))

@@ -26,8 +26,8 @@ from . import __version__
 from .cg import cg_transform, verify_sparsity
 from .errors import (InvalidInputError, SizeLimitError, check_budget, check_state,
                      check_stream)
-from .oracle import check_size, schur_transform, weak_schur_probs
-from .partitions import Partition, _endpoint, _path_string, dim_unitary
+from .oracle import check_size, weak_schur_probs
+from .partitions import Partition, _path_string, dim_unitary
 from .resources import (check_profile, memory_profile, peak_width, qubit_gate_count,
                         qudit_gate_bound, two_level_total)
 from .sampler import (DEFAULT_PRUNE, branch_distribution, run_full_state,
@@ -147,12 +147,13 @@ def _csv(header: list[str], rows) -> str:
 def _emit_dist(args, dist) -> str:
     """The `dist` and `full` report: every path in sorted order, then the
     label marginal and the pruned mass.  Each path's text is looked up
-    step by step in one table of the d step names."""
+    step by step in one table of the d step names, and its CSV label is
+    spelled from its step counts, as the walk emits only valid paths."""
     names = [str(j) for j in range(dist.d)]
     if args.format == "csv":
         return _csv(["lambda", "path", "probability"],
-                    [(_endpoint(s, dist.d), _path_string(s, names), p)
-                     for s, p in dist.entries.items()])
+                    [(",".join([str(s.count(j) + (j == 0)) for j in range(dist.d)]),
+                      _path_string(s, names), p) for s, p in dist.entries.items()])
     return _emit(args, {
         "paths": {_path_string(s, names): p for s, p in dist.entries.items()},
         "marginal": {str(lam): p for lam, p in dist.marginal.items()},
@@ -203,7 +204,7 @@ def cmd_oracle(args) -> str:
     if args.compare and args.format == "csv":  # before the stream is read
         raise InvalidInputError("--compare needs the JSON report: the CSV one "
                                 "holds only lambda,probability")
-    if args.compare:  # refused before the D^3 work
+    if args.compare:  # refused before the oracle's work
         stream = load_stream(args.compare, args.d)
         if len(stream) != args.n:
             raise InvalidInputError(f"compare stream has {len(stream)} qudits, "
@@ -213,7 +214,7 @@ def cmd_oracle(args) -> str:
         except InvalidInputError as e:
             raise InvalidInputError(f"compare {e}") from e
     state = None
-    if args.state:  # also refused before the D^3 work
+    if args.state:  # also refused before the oracle's work
         state = load_state(args.state)
         try:
             # no state file holds 2^64 amplitudes, so past n = 64 the length
@@ -221,15 +222,17 @@ def cmd_oracle(args) -> str:
             state = check_state(state, args.d ** min(args.n, 64))
         except InvalidInputError as e:
             raise InvalidInputError(f"state file: {e}") from e
+    if args.n < 1:  # before I/D is formed
+        raise InvalidInputError("n >= 1 required")
+    # the oracle's estimate, then the compare walk under its own: either
+    # refusal comes before the oracle's work, which the walk never runs beside
+    check_size(args.n, args.d)
     if args.compare:
-        # the oracle's estimate, then the walk under its own, so that either
-        # refusal comes before the D^3 work and the walk never runs beside U
-        check_size(args.n, args.d)
         marg = branch_distribution(stream, args.d).marginal
-    su = schur_transform(args.n, args.d)
-    size = args.d ** args.n
-    # I/D is passed, not held: the oracle takes it as its own Re rho
-    probs = weak_schur_probs(np.eye(size) / size if state is None else state, su)
+    if state is None:  # I/D, divided in place: no second D x D array
+        state = np.eye(args.d ** args.n)
+        state /= len(state)
+    probs = weak_schur_probs(state, args.n, args.d)
     if args.format == "csv":
         return _csv(["lambda", "probability"], probs.items())
     body = {"marginal": {str(lam): p for lam, p in probs.items()}}

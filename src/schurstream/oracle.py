@@ -1,43 +1,39 @@
-"""Brute-force ground truth on the full d^n-dimensional space.
+"""Brute-force ground truth on the full d^n-dimensional space, from qudit
+swaps alone: no CG coefficient, GT pattern or Schur transform enters.
 
-Builds the iterated Schur transform level by level, one CG transform per copy
-of an irrep.  Copies are in canonical (lexicographic) path order, which makes
-the path <-> multiplicity-label correspondence an exact row-index statement.
-Every CG coefficient is real, so U is real orthogonal, and each product of U
-with a state runs in real arithmetic on Re rho.
-
-U intertwines the U(d) actions, so it maps the basis states with w_a
-letters a onto the rows whose GT pattern has weight w: after permuting its
-rows and columns, U is block diagonal over the weights, and every product
-runs one weight block at a time, sum_w n_w^3 in place of D^3.
-
-Only intended for small n; guarded by the memory budget.
+The Jucys-Murphy elements X_k = sum_{i<k} (i k) commute.  On the range of
+Pi^(k-1)_mu (x) I (mu's isotypic projector on the first k-1 qudits), X_k
+has one eigenvalue per valid addable box of mu, its content (column -
+row), on mu + e_j's share of the range (Okounkov-Vershik, Selecta Math. 2
+(1996) 581).  The contents are distinct, so the Lagrange polynomials L_j
+in X_k over them split it: Pi^(k)_nu = sum_{mu+e_j=nu} (Pi^(k-1)_mu (x) I)
+L_j(X_k).  A swap keeps the letter counts of a word, so each level runs
+one weight block W of k-letter words at a time.  W's words are ordered by
+their last letter e, then as in W - e_e, so Pi^(k-1)_mu (x) I is block
+diagonal on W and costs no product, and X_k is k - 1 row gathers.  At
+level n no projector is formed: tr(rho Pi_lam) is contracted from
+X_n^m Re rho_WW, m < d, and the level-(n-1) projectors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
 import numpy as np
 
-from .cg import _build_bytes, cg_transform
 from .errors import check_budget, check_state
-from .gt_basis import enumerate_gt
-from .partitions import Partition, one_box, partitions_of
+from .partitions import Partition, add_box, dim_symmetric, dim_unitary, valid_rows
 
 
 def _transform_bytes(n: int, d: int) -> int:
     """Bytes the oracle on D = d^n holds with its inputs and report, with
-    headroom, plus at n >= 2 the estimate of a CG build of side D.  Whole
-    cold `oracle --compare` calls trace 16-20 D^2 at D = 1000 to 4913
-    (n >= 3), at the weight-block products; at most 3 MiB to D = 256; 90
-    d^2 at n = 1, the d x d rho parsed from JSON.  At n = 2 (d = 58, no
-    walk): 39 D^2 cold, the build's cached row-step tables (16 d^4) beside
-    22 D^2.  The walk runs before U, under the CG layer's own estimates.
+    headroom.  Whole cold `oracle --compare` calls on iid I/d trace at most
+    12.0 D^2 where the oracle sets the peak (n >= 4, D = 1000 to 6561: I/D,
+    the level-(n-1) projectors and one block's products); 18.6-19.7 D^2 at
+    n = 3, d = 10 to 19, the compare walk's last density-matrix step; 90
+    d^2 at n = 1, the d x d rho parsed from JSON.  At n = 2 the walk's step
+    (64 D^2) has its own estimate, and the oracle alone traces 8.2 D^2.
     d^64 is over any budget, so the power stops there."""
     size = d ** min(n, 64)
-    return 32 * size * size + 128 * d * d + (1 << 24) + (n > 1) * _build_bytes(d, size)
+    return 20 * size * size + 128 * d * d + (1 << 24)
 
 
 def check_size(n: int, d: int) -> None:
@@ -46,103 +42,87 @@ def check_size(n: int, d: int) -> None:
     check_budget(f"oracle for n={n}, d={d}", _transform_bytes(n, d))
 
 
-@dataclass(frozen=True)
-class Sector:
-    """One copy of an irrep in the running basis: which lam, via which path."""
-    lam: Partition
-    path: tuple[int, ...]
-    offset: int  # first row index
-    dim: int
+def _addable(mu: Partition) -> dict[int, int]:
+    """The content (column - row) of the box mu + e_j adds, for each valid
+    row j: the eigenvalues of X_k on Pi_mu (x) I."""
+    return {j: mu.parts[j] - j for j in valid_rows(mu)}
 
 
-@dataclass
-class SchurUnitary:
-    matrix: np.ndarray
-    sectors: list[Sector]
-
-    @property
-    def n(self) -> int:
-        return self.sectors[0].lam.n
-
-    @property
-    def d(self) -> int:
-        return self.sectors[0].lam.d
-
-    @cached_property
-    def weight_blocks(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """(rows, cols, U[rows][:, cols]) for each U(d) weight w: the rows
-        whose GT pattern has weight w and the basis states with w_a letters
-        a, each in increasing order.  Checked exactly: each block is square
-        and holds every nonzero of its rows."""
-        # a letter count is at most n, and no U on d^128 dimensions fits
-        size = len(self.matrix)
-        weights = {}
-        rows = np.empty((size, self.d), dtype=np.int8)
-        for s in self.sectors:
-            if s.lam not in weights:
-                weights[s.lam] = _pattern_weights(s.lam)
-            rows[s.offset:s.offset + s.dim] = weights[s.lam]
-        cols, index = np.zeros((size, self.d), dtype=np.int8), np.arange(size)
-        for _ in range(self.n):
-            index, letter = np.divmod(index, self.d)
-            cols[np.arange(size), letter] += 1
-        _, key = np.unique(np.concatenate([rows, cols]), axis=0, return_inverse=True)
-        row_key, col_key = key[:size], key[size:]
-        count = np.bincount(row_key)
-        if not np.array_equal(count, np.bincount(col_key, minlength=len(count))):
-            raise AssertionError("U_Sch weight blocks are not square")
-        bounds = np.cumsum(count)[:-1]
-        blocks = [(r, c, self.matrix[np.ix_(r, c)]) for r, c in
-                  zip(np.split(np.argsort(row_key, kind="stable"), bounds),
-                      np.split(np.argsort(col_key, kind="stable"), bounds))]
-        inside = sum(np.count_nonzero(u) for _, _, u in blocks)
-        if inside != np.count_nonzero(self.matrix):
-            raise AssertionError(f"U_Sch has {np.count_nonzero(self.matrix) - inside} "
-                                 f"nonzeros outside its weight blocks")
-        return blocks
+def _split(labels: list[Partition]) -> tuple[list[Partition], np.ndarray]:
+    """The labels one box past `labels`, descending, and coef[v, m, u]: the
+    coefficient of x^m in the Lagrange polynomial, from integer products,
+    that is 1 at the content of the box from labels[u] to the v-th label."""
+    rows = []
+    for u, mu in enumerate(labels):
+        contents = _addable(mu)
+        for j, c in contents.items():
+            poly, den = [1], 1
+            for other in contents.values():
+                if other != c:  # poly times (x - other)
+                    poly = [a - other * b for a, b in zip([0] + poly, poly + [0])]
+                    den *= c - other
+            rows.append((u, add_box(mu, j), [a / den for a in poly]))
+    children = sorted({nu for _, nu, _ in rows}, reverse=True)
+    index = {nu: v for v, nu in enumerate(children)}
+    coef = np.zeros((len(children), max(len(p) for *_, p in rows), len(labels)))
+    for u, nu, poly in rows:
+        coef[index[nu], :len(poly), u] = poly
+    return children, coef
 
 
-def _pattern_weights(lam: Partition) -> np.ndarray:
-    """The weight of each GT pattern of lam, in enumerate_gt's order: letter
-    l - 1 appears (sum of the pattern's row of length l) - (sum of its row of
-    length l - 1) times.  The one-box patterns are the standard basis, e_l
-    for letter l; their d(d+1)/2 entries each would take 4 d^3 bytes."""
-    if lam.n == 1:
-        return np.eye(lam.d, dtype=np.int64)
-    d = lam.d
-    starts = np.cumsum([0] + list(range(d, 1, -1)))  # rows of length d, ..., 1
-    sums = np.add.reduceat(enumerate_gt(lam), starts, axis=1)
-    return -np.diff(sums, axis=1, append=0)[:, ::-1]
+def _blocks(prev: dict[tuple, tuple], k: int, d: int) -> dict[tuple, tuple]:
+    """The blocks of k letters from those of k - 1: for each letter count
+    w, its words (indices into (C^d)^(x)k, the last qudit least
+    significant), its sub-blocks w - e_e as (w - e_e, slice) by last letter
+    e, and, for each i < k, the position of the word the swap (i k) makes
+    of each word."""
+    blocks = {}
+    for w in sorted({w[:e] + (w[e] + 1,) + w[e + 1:] for w in prev for e in range(d)}):
+        parts, subs, start = [], [], 0
+        for e in range(d):
+            if w[e]:
+                sub = w[:e] + (w[e] - 1,) + w[e + 1:]
+                parts.append(prev[sub][0] * d + e)
+                subs.append((sub, slice(start, start + len(parts[-1]))))
+                start += len(parts[-1])
+        blocks[w] = np.concatenate(parts), subs
+    # every swap of every word of the level at once
+    words = np.concatenate([ws for ws, _ in blocks.values()])
+    pos = np.empty(d ** k, dtype=np.intp)
+    for ws, _ in blocks.values():
+        pos[ws] = np.arange(len(ws))
+    last, perms = words % d, np.empty((k - 1, len(words)), dtype=np.intp)
+    for i in range(k - 1):
+        place = d ** (k - 1 - i)
+        letter = words // place % d
+        perms[i] = pos[words + (last - letter) * place + (letter - last)]
+    out, start = {}, 0
+    for w, (ws, subs) in blocks.items():
+        out[w] = ws, subs, perms[:, start:start + len(ws)]
+        start += len(ws)
+    return out
 
 
-def schur_transform(n: int, d: int) -> SchurUnitary:
-    """U_Sch(n) = S(n-1) (S(n-2) (x) I_d) ... (S(1) (x) I_d^(n-2)), one level at
-    a time: S(k) is block diagonal over the sectors, one CG transform each,
-    whose dense matrix is formed once per distinct label of the level.  A
-    sector's rows are written into the level's one array as they are made."""
-    if n < 1:
-        raise ValueError("n >= 1 required")
-    check_size(n, d)
-    u = np.eye(d)
-    sectors = [Sector(lam=one_box(d), path=(), offset=0, dim=d)]
-    for _ in range(n - 1):
-        side = len(u)
-        out, spawned, level = np.empty((side * d, side * d)), [], {}
-        for s in sectors:
-            if s.lam not in level:
-                t = cg_transform(s.lam)
-                level[s.lam] = t, t.matrix.reshape(t.size, s.dim, d)
-            t, matrix = level[s.lam]
-            # t (u_s (x) I_d) without the kron or a copy of t's matrix: t's
-            # columns (a, e) with u_s's rows a give the columns (c, e), per e
-            rows = out[s.offset * d:(s.offset + s.dim) * d].reshape(t.size, side, d)
-            for e in range(d):
-                rows[:, :, e] = matrix[:, :, e] @ u[s.offset:s.offset + s.dim]
-            spawned.extend(Sector(lam=b.target, path=s.path + (b.j,),
-                                  offset=s.offset * d + b.offset, dim=b.dim)
-                           for b in t.blocks)
-        u, sectors = out, spawned
-    return SchurUnitary(matrix=u, sectors=sectors)
+def _powers(out: np.ndarray, swaps: np.ndarray, axis: int) -> None:
+    """Fill out[1:] with X_k out[0], X_k^2 out[0], ..., X_k acting on
+    `axis` of each as the sum of its gathers by the swaps."""
+    buf = np.empty_like(out[0])
+    for i in range(1, len(out)):
+        out[i] = 0.0
+        for p in swaps:
+            out[i] += np.take(out[i - 1], p, axis=axis, out=buf)
+
+
+def _check_traces(labels: list[Partition], traces: np.ndarray, k: int, d: int) -> None:
+    """Each label's projector trace at level k, summed over the blocks, is
+    dim P_nu dim Q_nu within 1e-12 d^k, the rounding of d^k diagonal
+    entries (measured at most 1.7e-16 d^k at (n, d) = (12, 2), (8, 3),
+    (6, 4), (5, 5) and (4, 9))."""
+    for nu, trace in zip(labels, traces):
+        want = dim_symmetric(nu) * dim_unitary(nu)
+        if not abs(trace - want) <= 1e-12 * d ** k:
+            raise AssertionError(f"level {k}: the projector of {nu} has trace "
+                                 f"{trace}, not dim P * dim Q = {want}")
 
 
 def _rho_block(state: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -154,44 +134,58 @@ def _rho_block(state: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return np.outer(v.real, v.real) + np.outer(v.imag, v.imag)
 
 
-def _schur_diagonal(rho: np.ndarray, su: SchurUnitary) -> np.ndarray:
-    """diag(U rho U^T), of length D, for a checked density matrix or state
-    vector rho, one weight block w at a time: the rows of block w are
-    sum_k (U_w Re rho_ww)_ik (U_w)_ik.  U (Im rho) U^T is antisymmetric, so
-    its diagonal is zero, and U keeps rho's coherences between different
-    weights off the diagonal."""
-    diag = np.empty(len(su.matrix))
-    for rows, cols, u in su.weight_blocks:
-        diag[rows] = np.sum((u @ _rho_block(rho, cols)) * u, axis=1)
-    return diag
-
-
-def weak_schur_probs(rho: np.ndarray, su: SchurUnitary) -> dict[Partition, float]:
-    """tr[rho Pi^Std_lam] for every lam |- n, via both the standard-basis
-    and Schur-basis routes (asserted equal within 1e-10).  Pi^Std_lam is
-    real symmetric and block diagonal over the weights, so only Re rho_ww
-    enters, block w of the standard-basis route being tr(Re rho_ww
-    S^T S) with S the lam rows of U_w.  A real density matrix, such as
-    the default I/D, is checked as it is, and a vector is never formed
-    into |v><v|, so no D x D array is made beside U and the input."""
-    rho = check_state(rho, su.d ** su.n, keep_real=True)
-    lams = partitions_of(su.n, su.d)
-    index = {lam: i for i, lam in enumerate(lams)}
-    label = np.empty(len(su.matrix), dtype=np.intp)  # each row's index in lams
-    for s in su.sectors:
-        label[s.offset:s.offset + s.dim] = index[s.lam]
-    p_sch = np.bincount(label, weights=_schur_diagonal(rho, su), minlength=len(lams))
-    p_std = np.zeros(len(lams))
-    for rows, cols, u in su.weight_blocks:
-        block, where = _rho_block(rho, cols), label[rows]
-        for i in np.unique(where):
-            s = u[where == i]
-            p_std[i] += np.vdot(block, s.T @ s)
-    out = {}
-    for lam, std, sch in zip(lams, p_std, p_sch):
-        if abs(std - sch) > 1e-10:
-            raise AssertionError(f"basis-change mismatch at {lam}: {std} vs {sch}")
-        out[lam] = float(std)
+def weak_schur_probs(rho: np.ndarray, n: int, d: int) -> dict[Partition, float]:
+    """tr[rho Pi_lam] for every lam |- n with at most d rows, descending, for
+    a density matrix or state vector on (C^d)^(x)n.  Pi_lam is real
+    symmetric and block diagonal over the weights, so only Re rho_WW
+    enters; a real density matrix, such as the default I/D, is read as it
+    is, and a vector is never formed into |v><v|.  Checked exactly where it
+    can be: each level's projector traces (_check_traces), and the total,
+    1 within 1e-9."""
+    if n < 1:
+        raise ValueError("n >= 1 required")
+    check_size(n, d)
+    rho = check_state(rho, d ** n, keep_real=True)
+    # level 0: the empty word, and the empty label's 1 x 1 projector; each
+    # block holds the indices of the labels on it and their projectors
+    empty, zero = (0,) * d, np.zeros(1, dtype=np.intp)
+    labels, blocks = [Partition(empty)], {empty: (zero,)}
+    held = {empty: (zero, np.ones((1, 1, 1)))}
+    for k in range(1, n + 1):
+        children, coef = _split(labels)
+        blocks = _blocks(blocks, k, d)
+        if k == n:
+            break
+        new, traces = {}, np.zeros(len(children))
+        for w, (ws, subs, swaps) in blocks.items():
+            mus = np.unique(np.concatenate([held[sub][0] for sub, _ in subs]))
+            c = coef[:, :, mus]
+            nus = np.flatnonzero(c.any(axis=(1, 2)))
+            count = np.flatnonzero(c.any(axis=(0, 2)))[-1] + 1
+            # Pi_mu (x) I on block w, for every label mu held on a sub-block,
+            # and its products with the powers of X_k
+            powers = np.zeros((count, len(mus), len(ws), len(ws)))
+            for sub, sl in subs:
+                on, stack = held[sub]
+                powers[0, np.searchsorted(mus, on), sl, sl] = stack
+            _powers(powers, swaps, axis=1)
+            stack = np.tensordot(c[nus, :count], powers, axes=([1, 2], [0, 1]))
+            traces[nus] += np.trace(stack, axis1=1, axis2=2)
+            new[w] = nus, stack
+        _check_traces(children, traces, k, d)
+        labels, held = children, new
+    # t[m, u] = tr((Pi_u (x) I) X_n^m rho) for each label u of level n - 1,
+    # summed over the blocks, block by block of the last letter: Pi_u is
+    # symmetric, so each trace is an elementwise sum
+    t = np.zeros(coef.shape[1:])
+    for ws, subs, swaps in blocks.values():
+        powers = np.empty((coef.shape[1], len(ws), len(ws)))
+        powers[0] = _rho_block(rho, ws)
+        _powers(powers, swaps, axis=0)
+        for sub, sl in subs:
+            on, stack = held[sub]
+            t[:, on] += np.einsum("uij,mij->mu", stack, powers[:, sl, sl])
+    out = {lam: float(p) for lam, p in zip(children, np.einsum("vmu,mu->v", coef, t))}
     total = sum(out.values())
     if abs(total - 1.0) > 1e-9:
         raise AssertionError(f"probabilities sum to {total}")

@@ -84,7 +84,15 @@ class LatticePath:
     def endpoint(self, d: int) -> Partition:
         """The label lam^n the path reaches from (1,0,...); a step off
         Young's lattice raises InvalidPartitionError, as add_box does."""
-        return _endpoint(self.steps, d)
+        parts = [1] + [0] * (d - 1)
+        for j in self.steps:
+            if not 0 <= j < d:
+                raise InvalidPartitionError(f"row index {j} out of range for d={d}")
+            if j >= 1 and parts[j - 1] == parts[j]:
+                raise InvalidPartitionError(
+                    f"{','.join(map(str, parts))} + e_{j} is not a valid partition")
+            parts[j] += 1
+        return Partition(tuple(parts))
 
 
 def _path_string(steps: tuple[int, ...], names) -> str:
@@ -92,19 +100,6 @@ def _path_string(steps: tuple[int, ...], names) -> str:
     (the text of j), joined by commas.  A report of many paths builds its
     table of names once."""
     return ",".join([names[j] for j in steps])
-
-
-def _endpoint(steps: tuple[int, ...], d: int) -> Partition:
-    """LatticePath(steps).endpoint(d), for a report of many paths."""
-    parts = [1] + [0] * (d - 1)
-    for j in steps:
-        if not 0 <= j < d:
-            raise InvalidPartitionError(f"row index {j} out of range for d={d}")
-        if j >= 1 and parts[j - 1] == parts[j]:
-            raise InvalidPartitionError(
-                f"{','.join(map(str, parts))} + e_{j} is not a valid partition")
-        parts[j] += 1
-    return Partition(tuple(parts))
 
 
 def _hooks(lam: Partition) -> Iterator[int]:

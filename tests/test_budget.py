@@ -19,7 +19,7 @@ from cg_reference import enumerate_paths, haar_state
 from schurstream import cg, cli, errors, sampler
 from schurstream.cli import run
 from schurstream.errors import SizeLimitError
-from schurstream.oracle import _transform_bytes, schur_transform
+from schurstream.oracle import _transform_bytes
 from schurstream.partitions import (LatticePath, Partition, dim_unitary,
                                     partitions_of)
 from schurstream.sampler import (_leaf_bytes, branch_distribution, init_state,
@@ -201,11 +201,13 @@ class TestEstimatesAreUpperBounds:
         assert peak <= 64 * state.size + len(dist.entries) * _leaf_bytes(n)
 
     @pytest.mark.parametrize("d,n", [(2, 8), (3, 5), (400, 1), (600, 1), (2, 12),
-                                     (15, 3)])
+                                     (15, 3), (3, 8)])
     def test_oracle(self, tmp_path, d, n):
         """At n = 1 the compare stream's d x d density matrix, parsed from
-        JSON, sets the peak (about 90 d^2); D = 4096 is the largest qubit
-        oracle that the budget admits."""
+        JSON, sets the peak (about 90 d^2), and at n = 3 the compare walk's
+        last density-matrix step (about 19 D^2); elsewhere I/D and the
+        level-(n-1) projectors do.  D = 4096 and 6561 are the largest qubit
+        and qutrit oracles that the budget admits."""
         argv = ["oracle", "--d", str(d), "--n", str(n),
                 "--compare", iid_mixed(tmp_path, n, d)]
         run(argv)
@@ -214,14 +216,42 @@ class TestEstimatesAreUpperBounds:
         assert peak <= _transform_bytes(n, d)
 
     def test_oracle_at_two_copies(self):
-        """At n = 2 the one sector's CG matrix is D x D; a compare walk's
-        density-matrix step there (about 80 D^2) is refused or admitted by
-        cg._step_bytes, so the oracle's own work is read without one."""
-        argv = ["oracle", "--d", "58", "--n", "2"]
-        run(argv)
+        """The largest n = 2 oracle the budget admits, d = 85.  A compare
+        walk's density-matrix step there (about 64 D^2) is refused or
+        admitted by cg._step_bytes, so the oracle's own work is read
+        without one."""
+        assert _transform_bytes(2, 86) > errors.MEMORY_BUDGET
+        argv = ["oracle", "--d", "85", "--n", "2"]
         peak, (code, _) = traced_peak(run, argv)
         assert code == 0
-        assert peak <= _transform_bytes(2, 58)
+        assert peak <= _transform_bytes(2, 85)
+
+    def test_oracle_at_one_copy(self, tmp_path):
+        """The largest n = 1 oracle the budget admits, d = 2672, with its
+        compare stream's density matrix parsed from 36 MB of JSON: the max
+        RSS of a fresh process, which counts the interpreter, numpy and
+        every page the parse touches, is under the estimate.  Traced, the
+        whole call peaks at 89 d^2 (608 MiB); tracing it here would take
+        about 40 s and 2 GB."""
+        d = 2672
+        assert _transform_bytes(1, d + 1) > errors.MEMORY_BUDGET >= _transform_bytes(1, d)
+        p = tmp_path / "iid.json"
+        with open(p, "w") as f:  # the tokens json.dumps writes for I/d, a row at a time
+            f.write('{"iid": {"n": 1, "rho": [')
+            for i in range(d):
+                row = ["0.0"] * d
+                row[i] = repr(1 / d)
+                f.write(("," if i else "") + "[" + ", ".join(row) + "]")
+            f.write("]}}")
+        child = ("import resource, sys\nfrom schurstream.cli import main\ncode = main()\n"
+                 "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+                 "sys.exit(code)")
+        env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", child, "oracle", "--d", str(d), "--n", "1",
+                               "--compare", str(p)], stdout=subprocess.DEVNULL,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stderr) * 1024 <= _transform_bytes(1, d)  # ru_maxrss is in KiB
 
     @pytest.mark.parametrize("n,d", [(2000, 2), (5000, 3)])
     def test_resources(self, n, d):
@@ -334,7 +364,6 @@ class TestRefusedBelowTheEstimate:
         assert len(run_full_state(state, 2).entries) == leaves
 
     def test_oracle(self, monkeypatch):
-        schur_transform(4, 2)  # builds the CG transforms
         need = _transform_bytes(4, 2)
         monkeypatch.setattr(errors, "MEMORY_BUDGET", need - 1)
         code, out = run(["oracle", "--n", "4"])

@@ -72,8 +72,8 @@ class TestCgQubit:
 @pytest.mark.parametrize("parts", [(3, 1), (7, 2), (3, 1, 0), (4, 2, 1),
                                    (2, 1, 0, 0), (3, 2, 1, 0)])
 def test_matrix_is_real(parts):
-    """The CG coefficients are real, and the sampler's and the oracle's
-    real-arithmetic products rely on the float64 dtype."""
+    """The CG coefficients are real, and the sampler's and the Schur-transform
+    reference's real-arithmetic products rely on the float64 dtype."""
     assert cg_transform(Partition(parts)).matrix.dtype == np.float64
 
 

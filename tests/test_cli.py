@@ -155,6 +155,12 @@ class TestOracle:
             assert "--compare needs the JSON report" in json.loads(out)["error"]
         assert run(["oracle", "--n", "3", "--format", "csv"])[0] == 0
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_no_copies_exit_1(self, n):
+        code, out = run(["oracle", "--n", n])
+        assert code == 1
+        assert json.loads(out) == {"error": "n >= 1 required"}
+
     def test_one_copy_at_large_d(self):
         """d = 1000 rows: the label enumeration holds no frame per row,
         so the report comes out, not a RecursionError after U is built."""
@@ -166,10 +172,10 @@ class TestOracle:
 
     def test_compare_is_checked_before_the_transform(self, tmp_path, zeros_file,
                                                      monkeypatch):
-        def transform(*args, **kwargs):
+        def probs(*args, **kwargs):
             raise AssertionError("the compare stream is checked first")
 
-        monkeypatch.setattr(cli, "schur_transform", transform)
+        monkeypatch.setattr(cli, "weak_schur_probs", probs)
         for stream, says in [(str(tmp_path / "missing.json"), "missing.json"),
                              (zeros_file, "--n 3")]:
             code, out = run(["oracle", "--n", "3", "--compare", stream])
@@ -177,21 +183,21 @@ class TestOracle:
             assert says in json.loads(out)["error"]
 
     def test_compare_walk_is_refused_before_the_transform(self, tmp_path, monkeypatch):
-        """At d=40, n=2 a budget of the oracle's estimate admits U but not
-        the compare walk's density-matrix step of side 1600, which is
-        refused before U is built."""
-        def transform(*args, **kwargs):
+        """At d=30, n=2 a budget of the oracle's estimate admits the oracle
+        and the walk's CG builds but not its density-matrix step of side 900,
+        which is refused before the oracle runs."""
+        def probs(*args, **kwargs):
             raise AssertionError("the compare walk runs first")
 
-        monkeypatch.setattr(cli, "schur_transform", transform)
+        monkeypatch.setattr(cli, "weak_schur_probs", probs)
         monkeypatch.setattr(cg, "_cache", {})
         monkeypatch.setattr(cg, "_cache_bytes", 0)
-        monkeypatch.setattr(errors, "MEMORY_BUDGET", _transform_bytes(2, 40))
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", _transform_bytes(2, 30))
         p = tmp_path / "iid.json"
-        p.write_text(json.dumps({"iid": {"rho": (np.eye(40) / 40).tolist(), "n": 2}}))
-        code, out = run(["oracle", "--d", "40", "--n", "2", "--compare", str(p)])
+        p.write_text(json.dumps({"iid": {"rho": (np.eye(30) / 30).tolist(), "n": 2}}))
+        code, out = run(["oracle", "--d", "30", "--n", "2", "--compare", str(p)])
         assert code == 2
-        assert "density-matrix step of side 1600" in json.loads(out)["error"]
+        assert "density-matrix step of side 900" in json.loads(out)["error"]
 
     @pytest.mark.parametrize("flag,data,says", [
         ("--compare", [[1, 1], [1, 0], [1, 0]],
@@ -212,10 +218,10 @@ class TestOracle:
             "state-unnormalized", "state-not-psd", "state-wrong-length"])
     def test_unphysical_input_is_refused_before_the_transform(
             self, tmp_path, monkeypatch, flag, data, says):
-        def transform(*args, **kwargs):
+        def probs(*args, **kwargs):
             raise AssertionError("the inputs are checked first")
 
-        monkeypatch.setattr(cli, "schur_transform", transform)
+        monkeypatch.setattr(cli, "weak_schur_probs", probs)
         p = tmp_path / "input.json"
         p.write_text(json.dumps(data))
         code, out = run(["oracle", "--n", "3", flag, str(p)])

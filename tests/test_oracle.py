@@ -1,18 +1,19 @@
-"""Brute-force Schur transform and projector algebra on small systems."""
+"""The CG-free oracle against the Schur-transform reference, and the
+reference's own transform and projector algebra, on small systems."""
 
 import numpy as np
 import pytest
 
-from cg_reference import (copy_projector, enumerate_paths, gt_patterns, haar_unitary,
-                          isotypic_projector, path_probs, pattern_weight, perm_rep,
-                          rows_for, rows_for_path, super_cg, tensor_rep)
+from cg_reference import (SchurUnitary, _schur_diagonal, copy_projector, enumerate_paths,
+                          gt_patterns, haar_state, haar_unitary, isotypic_projector,
+                          path_probs, pattern_weight, perm_rep, rows_for, rows_for_path,
+                          schur_transform, super_cg, tensor_rep, two_route_probs)
+from schurstream import oracle
 from schurstream.cg import cg_qubit
 from schurstream.errors import InvalidInputError, SizeLimitError
-from schurstream.oracle import (SchurUnitary, _schur_diagonal, schur_transform,
-                                weak_schur_probs)
-from schurstream.partitions import (LatticePath, Partition, dim_symmetric,
-                                    dim_unitary, one_box, partitions_of,
-                                    schur_weyl_weight)
+from schurstream.oracle import weak_schur_probs
+from schurstream.partitions import (Partition, dim_symmetric, dim_unitary, one_box,
+                                    partitions_of, schur_weyl_weight)
 
 
 class TestSuperCG:
@@ -116,58 +117,60 @@ class TestProjectors:
 
 class TestWeakSchurProbs:
     def test_all_zeros_state(self):
-        su = schur_transform(4, 2)
         vec = np.zeros(16)
         vec[0] = 1.0
-        probs = weak_schur_probs(vec, su)
+        probs = weak_schur_probs(vec, 4, 2)
         assert abs(probs[Partition((4, 0))] - 1.0) < 1e-12
 
     def test_maximally_mixed(self):
-        su = schur_transform(3, 2)
-        probs = weak_schur_probs(np.eye(8) / 8, su)
+        probs = weak_schur_probs(np.eye(8) / 8, 3, 2)
         for lam, p in probs.items():
             assert abs(p - float(schur_weyl_weight(lam))) < 1e-12
 
     def test_non_psd_rejected(self):
         su = schur_transform(2, 2)
         with pytest.raises(InvalidInputError):
-            weak_schur_probs(np.diag([1.5, -0.5, 0.0, 0.0]), su)
+            weak_schur_probs(np.diag([1.5, -0.5, 0.0, 0.0]), 2, 2)
+        with pytest.raises(InvalidInputError):
+            two_route_probs(np.diag([1.5, -0.5, 0.0, 0.0]), su)
         with pytest.raises(InvalidInputError):
             path_probs(np.diag([1.5, -0.5, 0.0, 0.0]), su)
 
     def test_singlet_pair(self):
-        su = schur_transform(4, 2)
         singlet = np.zeros(4)
         singlet[1], singlet[2] = 1 / np.sqrt(2), -1 / np.sqrt(2)
         vec = np.kron(singlet, singlet)
-        probs = weak_schur_probs(vec, su)
+        probs = weak_schur_probs(vec, 4, 2)
         # total spin zero lives entirely in the (2,2) component
         assert abs(probs[Partition((2, 2))] - 1.0) < 1e-10
 
     @pytest.mark.parametrize("n,d", [(8, 2), (5, 3)])
     def test_elementwise_trace_equals_product_trace(self, n, d):
-        """The standard-basis route sums rho * P^T elementwise; it equals
-        tr(rho P) through the dense product to rounding."""
+        """The standard-basis route sums rho * P^T elementwise, and the
+        oracle contracts rho with powers of X_n; each equals tr(rho P)
+        through the dense product to rounding."""
         rng = np.random.default_rng(n)
         size = d ** n
         a = rng.normal(size=(size, 4)) + 1j * rng.normal(size=(size, 4))
         su = schur_transform(n, d)
         for rho in (a @ a.conj().T / np.trace(a @ a.conj().T), np.eye(size) / size):
-            for lam, p in weak_schur_probs(rho, su).items():
+            for lam, p in [*two_route_probs(rho, su).items(),
+                           *weak_schur_probs(rho, n, d).items()]:
                 want = np.trace(rho @ isotypic_projector(su, lam)).real
                 assert abs(p - want) <= 1e-15
 
     @pytest.mark.parametrize("n,d", [(6, 2), (4, 3)])
     def test_imaginary_part_of_rho_drops_out(self, n, d):
         """On a Hermitian rho whose off-diagonal entries are purely
-        imaginary, the real-arithmetic routes still give tr(rho P)."""
+        imaginary, the real-arithmetic routes and the oracle still give
+        tr(rho P)."""
         rng = np.random.default_rng(10 * n + d)
         size = d ** n
         b = rng.normal(size=(size, size))
         anti = b - b.T
         rho = (np.eye(size) + 1j * anti / np.linalg.norm(anti, 2)) / size
         su = schur_transform(n, d)
-        for lam, p in weak_schur_probs(rho, su).items():
+        for lam, p in [*two_route_probs(rho, su).items(), *weak_schur_probs(rho, n, d).items()]:
             want = np.trace(rho @ isotypic_projector(su, lam)).real
             assert abs(p - want) <= 1e-15
 
@@ -183,6 +186,79 @@ class TestWeakSchurProbs:
         u = su.matrix
         want = np.real(np.diag(u @ rho @ u.conj().T))
         assert np.max(np.abs(_schur_diagonal(rho, su) - want)) <= 1e-15
+
+
+# every (n, d) at which the tests build U: the super-CG products, the
+# acceptance suite, the sampler comparisons and the weight-block checks
+U_SIZES = ([(n, 2) for n in range(1, 11)] + [(n, 3) for n in range(1, 7)]
+           + [(n, 4) for n in range(1, 5)])
+
+
+def random_density(size, rng, real):
+    a = rng.normal(size=(size, size))
+    if not real:
+        a = a + 1j * rng.normal(size=(size, size))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho)
+
+
+class TestJucysMurphyOracle:
+    @pytest.mark.parametrize("n,d", U_SIZES)
+    def test_equals_the_two_route_computation(self, n, d):
+        """The CG-free oracle equals the Schur-transform reference's two
+        routes within 1e-10: on I/D, on a Haar vector, and, to D = 729, on
+        random full-rank real and complex density matrices."""
+        rng = np.random.default_rng(1000 * d + n)
+        size = d ** n
+        su = schur_transform(n, d)
+        states = [np.eye(size) / size, haar_state(size, rng)]
+        if size <= 729:
+            states += [random_density(size, rng, real=True),
+                       random_density(size, rng, real=False)]
+        for rho in states:
+            want, got = two_route_probs(rho, su), weak_schur_probs(rho, n, d)
+            assert list(got) == list(want) == partitions_of(n, d)
+            assert max(abs(got[lam] - want[lam]) for lam in want) <= 1e-10
+
+    def test_a_corrupted_content_is_refused(self, monkeypatch):
+        """One wrong content, row 1's of (2,1), makes two Lagrange
+        polynomials that are not projectors on Pi_(2,1) (x) I; the sum of the
+        level-4 projectors is still the identity, so only the trace check
+        refuses it.  Without the check, the marginal is wrong and sums to 1."""
+        addable = oracle._addable
+
+        def corrupted(mu):
+            contents = addable(mu)
+            if mu == Partition((2, 1)):
+                contents[1] -= 1
+            return contents
+
+        monkeypatch.setattr(oracle, "_addable", corrupted)
+        mixed = np.eye(32) / 32
+        with pytest.raises(AssertionError, match=r"^level 4: the projector of 3,1 has trace"):
+            weak_schur_probs(mixed, 5, 2)
+        monkeypatch.setattr(oracle, "_check_traces", lambda *args: None)
+        wrong = weak_schur_probs(mixed, 5, 2)
+        assert abs(sum(wrong.values()) - 1.0) <= 1e-12
+        assert max(abs(p - float(schur_weyl_weight(lam))) for lam, p in wrong.items()) > 0.01
+
+    @pytest.mark.parametrize("n,d", [(1, 2), (1, 1000), (2, 40)])
+    def test_one_and_two_copies(self, n, d):
+        """One copy is one label, of probability tr rho; two are the
+        symmetric and antisymmetric parts, (1 +- tr(rho F))/2 with F the
+        swap, here of a product state."""
+        rng = np.random.default_rng(d)
+        a, b = haar_state(d, rng), haar_state(d, rng)
+        state = a if n == 1 else np.kron(a, b)
+        probs = weak_schur_probs(state, n, d)
+        if n == 1:
+            assert probs == {one_box(d): pytest.approx(1.0, abs=1e-12)}
+        else:
+            overlap = abs(np.vdot(a, b)) ** 2
+            sym = Partition((2,) + (0,) * (d - 1))
+            anti = Partition((1, 1) + (0,) * (d - 2))
+            assert abs(probs[sym] - (1 + overlap) / 2) <= 1e-12
+            assert abs(probs[anti] - (1 - overlap) / 2) <= 1e-12
 
 
 def letter_counts(index, n, d):
@@ -211,7 +287,7 @@ class TestWeightBlocks:
         u = su.matrix
         want = np.real(np.diag(u @ rho @ u.T))
         assert np.max(np.abs(_schur_diagonal(rho, su) - want)) <= 1e-15
-        for lam, p in weak_schur_probs(rho, su).items():
+        for lam, p in two_route_probs(rho, su).items():
             assert abs(p - np.trace(rho @ isotypic_projector(su, lam)).real) <= 1e-15
 
     @pytest.mark.parametrize("n,d", [(8, 2), (4, 3)])
@@ -223,7 +299,7 @@ class TestWeightBlocks:
         su = schur_transform(n, d)
         rho = np.outer(v, v.conj())
         assert np.max(np.abs(_schur_diagonal(v, su) - _schur_diagonal(rho, su))) <= 1e-15
-        pure, mixed = weak_schur_probs(v, su), weak_schur_probs(rho, su)
+        pure, mixed = two_route_probs(v, su), two_route_probs(rho, su)
         assert all(abs(pure[lam] - mixed[lam]) <= 1e-15 for lam in mixed)
 
     @pytest.mark.parametrize("n,d", [(4, 2), (3, 3)])
@@ -239,7 +315,7 @@ class TestWeightBlocks:
         moved = SchurUnitary(matrix=matrix, sectors=su.sectors)
         mixed = np.eye(d ** n) / d ** n
         with pytest.raises(AssertionError, match="^U_Sch has 1 nonzeros outside its weight"):
-            weak_schur_probs(mixed, moved)
+            two_route_probs(mixed, moved)
         with pytest.raises(AssertionError, match="outside its weight blocks"):
             _schur_diagonal(mixed, moved)
 

@@ -62,3 +62,21 @@ def test_register_mode_stays_in_the_tests():
                 names.append((node.lineno, node.asname or node.name))
         found = [(line, name) for line, name in names if name.startswith("register_")]
         assert found == [], f"{path.name}: register-mode names {found}"
+
+
+def test_the_oracle_stays_off_the_cg_layer():
+    """The oracle, the sampler's ground truth, imports nothing from cg or
+    gt_basis; the Schur transform and its two routes are the tests'
+    cross-check (tests/cg_reference.py), defined nowhere in the package."""
+    oracle = ast.parse((SRC[0].parent / "oracle.py").read_text())
+    imported = [(node.lineno, node.module) for node in ast.walk(oracle)
+                if isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[-1] in ("cg", "gt_basis")]
+    assert imported == [], f"oracle.py imports from the CG layer: {imported}"
+    moved = {"schur_transform", "SchurUnitary", "Sector", "weight_blocks",
+             "_pattern_weights", "_schur_diagonal"}
+    for path in SRC:
+        found = [(node.lineno, node.name)
+                 for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in moved]
+        assert found == [], f"{path.name}: Schur-transform names {found}"
