@@ -169,8 +169,10 @@ class CGTransform:
         return out.reshape(x.shape)
 
     def _product(self, v: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """The transform of v (x) q, a vector coupled to a pure qudit, formed first."""
-        return self._apply((v[:, None] * q).ravel())
+        """The transform of v (x) q, a vector coupled to a pure qudit, formed
+        first; the columns of a (dim Q, m) v are m vectors, each coupled to q."""
+        q = q.reshape(q.shape + (1,) * (v.ndim - 1))
+        return self._apply((v[:, None] * q).reshape((-1,) + v.shape[1:]))
 
     def check_unitary(self) -> float:
         """M^T M = I from the rows, in O(nnz w): an entry (r, c, v) adds
@@ -308,11 +310,13 @@ class QubitCG:
     def _product(self, v: np.ndarray, q: np.ndarray) -> np.ndarray:
         """The transform of v (x) q, a vector coupled to a pure qubit, with q
         folded into the rotation: row k is coef[0, k] q[0] v[k mod dim Q] +
-        coef[1, k] q[1] v[(k - 1) mod dim Q], `wrapped` listing v around its ends."""
+        coef[1, k] q[1] v[(k - 1) mod dim Q], `wrapped` listing v around its
+        ends.  The columns of a (dim Q, m) v are m vectors, each coupled to q."""
         wrapped = np.concatenate((v[-1:], v, v))
-        rotated = self.coef[0] * wrapped[1:]
+        coef = self.coef.reshape(self.coef.shape + (1,) * (v.ndim - 1))
+        rotated = coef[0] * wrapped[1:]
         rotated *= q[0]
-        part = self.coef[1] * wrapped[:-1]
+        part = coef[1] * wrapped[:-1]
         part *= q[1]
         rotated += part
         return rotated

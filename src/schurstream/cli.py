@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import io
+import itertools
 import json
 import os
 import sys
@@ -62,17 +63,33 @@ def _complex_entry(x):
     raise InvalidInputError(f"bad amplitude entry {x!r}; use a number or [re, im]")
 
 
+_NUMBERS = {int, float}
+
+
 def _parse_array(data, matrix: bool = False):
     """A vector or matrix, given as a list, with entries as numbers or
-    [re, im] pairs."""
+    [re, im] pairs.  When every entry is a number, or every entry a pair
+    of numbers, numpy reads the whole list, the types checked by C-level
+    maps; otherwise each entry is read on its own, which refuses the
+    first bad one by name and reads a mix of numbers and pairs."""
     if not isinstance(data, list) or not data:
         raise InvalidInputError("expected a non-empty list")
+    entries = data
     if matrix:
         if not all(isinstance(row, list) and row for row in data):
             raise InvalidInputError("each density matrix row must be a non-empty list")
         if len({len(row) for row in data}) > 1:
             raise InvalidInputError("density matrix rows differ in length: "
                                     f"{[len(row) for row in data]}")
+        entries = list(itertools.chain.from_iterable(data))
+    kinds = set(map(type, entries))
+    if kinds <= _NUMBERS:
+        return np.array(data, dtype=float).astype(complex)
+    if (kinds == {list} and set(map(len, entries)) == {2}
+            and set(map(type, itertools.chain.from_iterable(entries))) <= _NUMBERS):
+        parts = np.array(data, dtype=float)  # (..., 2): real and imaginary parts
+        return parts.view(complex).reshape(parts.shape[:-1])
+    if matrix:
         return np.array([[_complex_entry(x) for x in row] for row in data])
     return np.array([_complex_entry(x) for x in data])
 

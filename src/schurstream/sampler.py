@@ -15,20 +15,24 @@ measures the block label j.  Three execution modes share that step:
   the leading qudits of a d^n state, which also handles entangled inputs.
 
 The modes differ only in how they form one step's outcomes and what they
-do with them.  Trajectory mode and branch enumeration couple a
-product-state qudit in with `_product_outcomes`; full-state mode rotates
-the leading qudits of the whole state with `_outcomes`.  `_enumerate`
-walks every branch depth first, and `_sample` draws one.  The walk pushes
-internal nodes only: a node after n - 1 qudits writes its children, the
-leaves, straight into the result, and holds them to the memory budget by
-a count of leaves fixed before the walk starts.  The `dist` and `full`
-reports spell each path with the one path-string formula that
-LatticePath uses (partitions._path_string).
+do with them.  Trajectory mode couples a product-state qudit in with
+`_product_outcomes`, and `_sample` draws one branch.  Branch enumeration
+and full-state mode share `_enumerate`, which walks every branch level by
+level: at each level it groups the nodes by label and stacks a group's
+states along a trailing batch axis, so that one transform call expands
+every node of the group (`_expand`), coupling a product-state qudit into
+each column or rotating the leading qudits of each.  Density-matrix
+nodes take the same walk, their outcomes formed one column at a time.
+The walk holds each level and the leaves to the memory budget and sorts
+the leaves' paths once, at the end.  The `dist` and `full` reports spell
+each path with the one path-string formula that LatticePath uses
+(partitions._path_string).
 
 A step applies the CG transform with no dense matrix, through the two
 kernels that each transform format owns (see cg): `_apply` on the
 leading axis of a coupled state, on both sides of a density matrix, and
-`_product` on a vector state coupled to a pure qudit.
+`_product` on a vector state coupled to a pure qudit, or on the columns
+of a batch of them.
 """
 
 from __future__ import annotations
@@ -42,8 +46,8 @@ from . import errors
 from .cg import Transform, cg_transform
 from .errors import (InvalidInputError, NumericalCollapseError, check_budget,
                      check_state, check_stream)
-from .partitions import (LatticePath, Partition, dim_symmetric, one_box,
-                         partitions_of)
+from .partitions import (LatticePath, Partition, dim_symmetric, dim_unitary,
+                         one_box, partitions_of)
 
 DEFAULT_PRUNE = 1e-12
 _TINY = np.finfo(float).tiny  # the smallest normal float
@@ -151,68 +155,187 @@ def _path_counts(d: int, n: int):
         yield sum(dim_symmetric(lam) for lam in partitions_of(k, d))
 
 
-def _enumerate(d: int, n: int, root: np.ndarray, outcomes_fn,
-               prune: float, held: int = 0) -> BranchDistribution:
-    """Depth-first enumeration of every measurement branch of n qudits.
-    Nodes carry unnormalized states, whose weight is the accumulated branch
-    probability; `outcomes_fn(k, lam, state)` gives the children of a node
-    after k qudits.  Children lighter than `prune` are dropped and their
-    weight is added to `pruned`; `prune` must lie in [0, 1).  The leaves,
-    on top of the `held` bytes of the walk's states, are held to the
-    memory budget: the walk is refused at the first leaf past the room
-    the budget leaves them, naming that leaf's count.  With `prune` = 0
-    the walk reaches every lattice path, and it is refused before it
-    starts when their leaves are over the budget.
+def _expand(t: Transform, states: np.ndarray, qudit: np.ndarray | None
+            ) -> list[tuple[int, Partition, np.ndarray, np.ndarray]]:
+    """The children of m nodes at t's label, whose unnormalized states are
+    stacked along the trailing axis of `states`: (j, lam+e_j, their m
+    weights, their m parts stacked the same way) per block of t, j
+    ascending.  `qudit` is the product-state qudit that a `dist` level
+    couples in; at a `full` level it is None, and t (x) I_rest rotates the
+    leading qudits of states that hold them all.
 
-    Internal nodes are pushed in reverse, so each node's children are
-    popped j ascending.  A node after n - 1 qudits writes its children,
-    the leaves, straight into `entries` and `marginal`, j ascending, so
-    the leaves arrive in sorted path order: `entries` is sorted, and each
-    `marginal` sum runs over its paths in that order.  Every node adds its
-    pruned children to `pruned` j descending, the order in which it
-    pushes the others."""
+    Vectors coupled to a pure qudit, or rotated, take one `_product` or
+    `_apply` for all m columns, and a block's weights are the column sums
+    of |x|^2 over its rows.  Density matrices are coupled and rotated on
+    both sides one column at a time, each block written into its stack as
+    it comes, and a block's weights are the traces of its stack."""
+    m = states.shape[-1]
+    if states.ndim == 2 and (qudit is None or qudit.ndim == 1):
+        rotated = t._apply(states) if qudit is None else t._product(states, qudit)
+        rest = len(rotated) // t.size
+        starts = [b.offset * rest for b in t.blocks]
+        sums = np.add.reduceat(np.square(rotated.view(float)), starts, axis=0)
+        weights = sums[:, 0::2] + sums[:, 1::2]
+        return [(b.j, b.target, w, rotated[lo:lo + b.dim * rest])
+                for b, lo, w in zip(t.blocks, starts, weights)]
+    stacks = []
+    for i in range(m):
+        big = states[..., i] if qudit is None else _couple(states[..., i], qudit)
+        rest = len(big) // t.size
+        rotated = t._apply(t._apply(big), axis=1)
+        if not i:
+            stacks = [np.empty((b.dim * rest,) * 2 + (m,), dtype=complex) for b in t.blocks]
+        for b, stack in zip(t.blocks, stacks):
+            lo = b.offset * rest
+            stack[..., i] = rotated[lo:lo + b.dim * rest, lo:lo + b.dim * rest]
+    return [(b.j, b.target, np.trace(stack).real, stack) for b, stack in zip(t.blocks, stacks)]
+
+
+def _level_bytes(groups: list[tuple[Partition, int]], mixed: bool) -> int:
+    """Bytes a `dist` level holds beside the leaves, from its (label,
+    node count) groups, with s = d dim Q the side of a node's step: the
+    level's states and the next level's, 16 (s/d + s) bytes a vector node
+    and 16 ((s/d)^2 + s^2) a density-matrix one, a group's states again as
+    it is stacked, the temporaries of the largest vector group's product
+    and weights, three times its product, and 8 KiB of objects.  A
+    density-matrix step is taken one node at a time, and the node's
+    lookup checks its temporaries (cg._step_bytes).  Traced peaks of Haar
+    vector walks at d = 2 to 5 were 0.6 to 0.8 of this at levels over
+    100 KB."""
+    sides = [(lam.d * dim_unitary(lam), m) for lam, m in groups]
+    if mixed:
+        return 32 * sum(s * s * m for s, m in sides) + 8192
+    return 32 * sum(s * m for s, m in sides) + 48 * max(s * m for s, m in sides) + 8192
+
+
+def _enumerate(d: int, n: int, root: np.ndarray, stream: list[np.ndarray] | None,
+               prune: float, held: int = 0) -> BranchDistribution:
+    """Every measurement branch of n qudits, walked level by level.  A
+    node is an unnormalized state, whose weight is the accumulated branch
+    probability.  With a `stream`, the walk couples stream[k] into each
+    node after k qudits (`dist`); with None, `root` holds every qudit and
+    each level rotates the leading ones (`full`).  Children lighter than
+    `prune` are dropped and their weight is added to `pruned`; `prune`
+    must lie in [0, 1).
+
+    At each level the nodes are grouped by label and stacked along a
+    trailing batch axis, and `_expand` forms one group's children at
+    once.  Each node's path is a row of a small-int array, one column per
+    level.  The leaves' rows are sorted once at the end (np.lexsort), so
+    `entries` is in sorted path order and each `marginal` sum runs over
+    its paths in that order.  A weight is a column sum of |x|^2, where a
+    node-at-a-time walk would take np.vdot, so the floats may move in the
+    last bits; the depth-first walk kept in tests/reference_walk.py is
+    the reference.
+
+    The walk still looks up the transform once per node,
+    `cg_transform(lam, mixed=...)`, and uses the one that the group's
+    lookups return: a density-matrix lookup keeps its step check and
+    eviction, and perfbench counts the lookups as branch nodes
+    (`sampler.dist_nodes`, `sampler.full_nodes`).  The 7059 lookups of 15
+    qubits take about 1 ms on a 2-vCPU VM; one lookup per (level, label)
+    waits until that count is restated (ROADMAP O9 part 2).
+
+    Two checks hold the walk to the memory budget, less the `held` bytes
+    of the caller's states.  Before each `dist` level's products, its
+    states and temporaries (`_level_bytes`); a `full` level holds at most
+    the state's amplitudes, which `held` counts with a level's rotation.
+    And the leaves: the walk is refused once they pass the room the
+    budget leaves them, naming the first leaf past it.  With `prune` = 0
+    the walk reaches every lattice path, and it is refused before it
+    starts when their leaves are over the budget."""
     if not 0.0 <= prune < 1.0:  # NaN fails both comparisons
         raise InvalidInputError(f"prune={prune}: need 0 <= prune < 1")
     leaf = _leaf_bytes(n)
     if prune == 0.0:  # the first level over the budget refuses
         for count in _path_counts(d, n):
             check_budget(f"a walk of at least {count} leaves", held + count * leaf)
-    entries: dict[tuple[int, ...], float] = {}
-    sums: dict[tuple[int, ...], float] = {}  # label parts -> probability
-    pruned = 0.0
     room = (errors.MEMORY_BUDGET - held) // leaf  # the most leaves that fit
 
-    def refuse():  # a leaf past the room is over the budget
-        check_budget(f"a walk of {len(entries)} leaves", held + len(entries) * leaf)
+    def refuse():  # the first leaf past the room is over the budget
+        count = max(room, 0) + 1
+        check_budget(f"a walk of {count} leaves", held + count * leaf)
 
     if n == 1:  # the root is the only leaf
-        entries[()] = sums[one_box(d).parts] = _weight(root)
-        if len(entries) > room:
+        if room < 1:
             refuse()
-    # the nodes still to expand: (k, lam, unnormalized state, steps)
-    stack = [(1, one_box(d), root, ())] if n > 1 else []
-    while stack:
-        k, lam, cur, steps = stack.pop()
-        children = outcomes_fn(k, lam, cur)
-        internal = k + 1 < n
-        for j, target, p, sub in reversed(children):
-            if p < prune:
-                pruned += p
-            elif internal:
-                stack.append((k + 1, target, sub, steps + (j,)))
-        if internal:
-            continue
-        for j, target, p, _ in children:
-            if p < prune:
-                continue
-            entries[steps + (j,)] = p
-            key = target.parts
-            sums[key] = sums.get(key, 0.0) + p
-            if len(entries) > room:
-                refuse()
-    return BranchDistribution(
-        d=d, entries=entries, pruned=pruned,
-        marginal={Partition(parts): p for parts, p in sums.items()})
+        p = _weight(root)
+        return BranchDistribution(d=d, entries={(): p}, marginal={one_box(d): p})
+    step_type = np.min_scalar_type(d - 1)
+    # label parts -> the (states, paths) pieces of its nodes, to be stacked
+    frontier = {one_box(d).parts: [(root[..., None], np.zeros((1, 0), step_type))]}
+    leaves = []  # (paths, weights, label parts) per block of the last level
+    count, pruned = 0, 0.0
+    matrices = root.ndim == 2  # whether the nodes hold density matrices
+    for k in range(1, n):
+        qudit = None if stream is None else stream[k]
+        mixed = qudit is not None and (matrices or qudit.ndim == 2)  # a density-matrix step
+        matrices = matrices or mixed
+        level, frontier = frontier, {}
+        if not level:  # every node was pruned
+            break
+        if qudit is not None:
+            groups = [(Partition(parts), sum(len(paths) for _, paths in pieces))
+                      for parts, pieces in level.items()]
+            check_budget(f"level {k} of a walk, {sum(m for _, m in groups)} nodes",
+                         held + _level_bytes(groups, mixed))
+        while level:
+            parts, pieces = level.popitem()
+            if len(pieces) == 1:
+                (states, paths), = pieces
+            else:
+                states = np.concatenate([s for s, _ in pieces], axis=-1)
+                paths = np.concatenate([p for _, p in pieces])
+            del pieces
+            lam = Partition(parts)
+            for _ in range(len(paths)):  # one lookup per node
+                t = cg_transform(lam, mixed=mixed)
+            for j, target, w, sub in _expand(t, states, qudit):
+                rows = paths
+                if not w.min() >= prune:  # a weight under prune, or a NaN one
+                    light = w < prune  # a NaN weight is kept, as a number would be
+                    pruned += float(w[light].sum())
+                    if light.all():
+                        continue
+                    keep = ~light
+                    # compress keeps sub C-contiguous, where sub[..., keep] would not
+                    w, sub, rows = w[keep], sub.compress(keep, axis=-1), paths[keep]
+                child = np.empty((len(rows), k), step_type)
+                child[:, :-1] = rows
+                child[:, -1] = j
+                if k + 1 < n:
+                    frontier.setdefault(target.parts, []).append((sub, child))
+                    continue
+                leaves.append((child, w, target.parts))
+                count += len(w)
+                if count > room:
+                    refuse()
+    return _sorted_leaves(d, leaves, pruned)
+
+
+def _sorted_leaves(d: int, leaves: list, pruned: float) -> BranchDistribution:
+    """The distribution of the walk's leaves, given as (paths, weights,
+    label parts) per block: `entries` in sorted path order, and each
+    label's marginal summed over its paths in that order (np.bincount
+    adds one weight at a time), the labels in the order of their first
+    path.  The path tuples are made a few hundred rows at a time: a list
+    per row of the whole array would double the walk's peak."""
+    if not leaves:
+        return BranchDistribution(d=d, entries={}, marginal={}, pruned=pruned)
+    ids: dict[tuple[int, ...], int] = {}
+    labels = np.repeat([ids.setdefault(parts, len(ids)) for _, _, parts in leaves],
+                       [len(w) for _, w, _ in leaves])
+    paths = np.concatenate([p for p, _, _ in leaves])
+    order = np.lexsort(paths.T[::-1])
+    paths, labels = paths[order], labels[order]
+    weights = np.concatenate([w for _, w, _ in leaves])[order]
+    keys = (key for lo in range(0, len(paths), 256)
+            for key in map(tuple, paths[lo:lo + 256].tolist()))
+    entries = dict(zip(keys, weights.tolist()))
+    sums = np.bincount(labels, weights, minlength=len(ids)).tolist()
+    parts = list(ids)
+    marginal = {Partition(parts[i]): sums[i] for i in dict.fromkeys(labels.tolist())}
+    return BranchDistribution(d=d, entries=entries, marginal=marginal, pruned=pruned)
 
 
 @dataclass
@@ -315,10 +438,7 @@ def branch_distribution(stream: list[np.ndarray], d: int,
                         prune: float = DEFAULT_PRUNE) -> BranchDistribution:
     """Every measurement branch of a product stream, with its probability."""
     stream = check_stream(stream, d)
-    return _enumerate(
-        d, len(stream), stream[0],
-        lambda k, lam, amp: _product_outcomes(lam, amp, stream[k]),
-        prune)
+    return _enumerate(d, len(stream), stream[0], stream, prune)
 
 
 def run_full_state(state: np.ndarray, d: int,
@@ -342,8 +462,5 @@ def run_full_state(state: np.ndarray, d: int,
     held = 64 * state.size
     check_budget(f"full state of n={n}, d={d}", held)
     state = check_state(state, size)
-    return _enumerate(
-        d, n, state,
-        lambda k, lam, cur: _outcomes(cg_transform(lam), cur),
-        prune, held)
+    return _enumerate(d, n, state, None, prune, held)
 

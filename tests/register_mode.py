@@ -5,8 +5,9 @@ The state after k qubits lies on a ceil(log2(2k+4))-qubit register,
 amplitudes carry the state and the rest are zero padding.  Each step
 couples the next qubit in, lets the leading (L) qubit index j and keeps
 the qubits the width bookkeeping (`resources.removal`) keeps.  The mode is
-one more outcomes function (`_register_outcomes`) on the sampler's own
-walk (`_enumerate`) and draw (`_sample`); acceptance criterion 4 checks
+one more outcomes function (`_register_outcomes`) on the depth-first
+reference walk (reference_walk._enumerate) and the sampler's draw
+(`_sample`); acceptance criterion 4 checks
 the register layout and that its measurement law is the abstract mode's.
 """
 
@@ -19,8 +20,9 @@ from schurstream.errors import (InvalidInputError, NumericalCollapseError,
 from schurstream.partitions import LatticePath, Partition, dim_unitary, one_box
 from schurstream.resources import qudit_width, removal
 from schurstream.sampler import (DEFAULT_PRUNE, BranchDistribution, RunResult,
-                                 _enumerate, _is_matrix, _normalized,
-                                 _product_outcomes, _sample, make_rng)
+                                 _is_matrix, _normalized, _product_outcomes,
+                                 _sample, make_rng)
+from reference_walk import _enumerate
 
 PAD_TOL = 1e-12
 

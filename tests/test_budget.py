@@ -193,6 +193,36 @@ class TestEstimatesAreUpperBounds:
         assert code == 0
         assert peak <= len(warm.entries) * _leaf_bytes(n)
 
+    @pytest.mark.parametrize("d,n,mixed", [(2, 14, False), (3, 9, False), (5, 6, False),
+                                           (2, 11, True), (3, 7, True)])
+    def test_dist_levels(self, monkeypatch, d, n, mixed):
+        """The traced peak of each `dist` level but the last, read when the
+        next level is checked, is within its estimate, beside the largest
+        density-matrix step of a mixed level, which the step's lookup
+        checks on its own."""
+        rng = np.random.default_rng(d + n)
+        stream = [budget_rho(d)] * n if mixed else [haar_state(d, rng) for _ in range(n)]
+        branch_distribution(stream, d)  # builds every CG transform
+        levels = []
+        check = sampler.check_budget
+
+        def spy(request, estimate):
+            if request.startswith("level "):
+                levels.append((tracemalloc.get_traced_memory()[1], estimate))
+                tracemalloc.reset_peak()
+            check(request, estimate)
+
+        monkeypatch.setattr(sampler, "check_budget", spy)
+        tracemalloc.start()
+        try:
+            branch_distribution(stream, d)
+        finally:
+            tracemalloc.stop()
+        assert len(levels) == n - 1
+        for k, ((_, estimate), (peak, _)) in enumerate(zip(levels, levels[1:]), start=1):
+            step = cg._step_bytes(max(cg_side(d, lam.parts) for lam in partitions_of(k, d)))
+            assert peak <= estimate + (step if mixed else 0), k
+
     @pytest.mark.parametrize("n,mixed", [(12, False), (8, True)])
     def test_full_state(self, n, mixed):
         state = random_state(n, mixed)
@@ -327,13 +357,35 @@ class TestRefusedBelowTheEstimate:
             pytest.fail("the walk started")
 
         with monkeypatch.context() as m:
-            m.setattr(sampler, "_product_outcomes", no_work)
+            m.setattr(sampler, "cg_transform", no_work)  # a level's first work is a lookup
             m.setattr(errors, "MEMORY_BUDGET", need - 1)
             code, out = run(argv)
         assert code == 2
         assert "at least 20 leaves" in json.loads(out)["error"]
         monkeypatch.setattr(errors, "MEMORY_BUDGET", need)
         assert len(json.loads(run(argv)[1])["paths"]) == 20
+
+    def test_dist_level(self, tmp_path, monkeypatch):
+        """One byte below its first level's estimate, `dist` exits 2 before
+        any product; at it, that level's product runs and the next level
+        is refused."""
+        stream = haar_qubits(tmp_path, 6)
+        assert run(["dist", "--stream", stream])[0] == 0  # builds the CG transforms
+        need = sampler._level_bytes([(Partition((1, 0)), 1)], False)
+        products = []
+        product = cg.QubitCG._product
+        monkeypatch.setattr(cg.QubitCG, "_product",
+                            lambda *args: products.append(args) or product(*args))
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", need - 1)
+        code, out = run(["dist", "--stream", stream])
+        assert code == 2
+        assert f"level 1 of a walk, 1 nodes needs about {need} bytes" in json.loads(out)["error"]
+        assert products == []
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", need)
+        code, out = run(["dist", "--stream", stream])
+        assert code == 2
+        assert "level 2 of a walk" in json.loads(out)["error"]
+        assert len(products) == 1
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_path_counts(self, d):

@@ -547,8 +547,15 @@ class TestRefusedInputs:
         ({"vector": {"rho": [[0.5, 0], [0, 0.5]]}}, "expected a non-empty list"),
         ({"rho": {"vector": [1, 0]}}, "expected a non-empty list"),
         ({"rho": [[1, 0], [0]]}, "rows differ in length: [2, 1]"),
+        (["1", 0], "bad amplitude entry '1'"),
+        ([[1, 0, 0], [0, 0]], "bad amplitude entry [1, 0, 0]"),
+        ([[1, 0], [0, "0"]], "bad amplitude entry [0, '0']"),
+        ([1, None], "bad amplitude entry None"),
+        ([[1, 0], 0, True], "bad amplitude entry True"),
+        ({"rho": [[1, 0], 0]}, "each density matrix row must be a non-empty list"),
     ], ids=["bool-entries", "bool-pair", "bool-rho", "dict-under-vector",
-            "dict-under-rho", "ragged-rho"])
+            "dict-under-rho", "ragged-rho", "string-entry", "long-pair",
+            "string-in-pair", "null-entry", "bool-after-mix", "rho-row-not-a-list"])
     def test_malformed_state_exit_1(self, tmp_path, command, state, match):
         """Each of these was read as a state, or refused with numpy's text;
         the error names the input it is in."""
@@ -564,6 +571,23 @@ class TestRefusedInputs:
         error = json.loads(out)["error"]
         assert error.startswith(where)
         assert match in error
+
+    @pytest.mark.parametrize("data,matrix", [
+        ([0.6, -0.0, 1, 2.5e-300], False),
+        ([[0.6, 0], [-0.0, 0.8], [1, -2]], False),
+        ([[0.6, 0], 1, [0, -0.25]], False),  # numbers and pairs mixed
+        ([[0.5, 0], [0, 0.5]], True),
+        ([[[0.5, 0], [0, -0.1]], [[0, 0.1], [0.5, 0]]], True),
+        ([[0.5, [0, -0.1]], [[0, 0.1], 0.5]], True),
+    ], ids=["numbers", "pairs", "mixed", "rho-numbers", "rho-pairs", "rho-mixed"])
+    def test_parse_equals_the_entry_by_entry_read(self, data, matrix):
+        """The whole-list read gives the array that reading each entry with
+        _complex_entry gives, bit for bit."""
+        want = (np.array([[cli._complex_entry(x) for x in row] for row in data]) if matrix
+                else np.array([cli._complex_entry(x) for x in data]))
+        got = cli._parse_array(data, matrix=matrix)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("command", ["sample", "dist"])
     @pytest.mark.parametrize("rho,match", [

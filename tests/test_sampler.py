@@ -18,6 +18,7 @@ from schurstream.oracle import weak_schur_probs
 from schurstream.partitions import (LatticePath, Partition, dim_symmetric,
                                     dim_unitary, one_box, partitions_of)
 from schurstream.resources import qudit_width
+from reference_walk import _enumerate as depth_first
 from register_mode import _register_outcomes, register_branch_distribution, register_run
 from schurstream.sampler import (InvalidInputError, NumericalCollapseError,
                                  _leaf_bytes, _sample, branch_distribution,
@@ -234,8 +235,9 @@ class TestBranchDistribution:
         stream = [random_qubit(rng) for _ in range(10)]
         # builds every CG transform
         assert len(branch_distribution(stream, 2).entries) == 252
-        monkeypatch.setattr(errors, "MEMORY_BUDGET", 3 * _leaf_bytes(10))
-        with pytest.raises(SizeLimitError, match="4 leaves"):
+        # room for 100 leaves holds every level (sampler._level_bytes)
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", 100 * _leaf_bytes(10))
+        with pytest.raises(SizeLimitError, match="101 leaves"):
             branch_distribution(stream, 2)
 
     def test_permutation_invariance(self):
@@ -382,7 +384,7 @@ class TestLeafOrder:
             [random_qubit(rng) for _ in range(9)], prune=1e-2))
 
 
-def reference_walk(d, n, root, outcomes_fn, prune):
+def walk_pushing_every_leaf(d, n, root, outcomes_fn, prune):
     """The walk with every node pushed, the leaves too, each node's
     children in reverse; a leaf is recorded when it is popped."""
     entries, marginal, pruned = {}, {}, 0.0
@@ -401,57 +403,56 @@ def reference_walk(d, n, root, outcomes_fn, prune):
     return entries, marginal, pruned
 
 
-class TestLeavesAtTheirParent:
-    """A node after n - 1 qudits writes its children, the leaves, into the
-    result itself: the walk's numbers are those of a walk that pushes and
-    pops every leaf, bit for bit, and a walk over the budget is refused at
-    the same leaf, with no node expanded past it."""
+def product_outcomes(stream):
+    """The depth-first walk's outcomes function for a product stream."""
+    return lambda k, lam, amp: _product_outcomes(lam, amp, stream[k])
 
-    @staticmethod
-    def modes(rng):
-        """(name, d, n, root, outcomes_fn, run) per mode, run(prune)
-        calling the public entry point."""
-        qubits = [random_qubit(rng) for _ in range(7)]
-        # at 11 qubits many a node after 10 prunes both of its children,
-        # whose order of addition moves the last bit of the pruned mass
-        more = [random_qubit(rng) for _ in range(11)]
-        qutrits = [haar_state(3, rng) for _ in range(4)]
-        mixed = [random_density(2, rng) for _ in range(5)]
-        vec, rho = haar_state(2 ** 6, rng), random_density(3 ** 3, rng, rank=3)
-        return [
-            ("qubits", 2, 7, qubits[0],
-             lambda k, lam, amp: _product_outcomes(lam, amp, qubits[k]),
-             lambda prune: branch_distribution(qubits, 2, prune=prune)),
-            ("more qubits", 2, 11, more[0],
-             lambda k, lam, amp: _product_outcomes(lam, amp, more[k]),
-             lambda prune: branch_distribution(more, 2, prune=prune)),
-            ("qutrits", 3, 4, qutrits[0],
-             lambda k, lam, amp: _product_outcomes(lam, amp, qutrits[k]),
-             lambda prune: branch_distribution(qutrits, 3, prune=prune)),
-            ("mixed", 2, 5, mixed[0],
-             lambda k, lam, amp: _product_outcomes(lam, amp, mixed[k]),
-             lambda prune: branch_distribution(mixed, 2, prune=prune)),
-            ("full", 2, 6, vec, lambda k, lam, cur: _outcomes(cg_transform(lam), cur),
-             lambda prune: run_full_state(vec, 2, prune=prune)),
-            ("full-rho", 3, 3, rho, lambda k, lam, cur: _outcomes(cg_transform(lam), cur),
-             lambda prune: run_full_state(rho, 3, prune=prune)),
-        ]
+
+def full_outcomes(k, lam, cur):
+    """The depth-first walk's outcomes function for a full state."""
+    return _outcomes(cg_transform(lam), cur)
+
+
+def walk_modes(rng):
+    """(name, d, n, root, outcomes_fn, run) per mode, outcomes_fn driving
+    the depth-first reference walk and run(prune) calling the sampler's
+    public entry point on the same input."""
+    def dist(name, d, stream):
+        return (name, d, len(stream), stream[0], product_outcomes(stream),
+                lambda prune: branch_distribution(stream, d, prune=prune))
+
+    def full(name, d, state):
+        n = round(math.log(len(state), d))
+        return (name, d, n, state, full_outcomes,
+                lambda prune: run_full_state(state, d, prune=prune))
+
+    qubits = [random_qubit(rng) for _ in range(7)]
+    # at 11 qubits many a node after 10 prunes both of its children,
+    # whose order of addition moves the last bit of the pruned mass
+    more = [random_qubit(rng) for _ in range(11)]
+    qutrits = [haar_state(3, rng) for _ in range(4)]
+    mixed = [random_density(2, rng) for _ in range(5)]
+    vec, rho = haar_state(2 ** 6, rng), random_density(3 ** 3, rng, rank=3)
+    return [dist("qubits", 2, qubits), dist("more qubits", 2, more),
+            dist("qutrits", 3, qutrits), dist("mixed", 2, mixed),
+            full("full", 2, vec), full("full-rho", 3, rho)]
+
+
+class TestLeavesAtTheirParent:
+    """The depth-first reference walk (tests/reference_walk.py): a node
+    after n - 1 qudits writes its children, the leaves, into the result
+    itself.  Its numbers are those of a walk that pushes and pops every
+    leaf, bit for bit, and a walk over the budget is refused at the same
+    leaf, with no node expanded past it."""
 
     @pytest.mark.parametrize("prune", [0.0, 1e-12, 3e-3, 1e-2, 3e-2, 0.2])
     def test_equals_the_walk_that_pushes_every_leaf(self, prune):
-        for name, d, n, root, outcomes_fn, run in self.modes(np.random.default_rng(83)):
-            entries, marginal, pruned = reference_walk(d, n, root, outcomes_fn, prune)
-            dist = run(prune)
+        for name, d, n, root, outcomes_fn, _ in walk_modes(np.random.default_rng(83)):
+            entries, marginal, pruned = walk_pushing_every_leaf(d, n, root, outcomes_fn, prune)
+            dist = depth_first(d, n, root, outcomes_fn, prune)
             assert list(dist.entries.items()) == list(entries.items()), name
             assert list(dist.marginal.items()) == list(marginal.items()), name
             assert dist.pruned == pruned, name
-
-    @staticmethod
-    def counted(monkeypatch, name):
-        """Count the calls of the sampler's outcomes function `name`."""
-        calls, fn = [], getattr(sampler, name)
-        monkeypatch.setattr(sampler, name, lambda *a: calls.append(a) or fn(*a))
-        return calls
 
     @pytest.mark.parametrize("kind", ["dist", "full"])
     def test_refused_at_the_first_leaf_past_the_room(self, monkeypatch, kind):
@@ -459,35 +460,39 @@ class TestLeavesAtTheirParent:
         k + 1, naming that count, having expanded only the nodes on the
         way to it: the proper prefixes of the first k + 1 leaves."""
         rng = np.random.default_rng(89)
+        calls = []
         if kind == "dist":
             stream = [random_qubit(rng) for _ in range(8)]
-            run, held, name = (lambda: branch_distribution(stream, 2)), 0, "_product_outcomes"
+            root, held, outcomes_fn = stream[0], 0, product_outcomes(stream)
         else:
-            vec = haar_state(2 ** 8, rng)
-            run, held, name = (lambda: run_full_state(vec, 2)), 64 * vec.size, "_outcomes"
+            root = haar_state(2 ** 8, rng)
+            held, outcomes_fn = 64 * root.size, full_outcomes
+
+        def run():
+            counting = lambda *a: calls.append(a) or outcomes_fn(*a)  # noqa: E731
+            return depth_first(2, 8, root, counting, sampler.DEFAULT_PRUNE, held)
+
         full = run()  # builds every CG transform
         leaves = list(full.entries)
         assert full.pruned == 0 and len(leaves) == 70
-        budget = errors.MEMORY_BUDGET
         for k in (0, 1, 2, 3, 17, 34, 35, 69):
             for spare in (0, _leaf_bytes(8) - 1):
-                calls = self.counted(monkeypatch, name)
+                calls.clear()
                 monkeypatch.setattr(errors, "MEMORY_BUDGET", held + k * _leaf_bytes(8) + spare)
                 with pytest.raises(SizeLimitError, match=rf"a walk of {k + 1} leaves needs"):
                     run()
                 prefixes = {s[:i] for s in leaves[:k + 1] for i in range(len(s))}
                 assert len(calls) == len(prefixes), (k, spare)
-                monkeypatch.setattr(errors, "MEMORY_BUDGET", budget)
         monkeypatch.setattr(errors, "MEMORY_BUDGET", held + 70 * _leaf_bytes(8))
         assert run().entries == full.entries
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_one_qudit_is_its_own_leaf(self, monkeypatch, d):
         """At n = 1 the root is the only leaf, of its own weight; no
-        outcomes are formed, and a budget with no room for it refuses it."""
+        transform is looked up, and a budget with no room for it refuses
+        it."""
         rng = np.random.default_rng(97 + d)
-        calls = self.counted(monkeypatch, "_product_outcomes")
-        full_calls = self.counted(monkeypatch, "_outcomes")
+        lookups = counted(monkeypatch, "cg_transform")
         vec, rho = haar_state(d, rng), random_density(d, rng)
         for dist in (branch_distribution([vec], d), branch_distribution([rho], d),
                      run_full_state(vec, d), run_full_state(rho, d)):
@@ -496,7 +501,7 @@ class TestLeavesAtTheirParent:
             assert list(dist.marginal) == [one_box(d)]
             assert dist.marginal[one_box(d)] == dist.entries[()]
             assert dist.pruned == 0.0
-        assert calls == [] and full_calls == []
+        assert lookups == []
         if d == 2:
             reg = register_branch_distribution([vec])
             assert list(reg.entries) == [()] and list(reg.marginal) == [one_box(2)]
@@ -506,6 +511,93 @@ class TestLeavesAtTheirParent:
         monkeypatch.setattr(errors, "MEMORY_BUDGET", 64 * d + _leaf_bytes(1) - 1)
         with pytest.raises(SizeLimitError, match="a walk of 1 leaves"):
             run_full_state(vec, d)
+
+
+def counted(monkeypatch, name):
+    """Count the calls of the sampler's function `name`."""
+    calls, fn = [], getattr(sampler, name)
+    monkeypatch.setattr(sampler, name, lambda *a, **kw: calls.append(a) or fn(*a, **kw))
+    return calls
+
+
+def assert_close(got, want, name):
+    """The same keys in the same order, and floats within 1e-15: the
+    level walk weighs a block by summing |x|^2 down a column, where the
+    depth-first walk takes np.vdot."""
+    for a, b in ((got.entries, want.entries), (got.marginal, want.marginal)):
+        assert list(a) == list(b), name
+        assert all(abs(a[key] - b[key]) <= 1e-15 for key in a), name
+    assert abs(got.pruned - want.pruned) <= 1e-15, name
+
+
+class TestLevelWalk:
+    """The level-by-level walk against the depth-first reference
+    (tests/reference_walk.py), and its trace and memory contracts."""
+
+    @pytest.mark.parametrize("prune", [0.0, sampler.DEFAULT_PRUNE, 1e-2, 0.3])
+    def test_matches_the_depth_first_walk(self, prune):
+        rng = np.random.default_rng(101)
+        modes = walk_modes(rng)
+        extra = [
+            [haar_state(2, rng) for _ in range(12)],
+            [haar_state(3, rng) for _ in range(7)],
+            [haar_state(4, rng) for _ in range(5)],
+            [haar_state(2, rng) for _ in range(3)],  # paths over 0.3 survive
+            # vectors, then a density matrix, then vectors again
+            [haar_state(2, rng) for _ in range(3)] + [random_density(2, rng)]
+            + [haar_state(2, rng) for _ in range(3)],
+            [random_density(3, rng)] + [haar_state(3, rng) for _ in range(3)],
+        ]
+        for stream in extra:
+            d = len(stream[0])
+            modes.append((f"d={d} n={len(stream)}", d, len(stream), stream[0],
+                          product_outcomes(stream),
+                          lambda prune, s=stream, d=d: branch_distribution(s, d, prune=prune)))
+        for name, d, n, root, outcomes_fn, run in modes:
+            held = 64 * root.size if outcomes_fn is full_outcomes else 0
+            assert_close(run(prune), depth_first(d, n, root, outcomes_fn, prune, held), name)
+
+    @pytest.mark.parametrize("kind", ["dist", "full"])
+    def test_one_lookup_per_node(self, monkeypatch, kind):
+        """The walk looks the transform up once per node it expands, as
+        perfbench counts branch nodes: with nothing pruned, once per
+        proper prefix of the leaves."""
+        rng = np.random.default_rng(103)
+        if kind == "dist":
+            stream = [haar_state(3, rng) for _ in range(6)]
+            run = lambda: branch_distribution(stream, 3)  # noqa: E731
+        else:
+            state = haar_state(2 ** 9, rng)
+            run = lambda: run_full_state(state, 2)  # noqa: E731
+        lookups = counted(monkeypatch, "cg_transform")
+        dist = run()
+        assert dist.pruned == 0
+        prefixes = {s[:i] for s in dist.entries for i in range(len(s))}
+        assert len(lookups) == len(prefixes)
+
+    @pytest.mark.parametrize("kind", ["dist", "full"])
+    def test_refused_past_the_leaf_room(self, monkeypatch, kind):
+        """With room for k of the N leaves, and for every level, the walk
+        is refused naming leaf k + 1; with room for N it runs.  A `dist`
+        level needs `_level_bytes` of the budget beside the caller's
+        held bytes, so small rooms leave `dist` out."""
+        rng = np.random.default_rng(89)
+        if kind == "dist":
+            stream = [random_qubit(rng) for _ in range(8)]
+            run, held, rooms = (lambda: branch_distribution(stream, 2)), 0, (40, 55, 69)
+        else:
+            vec = haar_state(2 ** 8, rng)
+            run, held, rooms = ((lambda: run_full_state(vec, 2)), 64 * vec.size,
+                                (0, 1, 17, 35, 69))
+        full = run()  # builds every CG transform
+        assert full.pruned == 0 and len(full.entries) == 70
+        for k in rooms:
+            for spare in (0, _leaf_bytes(8) - 1):
+                monkeypatch.setattr(errors, "MEMORY_BUDGET", held + k * _leaf_bytes(8) + spare)
+                with pytest.raises(SizeLimitError, match=rf"a walk of {k + 1} leaves needs"):
+                    run()
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", held + 70 * _leaf_bytes(8))
+        assert run().entries == full.entries
 
 
 class TestOutcomes:
