@@ -27,8 +27,8 @@ from . import __version__
 from .cg import cg_transform, verify_sparsity
 from .errors import (InvalidInputError, SizeLimitError, check_budget, check_state,
                      check_stream)
-from .oracle import check_size, weak_schur_probs
-from .partitions import Partition, _path_string, dim_unitary
+from .oracle import _probs, check_size
+from .partitions import Partition, _path_texts, dim_unitary
 from .resources import (check_profile, memory_profile, peak_width, qubit_gate_count,
                         qudit_gate_bound, two_level_total)
 from .sampler import (DEFAULT_PRUNE, branch_distribution, run_full_state,
@@ -163,19 +163,33 @@ def _csv(header: list[str], rows) -> str:
 
 def _emit_dist(args, dist) -> str:
     """The `dist` and `full` report: every path in sorted order, then the
-    label marginal and the pruned mass.  Each path's text is looked up
-    step by step in one table of the d step names, and its CSV label is
-    spelled from its step counts, as the walk emits only valid paths."""
-    names = [str(j) for j in range(dist.d)]
+    label marginal and the pruned mass, spelled from the distribution's
+    sorted arrays.  The path texts come from partitions._path_texts, and a
+    CSV label from the path's step counts, as the walk emits only valid
+    paths.  In JSON, the floats come from one call of json's C encoder,
+    which spells them (NaN and Infinity included) as the indenting encoder
+    that `_emit` runs does, and the "paths" object is written line by line
+    into `_emit`'s report, its keys in sort_keys order: the texts sort in
+    path order for d <= 10, which Timsort takes in linear time."""
+    texts = _path_texts(dist.paths, dist.d)
     if args.format == "csv":
+        m, length = dist.paths.shape
+        counts = np.bincount((np.arange(m)[:, None] * dist.d + dist.paths).ravel(),
+                             minlength=m * dist.d).reshape(m, dist.d)
+        counts[:, 0] += 1  # the box every path starts from
         return _csv(["lambda", "path", "probability"],
-                    [(",".join([str(s.count(j) + (j == 0)) for j in range(dist.d)]),
-                      _path_string(s, names), p) for s, p in dist.entries.items()])
-    return _emit(args, {
-        "paths": {_path_string(s, names): p for s, p in dist.entries.items()},
+                    zip(_path_texts(counts, length + 2), texts, dist.weights.tolist()))
+    out = _emit(args, {
+        "paths": {},
         "marginal": {str(lam): p for lam, p in dist.marginal.items()},
         "pruned": dist.pruned,
     })
+    if not texts:
+        return out
+    floats = json.dumps(dist.weights.tolist())[1:-1].split(", ")
+    lines = ",\n".join([f'    "{text}": {x}' for text, x in sorted(zip(texts, floats))])
+    head, tail = out.split('\n  "paths": {}', 1)
+    return f'{head}\n  "paths": {{\n{lines}\n  }}{tail}'
 
 
 def _trial_bytes(n: int) -> int:
@@ -236,7 +250,7 @@ def cmd_oracle(args) -> str:
         try:
             # no state file holds 2^64 amplitudes, so past n = 64 the length
             # check fails either way, and the power stays small
-            state = check_state(state, args.d ** min(args.n, 64))
+            state = check_state(state, args.d ** min(args.n, 64), keep_real=True)
         except InvalidInputError as e:
             raise InvalidInputError(f"state file: {e}") from e
     if args.n < 1:  # before I/D is formed
@@ -249,7 +263,7 @@ def cmd_oracle(args) -> str:
     if state is None:  # I/D, divided in place: no second D x D array
         state = np.eye(args.d ** args.n)
         state /= len(state)
-    probs = weak_schur_probs(state, args.n, args.d)
+    probs = _probs(state, args.n, args.d)  # the state and the size are checked
     if args.format == "csv":
         return _csv(["lambda", "probability"], probs.items())
     body = {"marginal": {str(lam): p for lam, p in probs.items()}}

@@ -145,7 +145,12 @@ def weak_schur_probs(rho: np.ndarray, n: int, d: int) -> dict[Partition, float]:
     if n < 1:
         raise ValueError("n >= 1 required")
     check_size(n, d)
-    rho = check_state(rho, d ** n, keep_real=True)
+    return _probs(check_state(rho, d ** n, keep_real=True), n, d)
+
+
+def _probs(rho: np.ndarray, n: int, d: int) -> dict[Partition, float]:
+    """weak_schur_probs on a state that check_state has passed, and an
+    (n, d) that check_size has: neither check is run again."""
     # level 0: the empty word, and the empty label's 1 x 1 projector; each
     # block holds the indices of the labels on it and their projectors
     empty, zero = (0,) * d, np.zeros(1, dtype=np.intp)

@@ -7,10 +7,13 @@ Partitions are stored padded to exactly ``d`` parts so that row indices
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Iterator
+
+import numpy as np
 
 
 class InvalidPartitionError(ValueError):
@@ -79,7 +82,8 @@ class LatticePath:
     steps: tuple[int, ...]
 
     def __str__(self) -> str:
-        return _path_string(self.steps, {j: str(j) for j in self.steps})
+        return _path_texts(np.array([self.steps], dtype=np.intp),
+                           max(self.steps, default=0) + 1)[0]
 
     def endpoint(self, d: int) -> Partition:
         """The label lam^n the path reaches from (1,0,...); a step off
@@ -95,11 +99,34 @@ class LatticePath:
         return Partition(tuple(parts))
 
 
-def _path_string(steps: tuple[int, ...], names) -> str:
-    """The text of a path: the name of each step, names[j] for step j
-    (the text of j), joined by commas.  A report of many paths builds its
-    table of names once."""
-    return ",".join([names[j] for j in steps])
+@functools.lru_cache(maxsize=32)
+def _step_names(d: int) -> np.ndarray:
+    """The names of the steps 0 .. d-1 as a read-only (d, w) byte table,
+    w = len(str(d-1)): each name right-aligned and padded with NUL.  The
+    tables of the 32 latest d are kept, d w bytes each, so that a short
+    path's text does not pay for its table."""
+    w = len(str(d - 1))
+    return np.frombuffer("".join(str(j).rjust(w, "\0") for j in range(d)).encode(),
+                         dtype=np.uint8).reshape(d, w)
+
+
+def _path_texts(paths: np.ndarray, d: int) -> list[str]:
+    """The text of each row of `paths`, an (m, l) array of integers in
+    0 .. d-1: the text of each step, joined by commas.  Every step's name
+    is gathered from the table of the d names (_step_names); each step is
+    followed by a comma, the last of a row by a newline, and the NULs are
+    dropped from the bytes of the whole array before it is split into
+    rows."""
+    m, length = paths.shape
+    if not length:  # the paths of one qudit
+        return [""] * m
+    names = _step_names(d)
+    w = names.shape[1]
+    text = np.empty((m, length, w + 1), dtype=np.uint8)
+    text[..., :w] = names.take(paths, axis=0)
+    text[..., w] = ord(",")
+    text[:, -1, w] = ord("\n")
+    return text.tobytes().replace(b"\0", b"").decode().split("\n")[:-1]
 
 
 def _hooks(lam: Partition) -> Iterator[int]:

@@ -24,9 +24,10 @@ every node of the group (`_expand`), coupling a product-state qudit into
 each column or rotating the leading qudits of each.  Density-matrix
 nodes take the same walk, their outcomes formed one column at a time.
 The walk holds each level and the leaves to the memory budget and sorts
-the leaves' paths once, at the end.  The `dist` and `full` reports spell
-each path with the one path-string formula that LatticePath uses
-(partitions._path_string).
+the leaves' paths once, at the end.  The distribution carries the
+sorted paths and their weights as arrays, from which the `dist` and
+`full` reports spell every path at once with the one path-text formula
+that LatticePath uses (partitions._path_texts).
 
 A step applies the CG transform with no dense matrix, through the two
 kernels that each transform format owns (see cg): `_apply` on the
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -133,17 +135,32 @@ def _sample(outcomes: list, rng: np.random.Generator) -> tuple[tuple, float]:
     return chosen, chosen[2] / total
 
 
-@dataclass
+@dataclass(eq=False)
 class BranchDistribution:
+    """Every kept branch of a walk: `paths`, an (m, n-1) small-int array of
+    their steps, one row per branch in sorted order, and `weights`, their m
+    probabilities (float64) in the same order; each label's probability,
+    in the order of its first path; and the pruned mass."""
+
     d: int
-    entries: dict[tuple[int, ...], float]  # path steps -> probability, sorted
+    paths: np.ndarray
+    weights: np.ndarray
     marginal: dict[Partition, float]  # label -> probability
     pruned: float = 0.0
 
+    @cached_property
+    def entries(self) -> dict[tuple[int, ...], float]:
+        """Path steps -> probability, in sorted path order.  Made on first
+        use; the reports read the arrays."""
+        return dict(zip(map(tuple, self.paths.tolist()), self.weights.tolist()))
+
 
 def _leaf_bytes(n: int) -> int:
-    """Bytes a leaf holds with its share of the `dist` or `full` report
-    (measured 573 B in JSON and 675 B in CSV at n=16)."""
+    """Bytes a leaf holds with its share of the `dist` or `full` report:
+    the traced peak of a whole `dist` call at n=16, over its 12,870
+    leaves, was 388 B in JSON and in CSV on iid I/2, and 373 B and 333 B
+    on Haar qubits (568-571 B when the report was spelled from a dict of
+    path tuples)."""
     return 512 + 32 * n
 
 
@@ -222,11 +239,11 @@ def _enumerate(d: int, n: int, root: np.ndarray, stream: list[np.ndarray] | None
     trailing batch axis, and `_expand` forms one group's children at
     once.  Each node's path is a row of a small-int array, one column per
     level.  The leaves' rows are sorted once at the end (np.lexsort), so
-    `entries` is in sorted path order and each `marginal` sum runs over
-    its paths in that order.  A weight is a column sum of |x|^2, where a
-    node-at-a-time walk would take np.vdot, so the floats may move in the
-    last bits; the depth-first walk kept in tests/reference_walk.py is
-    the reference.
+    the paths and weights are in sorted path order and each `marginal`
+    sum runs over its paths in that order.  A weight is a column sum of
+    |x|^2, where a node-at-a-time walk would take np.vdot, so the floats
+    may move in the last bits; the depth-first walk kept in
+    tests/reference_walk.py is the reference.
 
     The walk still looks up the transform once per node,
     `cg_transform(lam, mixed=...)`, and uses the one that the group's
@@ -256,12 +273,13 @@ def _enumerate(d: int, n: int, root: np.ndarray, stream: list[np.ndarray] | None
         count = max(room, 0) + 1
         check_budget(f"a walk of {count} leaves", held + count * leaf)
 
+    step_type = np.min_scalar_type(d - 1)
     if n == 1:  # the root is the only leaf
         if room < 1:
             refuse()
         p = _weight(root)
-        return BranchDistribution(d=d, entries={(): p}, marginal={one_box(d): p})
-    step_type = np.min_scalar_type(d - 1)
+        return BranchDistribution(d=d, paths=np.zeros((1, 0), step_type),
+                                  weights=np.array([p]), marginal={one_box(d): p})
     # label parts -> the (states, paths) pieces of its nodes, to be stacked
     frontier = {one_box(d).parts: [(root[..., None], np.zeros((1, 0), step_type))]}
     leaves = []  # (paths, weights, label parts) per block of the last level
@@ -310,18 +328,18 @@ def _enumerate(d: int, n: int, root: np.ndarray, stream: list[np.ndarray] | None
                 count += len(w)
                 if count > room:
                     refuse()
+    if not leaves:  # every leaf was pruned
+        return BranchDistribution(d=d, paths=np.zeros((0, n - 1), step_type),
+                                  weights=np.zeros(0), marginal={}, pruned=pruned)
     return _sorted_leaves(d, leaves, pruned)
 
 
 def _sorted_leaves(d: int, leaves: list, pruned: float) -> BranchDistribution:
     """The distribution of the walk's leaves, given as (paths, weights,
-    label parts) per block: `entries` in sorted path order, and each
-    label's marginal summed over its paths in that order (np.bincount
-    adds one weight at a time), the labels in the order of their first
-    path.  The path tuples are made a few hundred rows at a time: a list
-    per row of the whole array would double the walk's peak."""
-    if not leaves:
-        return BranchDistribution(d=d, entries={}, marginal={}, pruned=pruned)
+    label parts) per block: the paths and weights in sorted path order,
+    and each label's marginal summed over its paths in that order
+    (np.bincount adds one weight at a time), the labels in the order of
+    their first path."""
     ids: dict[tuple[int, ...], int] = {}
     labels = np.repeat([ids.setdefault(parts, len(ids)) for _, _, parts in leaves],
                        [len(w) for _, w, _ in leaves])
@@ -329,13 +347,11 @@ def _sorted_leaves(d: int, leaves: list, pruned: float) -> BranchDistribution:
     order = np.lexsort(paths.T[::-1])
     paths, labels = paths[order], labels[order]
     weights = np.concatenate([w for _, w, _ in leaves])[order]
-    keys = (key for lo in range(0, len(paths), 256)
-            for key in map(tuple, paths[lo:lo + 256].tolist()))
-    entries = dict(zip(keys, weights.tolist()))
     sums = np.bincount(labels, weights, minlength=len(ids)).tolist()
     parts = list(ids)
     marginal = {Partition(parts[i]): sums[i] for i in dict.fromkeys(labels.tolist())}
-    return BranchDistribution(d=d, entries=entries, marginal=marginal, pruned=pruned)
+    return BranchDistribution(d=d, paths=paths, weights=weights, marginal=marginal,
+                              pruned=pruned)
 
 
 @dataclass

@@ -81,6 +81,8 @@ def _enumerate(d: int, n: int, root: np.ndarray, outcomes_fn,
             sums[key] = sums.get(key, 0.0) + p
             if len(entries) > room:
                 refuse()
+    paths = np.array(list(entries), dtype=np.min_scalar_type(d - 1))
     return BranchDistribution(
-        d=d, entries=entries, pruned=pruned,
+        d=d, paths=paths.reshape(len(entries), n - 1),
+        weights=np.array(list(entries.values()), dtype=float), pruned=pruned,
         marginal={Partition(parts): p for parts, p in sums.items()})

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from schurstream import cg, cli, errors
+from schurstream import cg, cli, errors, oracle, sampler
 from schurstream.cli import run
 from schurstream.oracle import _transform_bytes
 from schurstream.partitions import Partition
@@ -72,7 +72,8 @@ class TestDist:
         from schurstream.sampler import BranchDistribution
 
         paths = [tuple(range(12)), tuple(range(1, 13))]
-        dist = BranchDistribution(d=13, entries={s: 0.5 for s in paths},
+        dist = BranchDistribution(d=13, paths=np.array(paths, dtype=np.uint8),
+                                  weights=np.full(len(paths), 0.5),
                                   marginal={LatticePath(s).endpoint(13): 0.5 for s in paths})
         out = cli._emit_dist(Namespace(command="dist", format=fmt, d=13), dist)
         if fmt == "json":
@@ -155,6 +156,31 @@ class TestOracle:
             assert "--compare needs the JSON report" in json.loads(out)["error"]
         assert run(["oracle", "--n", "3", "--format", "csv"])[0] == 0
 
+    @pytest.mark.parametrize("state,checks", [(None, 0), ("rho", 1)], ids=["I/D", "--state"])
+    def test_the_state_is_checked_once(self, tmp_path, iid_file, monkeypatch, state, checks):
+        """The D x D state is checked once, as the --state file, and the
+        I/D that the command forms itself not at all: the oracle runs on
+        them unchecked.  The compare stream's elements are d x d."""
+        n, d = 3, 2
+        calls = []
+
+        def counted(x, dim, **kwargs):
+            calls.append(np.asarray(x).size)
+            return check_state(x, dim, **kwargs)
+
+        check_state = errors.check_state
+        for module in (errors, cli, oracle, sampler):
+            monkeypatch.setattr(module, "check_state", counted)
+        argv = ["oracle", "--d", str(d), "--n", str(n), "--compare", iid_file]
+        if state:
+            p = tmp_path / "state.json"
+            p.write_text(json.dumps({"rho": (np.eye(d ** n) / d ** n).tolist()}))
+            argv += ["--state", str(p)]
+        code, out = run(argv)
+        assert code == 0 and json.loads(out)["max_deviation"] <= 1e-9
+        assert calls.count(d ** (2 * n)) == checks
+        assert 4 in calls  # the compare stream's rho, checked by its own route
+
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_no_copies_exit_1(self, n):
         code, out = run(["oracle", "--n", n])
@@ -175,7 +201,7 @@ class TestOracle:
         def probs(*args, **kwargs):
             raise AssertionError("the compare stream is checked first")
 
-        monkeypatch.setattr(cli, "weak_schur_probs", probs)
+        monkeypatch.setattr(cli, "_probs", probs)
         for stream, says in [(str(tmp_path / "missing.json"), "missing.json"),
                              (zeros_file, "--n 3")]:
             code, out = run(["oracle", "--n", "3", "--compare", stream])
@@ -189,7 +215,7 @@ class TestOracle:
         def probs(*args, **kwargs):
             raise AssertionError("the compare walk runs first")
 
-        monkeypatch.setattr(cli, "weak_schur_probs", probs)
+        monkeypatch.setattr(cli, "_probs", probs)
         monkeypatch.setattr(cg, "_cache", {})
         monkeypatch.setattr(cg, "_cache_bytes", 0)
         monkeypatch.setattr(errors, "MEMORY_BUDGET", _transform_bytes(2, 30))
@@ -221,7 +247,7 @@ class TestOracle:
         def probs(*args, **kwargs):
             raise AssertionError("the inputs are checked first")
 
-        monkeypatch.setattr(cli, "weak_schur_probs", probs)
+        monkeypatch.setattr(cli, "_probs", probs)
         p = tmp_path / "input.json"
         p.write_text(json.dumps(data))
         code, out = run(["oracle", "--n", "3", flag, str(p)])

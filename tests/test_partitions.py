@@ -4,12 +4,13 @@ import itertools
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from cg_reference import enumerate_paths, path_index
 from schurstream.partitions import (
-    InvalidPartitionError, LatticePath, Partition, _path_string, add_box, dim_symmetric,
+    InvalidPartitionError, LatticePath, Partition, _path_texts, add_box, dim_symmetric,
     dim_unitary, one_box, partitions_of, schur_weyl_weight, valid_rows)
 
 
@@ -234,11 +235,11 @@ class TestPartitionsOf:
 
 class TestPathString:
     """One formula gives a path's text, for LatticePath and for the
-    reports, which look each step up in a table of names built once."""
+    reports, which gather each step's name from a table of the d names."""
 
     @pytest.mark.parametrize("steps", [(), (0,), (0, 1, 0, 1), (1, 2, 10),
                                        (12, 0, 11, 10, 3), tuple(range(13))])
     def test_table_lookup_is_the_text_of_each_step(self, steps):
-        names = [str(j) for j in range(13)]
-        assert _path_string(steps, names) == str(LatticePath(steps)) == \
-            ",".join(str(j) for j in steps)
+        paths = np.array(steps, dtype=np.uint8).reshape(1, len(steps))
+        text, = _path_texts(paths, 13)
+        assert text == str(LatticePath(steps)) == ",".join(str(j) for j in steps)
