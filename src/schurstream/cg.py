@@ -297,9 +297,11 @@ class QubitCG:
         """self (x) I_rest on axis `axis` of x, of length size * rest, by the
         rotations on the interleaved real and imaginary parts, O(size rest):
         shifted by one qubit-1 slot, x lists the pairs (b[r-1], a[r]) that
-        block r takes to rows r and dim Q + r."""
+        block r takes to rows r and dim Q + r.  A later axis is moved to
+        the front, so the axes after it (a trailing batch among them) go
+        with rest."""
         if axis:
-            return self._apply(x.T).T
+            return np.moveaxis(self._apply(np.moveaxis(x, axis, 0)), 0, axis)
         rest = len(x) // self.size
         pairs = np.concatenate((x[-rest:], x[:-rest]), out=np.empty(x.shape, dtype=complex))
         pairs = pairs.view(float).reshape(self.size // 2, 2, -1)
@@ -626,10 +628,11 @@ def _build_bytes(d: int, size: int) -> int:
 def _step_bytes(size: int) -> int:
     """Peak bytes of coupling into a density matrix of side `size`, by
     `step()` or at a `dist` node: the previous state, the coupled state
-    and the temporaries of its rotation (measured 64 size^2 + 1.7 KB for
-    the d=2 rotations at sides 80 to 1200, and 64 size^2 + at most
-    1.1 KB size for the d >= 3 rows at sides 45 to 1440).  `sample`
-    unravels density matrices and holds only vectors."""
+    and the temporaries of its rotation, the coupled state freed before
+    the second side's (measured 48 size^2 + at most 0.6 KB size for the
+    d=2 rotations at sides 402 to 1400 and the d >= 3 rows at sides 256
+    to 1536).  `sample` unravels density matrices and holds only
+    vectors."""
     return 80 * size * size + 4096 * size
 
 
@@ -681,13 +684,14 @@ def cg_transform(lam: Partition, *, mixed: bool = False) -> Transform:
     t = _cache.get(key)
     if t is not None and not mixed:
         return t
-    size = lam.d * dim_unitary(lam)
+    size = lam.d * dim_unitary(lam) if t is None else t.size
+    # a density-matrix lookup that finds its transform is made once per
+    # node of a `dist` walk, so each message is formatted only to refuse
     if t is None:
-        errors.check_budget(f"CG transform of size {size} at lambda={lam}",
+        errors.check_budget(lambda: f"CG transform of size {size} at lambda={lam}",
                             _build_bytes(lam.d, size))
-    if mixed:
-        errors.check_budget(f"a density-matrix step of side {size} at lambda={lam}",
-                            _step_bytes(size))
+    step = _step_bytes(size) if mixed else 0
+    errors.check_budget(lambda: f"a density-matrix step of side {size} at lambda={lam}", step)
     with _cache_lock:
         cap = errors.MEMORY_BUDGET
         if lam.d == 2:
@@ -704,9 +708,9 @@ def cg_transform(lam: Partition, *, mixed: bool = False) -> Transform:
                 _make_room(4096, cap)
                 t = _cache[key] = t._relabel(lam)
                 _cache_bytes += 4096 if base.parts in _cache else t._held_bytes()
-        if mixed and _cache_bytes + _step_bytes(size) > errors.MEMORY_BUDGET:
+        if mixed and _cache_bytes + step > errors.MEMORY_BUDGET:
             kept, base = {key: t}, _reduced(lam)
-            room = min(cap, errors.MEMORY_BUDGET - _step_bytes(size))
+            room = min(cap, errors.MEMORY_BUDGET - step)
             if base != lam and t._held_bytes() + 4096 <= room:
                 reduced = _cache.get(base.parts)
                 kept[base.parts] = t._relabel(base) if reduced is None else reduced

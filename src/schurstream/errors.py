@@ -12,6 +12,7 @@ a real one, unless the caller keeps it real) at any size.  The CLI maps
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 import numpy as np
 
@@ -31,10 +32,13 @@ class NumericalCollapseError(RuntimeError):
     """All branch probabilities vanished; the state is corrupted."""
 
 
-def check_budget(request: str, estimate: int) -> None:
+def check_budget(request: str | Callable[[], str], estimate: int) -> None:
     """Refuse `request` when `estimate`, the bytes it will hold, is over
-    MEMORY_BUDGET."""
+    MEMORY_BUDGET.  A callable `request` is called for its text only to
+    refuse, for a check made on every step of a walk."""
     if estimate > MEMORY_BUDGET:
+        if callable(request):
+            request = request()
         raise SizeLimitError(f"{request} needs about {estimate} bytes, over the "
                              f"memory budget of {MEMORY_BUDGET} bytes")
 

@@ -27,8 +27,8 @@ def _transform_bytes(n: int, d: int) -> int:
     """Bytes the oracle on D = d^n holds with its inputs and report, with
     headroom.  Whole cold `oracle --compare` calls on iid I/d trace at most
     12.0 D^2 where the oracle sets the peak (n >= 4, D = 1000 to 6561: I/D,
-    the level-(n-1) projectors and one block's products); 18.6-19.7 D^2 at
-    n = 3, d = 10 to 19, the compare walk's last density-matrix step; 90
+    the level-(n-1) projectors and one block's products); 14.0-14.9 D^2 at
+    n = 3, d = 10 to 15, the compare walk's last density-matrix step; 90
     d^2 at n = 1, the d x d rho parsed from JSON.  At n = 2 the walk's step
     (64 D^2) has its own estimate, and the oracle alone traces 8.2 D^2.
     d^64 is over any budget, so the power stops there."""
@@ -105,12 +105,15 @@ def _blocks(prev: dict[tuple, tuple], k: int, d: int) -> dict[tuple, tuple]:
 
 def _powers(out: np.ndarray, swaps: np.ndarray, axis: int) -> None:
     """Fill out[1:] with X_k out[0], X_k^2 out[0], ..., X_k acting on
-    `axis` of each as the sum of its gathers by the swaps."""
+    `axis` of each as the sum of its gathers by the swaps.  Every swap
+    index lies in its block (_blocks), so a gather takes mode="clip",
+    which writes into buf directly where "raise" buffers; _check_traces
+    catches a wrong gather."""
     buf = np.empty_like(out[0])
     for i in range(1, len(out)):
         out[i] = 0.0
         for p in swaps:
-            out[i] += np.take(out[i - 1], p, axis=axis, out=buf)
+            out[i] += np.take(out[i - 1], p, axis=axis, out=buf, mode="clip")
 
 
 def _check_traces(labels: list[Partition], traces: np.ndarray, k: int, d: int) -> None:

@@ -22,7 +22,8 @@ level: at each level it groups the nodes by label and stacks a group's
 states along a trailing batch axis, so that one transform call expands
 every node of the group (`_expand`), coupling a product-state qudit into
 each column or rotating the leading qudits of each.  Density-matrix
-nodes take the same walk, their outcomes formed one column at a time.
+nodes take the same walk a run of columns at a time, each run's coupled
+states held to a fixed number of entries.
 The walk holds each level and the leaves to the memory budget and sorts
 the leaves' paths once, at the end.  The distribution carries the
 sorted paths and their weights as arrays, from which the `dist` and
@@ -33,7 +34,8 @@ A step applies the CG transform with no dense matrix, through the two
 kernels that each transform format owns (see cg): `_apply` on the
 leading axis of a coupled state, on both sides of a density matrix, and
 `_product` on a vector state coupled to a pure qudit, or on the columns
-of a batch of them.
+of a batch of them.  `_apply` on the second axis takes a trailing batch
+axis, which a density-matrix run stacks.
 """
 
 from __future__ import annotations
@@ -54,6 +56,21 @@ from .partitions import (LatticePath, Partition, dim_symmetric, dim_unitary,
 DEFAULT_PRUNE = 1e-12
 _TINY = np.finfo(float).tiny  # the smallest normal float
 
+# The most entries a run of density-matrix columns couples at once (at
+# least one column), so that a run's four complex temporaries (the coupled
+# states, each side's rotation and the shift copy between) take at most
+# 64 KiB beside the stacks.  branch_distribution on iid I/2, in one
+# process (2-vCPU VM, OPENBLAS_NUM_THREADS=1), at runs of 1 column, 256,
+# 512, 1024, 2048 and 4096 entries: 16 qubits took 411, 278, 178, 115, 83
+# and 62 ms at traced peaks of 4.99 to 5.22 MB, and 10 qubits 7.8, 4.3,
+# 3.1, 2.7, 2.5 and 2.5 ms.  The warm traced peak of `dist --format json`
+# on 11 such qubits is 192 KB at 512 entries, 221 KB at 1024, 287 KB at
+# 2048 and 390 KB at 4096, against the 399 KB its 462 leaves may hold
+# (_leaf_bytes): 1024 keeps a walk of that size at 0.55 of its leaves'
+# bytes.  Runs of more than one column need sides up to 22, which few
+# nodes of d = 3 and 4 walks have.
+_RUN_ENTRIES = 1 << 10
+
 
 def make_rng(seed: int) -> np.random.Generator:
     """Counter-based generator so trajectories reproduce across platforms."""
@@ -69,17 +86,22 @@ def _weight(x: np.ndarray) -> float:
     return float(np.trace(x).real) if x.ndim == 2 else float(np.vdot(x, x).real)
 
 
-def _outcomes(t: Transform, big: np.ndarray
+def _outcomes(t: Transform, state: np.ndarray, qudit: np.ndarray | None = None
               ) -> list[tuple[int, Partition, float, np.ndarray]]:
-    """Rotate `big` (a vector or a density matrix of side t.size * rest) by
-    t (x) I_rest, on both sides of a density matrix (t is real, so
-    t^dag = t^T), and split it along the blocks of t: (j, lam+e_j, weight,
-    unnormalized part) per block, j ascending.  `big` must be complex128,
-    as every state from check_state is."""
+    """Rotate `state` (x) qudit, or `state` alone (a vector or a density
+    matrix of side t.size * rest), by t (x) I_rest, on both sides of a
+    density matrix (t is real, so t^dag = t^T), and split it along the
+    blocks of t: (j, lam+e_j, weight, unnormalized part) per block, j
+    ascending.  `state` must be complex128, as every state from
+    check_state is.  The coupled state is held only here, and freed
+    before the second side's rotation."""
+    big = state if qudit is None else _couple(state, qudit)
+    rest = len(big) // t.size
     rotated = t._apply(big)
-    if big.ndim == 2:
+    del big
+    if rotated.ndim == 2:
         rotated = t._apply(rotated, axis=1)
-    return _split(t, rotated, len(big) // t.size)
+    return _split(t, rotated, rest)
 
 
 def _split(t: Transform, rotated: np.ndarray, rest: int = 1
@@ -95,24 +117,30 @@ def _split(t: Transform, rotated: np.ndarray, rest: int = 1
     return out
 
 
-def _couple(state: np.ndarray, qudit: np.ndarray) -> np.ndarray:
+def _couple(state: np.ndarray, qudit: np.ndarray, batch: bool = False) -> np.ndarray:
     """The Kronecker product state (x) qudit, qudit index fastest, formed by
-    broadcasting; a pure factor is promoted when the other one is mixed."""
-    if not (_is_matrix(state) or _is_matrix(qudit)):
-        return (state[:, None] * qudit).ravel()
-    a, q = (x if _is_matrix(x) else np.outer(x, x.conj()) for x in (state, qudit))
-    return (a[:, None, :, None] * q[None, :, None, :]).reshape(len(a) * len(q), -1)
+    broadcasting; a pure factor is promoted when the other one is mixed.
+    With `batch`, `state` stacks its states along a trailing axis, and the
+    product stacks theirs the same way."""
+    tail = (1,) * batch  # the qudit's axes broadcast over the batch
+    if state.ndim == 1 + batch and qudit.ndim == 1:
+        return (state[:, None] * qudit.reshape(-1, *tail)).reshape(-1, *state.shape[1:])
+    a = state if state.ndim == 2 + batch else state[:, None] * state.conj()
+    q = qudit if qudit.ndim == 2 else qudit[:, None] * qudit.conj()
+    side = len(a) * len(q)
+    return (a[:, None, :, None] * q.reshape(len(q), 1, len(q), *tail)
+            ).reshape(side, side, *a.shape[2:])
 
 
 def _product_outcomes(lam: Partition, amplitudes: np.ndarray, qudit: np.ndarray
                       ) -> list[tuple[int, Partition, float, np.ndarray]]:
     """The outcomes of coupling a product-state qudit into Q^d_lam.  A mixed
-    factor is coupled with `_couple` and goes through `_outcomes`; a vector
-    and a pure qudit go to the transform's own product step."""
+    factor goes through `_outcomes`, which couples it; a vector and a pure
+    qudit go to the transform's own product step."""
     mixed = amplitudes.ndim == 2 or qudit.ndim == 2
     t = cg_transform(lam, mixed=mixed)
     if mixed:
-        return _outcomes(t, _couple(amplitudes, qudit))
+        return _outcomes(t, amplitudes, qudit)
     return _split(t, t._product(amplitudes, qudit))
 
 
@@ -183,9 +211,14 @@ def _expand(t: Transform, states: np.ndarray, qudit: np.ndarray | None
 
     Vectors coupled to a pure qudit, or rotated, take one `_product` or
     `_apply` for all m columns, and a block's weights are the column sums
-    of |x|^2 over its rows.  Density matrices are coupled and rotated on
-    both sides one column at a time, each block written into its stack as
-    it comes, and a block's weights are the traces of its stack."""
+    of |x|^2 over its rows.  Density matrices (or vectors meeting a mixed
+    qudit, promoted to |v><v|) go a run of columns at a time, each run's
+    coupled states at most _RUN_ENTRIES entries and at least one column:
+    a run is coupled to the qudit (`_couple`), rotated by one `_apply`
+    on each side, and each block written into its stack; a block's
+    weights are the traces of its stack.  Every entry is the product and
+    rotation that one column alone would take, so the run length moves no
+    bit."""
     m = states.shape[-1]
     if states.ndim == 2 and (qudit is None or qudit.ndim == 1):
         rotated = t._apply(states) if qudit is None else t._product(states, qudit)
@@ -195,16 +228,21 @@ def _expand(t: Transform, states: np.ndarray, qudit: np.ndarray | None
         weights = sums[:, 0::2] + sums[:, 1::2]
         return [(b.j, b.target, w, rotated[lo:lo + b.dim * rest])
                 for b, lo, w in zip(t.blocks, starts, weights)]
-    stacks = []
-    for i in range(m):
-        big = states[..., i] if qudit is None else _couple(states[..., i], qudit)
-        rest = len(big) // t.size
-        rotated = t._apply(t._apply(big), axis=1)
-        if not i:
+    rest = 1 if qudit is not None else len(states) // t.size
+    side = t.size * rest
+    run = max(1, _RUN_ENTRIES // (side * side))
+    for lo in range(0, m, run):
+        part = states[..., lo:lo + run]
+        if qudit is not None:
+            part = _couple(part, qudit, batch=True)
+        rotated = t._apply(part)
+        del part  # the coupled states, before the second side's temporaries
+        rotated = t._apply(rotated, axis=1)
+        if not lo:  # once the first run's temporaries are freed
             stacks = [np.empty((b.dim * rest,) * 2 + (m,), dtype=complex) for b in t.blocks]
         for b, stack in zip(t.blocks, stacks):
-            lo = b.offset * rest
-            stack[..., i] = rotated[lo:lo + b.dim * rest, lo:lo + b.dim * rest]
+            at = b.offset * rest
+            stack[..., lo:lo + run] = rotated[at:at + b.dim * rest, at:at + b.dim * rest]
     return [(b.j, b.target, np.trace(stack).real, stack) for b, stack in zip(t.blocks, stacks)]
 
 
@@ -213,15 +251,17 @@ def _level_bytes(groups: list[tuple[Partition, int]], mixed: bool) -> int:
     node count) groups, with s = d dim Q the side of a node's step: the
     level's states and the next level's, 16 (s/d + s) bytes a vector node
     and 16 ((s/d)^2 + s^2) a density-matrix one, a group's states again as
-    it is stacked, the temporaries of the largest vector group's product
-    and weights, three times its product, and 8 KiB of objects.  A
-    density-matrix step is taken one node at a time, and the node's
-    lookup checks its temporaries (cg._step_bytes).  Traced peaks of Haar
-    vector walks at d = 2 to 5 were 0.6 to 0.8 of this at levels over
-    100 KB."""
+    it is stacked, and 8 KiB of objects; beside them, the temporaries of
+    the largest vector group's product and weights, three times its
+    product, or of the largest density-matrix run of columns, four
+    complex arrays of at most _RUN_ENTRIES entries.  A node whose matrix
+    alone is over _RUN_ENTRIES is a run of its own, and its lookup checks
+    that run's temporaries (cg._step_bytes).  Traced peaks of Haar vector
+    walks at d = 2 to 5 were 0.6 to 0.8 of this at levels over 100 KB."""
     sides = [(lam.d * dim_unitary(lam), m) for lam, m in groups]
     if mixed:
-        return 32 * sum(s * s * m for s, m in sides) + 8192
+        run = max(min(m, _RUN_ENTRIES // (s * s)) * s * s for s, m in sides)
+        return 32 * sum(s * s * m for s, m in sides) + 64 * run + 8192
     return 32 * sum(s * m for s, m in sides) + 48 * max(s * m for s, m in sides) + 8192
 
 
@@ -237,13 +277,14 @@ def _enumerate(d: int, n: int, root: np.ndarray, stream: list[np.ndarray] | None
 
     At each level the nodes are grouped by label and stacked along a
     trailing batch axis, and `_expand` forms one group's children at
-    once.  Each node's path is a row of a small-int array, one column per
-    level.  The leaves' rows are sorted once at the end (np.lexsort), so
-    the paths and weights are in sorted path order and each `marginal`
-    sum runs over its paths in that order.  A weight is a column sum of
-    |x|^2, where a node-at-a-time walk would take np.vdot, so the floats
-    may move in the last bits; the depth-first walk kept in
-    tests/reference_walk.py is the reference.
+    once, a density-matrix group's a run of columns at a time.  Each
+    node's path is a row of a small-int array, one column per level.  The
+    leaves' rows are sorted once at the end (np.lexsort), so the paths and
+    weights are in sorted path order and each `marginal` sum runs over its
+    paths in that order.  A weight is a column sum of |x|^2, or the trace
+    of a stacked density matrix, where a node-at-a-time walk would take
+    np.vdot or a 2-D trace, so the floats may move in the last bits; the
+    depth-first walk kept in tests/reference_walk.py is the reference.
 
     The walk still looks up the transform once per node,
     `cg_transform(lam, mixed=...)`, and uses the one that the group's

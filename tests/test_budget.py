@@ -194,7 +194,7 @@ class TestEstimatesAreUpperBounds:
         assert peak <= len(warm.entries) * _leaf_bytes(n)
 
     @pytest.mark.parametrize("d,n,mixed", [(2, 14, False), (3, 9, False), (5, 6, False),
-                                           (2, 11, True), (3, 7, True)])
+                                           (2, 11, True), (3, 7, True), (2, 14, True)])
     def test_dist_levels(self, monkeypatch, d, n, mixed):
         """The traced peak of each `dist` level but the last, read when the
         next level is checked, is within its estimate, beside the largest
@@ -235,7 +235,7 @@ class TestEstimatesAreUpperBounds:
     def test_oracle(self, tmp_path, d, n):
         """At n = 1 the compare stream's d x d density matrix, parsed from
         JSON, sets the peak (about 90 d^2), and at n = 3 the compare walk's
-        last density-matrix step (about 19 D^2); elsewhere I/D and the
+        last density-matrix step (about 15 D^2); elsewhere I/D and the
         level-(n-1) projectors do.  D = 4096 and 6561 are the largest qubit
         and qutrit oracles that the budget admits."""
         argv = ["oracle", "--d", str(d), "--n", str(n),
@@ -386,6 +386,36 @@ class TestRefusedBelowTheEstimate:
         assert code == 2
         assert "level 2 of a walk" in json.loads(out)["error"]
         assert len(products) == 1
+
+    def test_dist_level_on_iid_mixed_qubits(self, tmp_path, monkeypatch):
+        """test_dist_level on I/2 (x) 6: one byte below the first level's
+        estimate `dist` exits 2 before any rotation.  Each node's step
+        (cg._step_bytes), which its lookup checks after the level, is
+        larger than the level here: at the level's estimate that lookup
+        refuses before any rotation, and at the step the level's two
+        rotations run and a step of the next level is refused."""
+        stream = iid_mixed(tmp_path, 6)
+        assert run(["dist", "--stream", stream])[0] == 0  # builds the CG transforms
+        need = sampler._level_bytes([(Partition((1, 0)), 1)], True)
+        step = cg._step_bytes(4)
+        assert step > need
+        rotations = []
+        rotate = cg.QubitCG._apply
+        monkeypatch.setattr(cg.QubitCG, "_apply",
+                            lambda *args, **kw: rotations.append(args) or rotate(*args, **kw))
+        for budget, says in ((need - 1, f"level 1 of a walk, 1 nodes needs about {need} bytes"),
+                             (need, f"a density-matrix step of side 4 at lambda=1,0 needs "
+                                    f"about {step} bytes")):
+            monkeypatch.setattr(errors, "MEMORY_BUDGET", budget)
+            code, out = run(["dist", "--stream", stream])
+            assert code == 2
+            assert says in json.loads(out)["error"]
+            assert rotations == []
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", step)
+        code, out = run(["dist", "--stream", stream])
+        assert code == 2
+        assert "a density-matrix step of side 6 at lambda=2,0" in json.loads(out)["error"]
+        assert [len(args[1]) for args in rotations[:2]] == [4, 4]
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_path_counts(self, d):

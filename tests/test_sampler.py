@@ -535,7 +535,7 @@ class TestLevelWalk:
     (tests/reference_walk.py), and its trace and memory contracts."""
 
     @pytest.mark.parametrize("prune", [0.0, sampler.DEFAULT_PRUNE, 1e-2, 0.3])
-    def test_matches_the_depth_first_walk(self, prune):
+    def test_matches_the_depth_first_walk(self, monkeypatch, prune):
         rng = np.random.default_rng(101)
         modes = walk_modes(rng)
         extra = [
@@ -547,15 +547,49 @@ class TestLevelWalk:
             [haar_state(2, rng) for _ in range(3)] + [random_density(2, rng)]
             + [haar_state(2, rng) for _ in range(3)],
             [random_density(3, rng)] + [haar_state(3, rng) for _ in range(3)],
+            [np.eye(2) / 2] * 10,
+            [np.eye(3) / 3] * 6,
         ]
         for stream in extra:
             d = len(stream[0])
             modes.append((f"d={d} n={len(stream)}", d, len(stream), stream[0],
                           product_outcomes(stream),
                           lambda prune, s=stream, d=d: branch_distribution(s, d, prune=prune)))
+        # runs of 64 entries: the 14 nodes at (5, 2) after 7 of these qubits,
+        # of side 8, take 14 runs and the 14 at (4, 3), of side 4, four
+        several = [random_density(2, rng) for _ in range(8)]
+
+        def in_short_runs(prune):
+            with monkeypatch.context() as m:
+                m.setattr(sampler, "_RUN_ENTRIES", 64)
+                return branch_distribution(several, 2, prune=prune)
+
+        modes.append(("short runs", 2, 8, several[0], product_outcomes(several), in_short_runs))
         for name, d, n, root, outcomes_fn, run in modes:
             held = 64 * root.size if outcomes_fn is full_outcomes else 0
             assert_close(run(prune), depth_first(d, n, root, outcomes_fn, prune, held), name)
+
+    @pytest.mark.parametrize("kind", ["iid", "mixed", "full"])
+    def test_run_length_moves_no_bit(self, monkeypatch, kind):
+        """A density-matrix group expanded one column at a time, in short
+        runs or all at once gives the same paths and weights, bit for bit:
+        each entry is the product and rotation of its own column."""
+        rng = np.random.default_rng(107)
+        if kind == "full":
+            state = random_density(2 ** 7, rng, rank=3)
+            run = lambda: run_full_state(state, 2)  # noqa: E731
+        else:
+            stream = ([np.eye(2) / 2] * 10 if kind == "iid" else
+                      [random_density(3, rng)] + [haar_state(3, rng)]
+                      + [random_density(3, rng) for _ in range(4)])
+            run = lambda: branch_distribution(stream, len(stream[0]))  # noqa: E731
+        want = run()
+        for entries in (1, 64, 1 << 24):
+            monkeypatch.setattr(sampler, "_RUN_ENTRIES", entries)
+            got = run()
+            assert np.array_equal(got.paths, want.paths), entries
+            assert np.array_equal(got.weights, want.weights), entries
+            assert got.marginal == want.marginal and got.pruned == want.pruned, entries
 
     @pytest.mark.parametrize("kind", ["dist", "full"])
     def test_one_lookup_per_node(self, monkeypatch, kind):
@@ -641,6 +675,21 @@ class TestOutcomes:
             big /= np.trace(big).real
         self.check(_outcomes(t, big), self.kron_reference(t, big, rest), mixed)
 
+    @pytest.mark.parametrize("parts,rest", [((3, 1), 1), ((2, 0), 4), ((40, 0), 1),
+                                            ((2, 1, 0), 1), ((2, 1, 0), 3)])
+    def test_second_axis_takes_a_batch(self, parts, rest):
+        """`_apply` on axis 1 of a (side, side, m) stack rotates each
+        column's matrix as the leading-axis kernel rotates its transpose,
+        bit for bit, at d=2 (sides 6, 24 and 82) and d=3."""
+        rng = np.random.default_rng(sum(parts) + rest)
+        t = cg_transform(Partition(parts))
+        side = t.size * rest
+        x = rng.normal(size=(side, side, 5)) + 1j * rng.normal(size=(side, side, 5))
+        got = t._apply(x, axis=1)
+        assert got.shape == x.shape
+        for i in range(5):
+            assert np.array_equal(got[..., i], t._apply(x[..., i].T.copy()).T)
+
     # sides 375, 256 (16-entry rows), 513, 1029 and 1440
     @pytest.mark.parametrize("parts,power,mixed", [
         ((10, 6, 2), 1, False), ((10, 6, 2), 1, True), ((3, 2, 1, 0), 1, False),
@@ -696,6 +745,21 @@ class TestCouple:
         mixed = state_mixed or qudit_mixed
         want = np.kron(self.promoted(state, mixed), self.promoted(qudit, mixed))
         assert np.array_equal(_couple(state, qudit), want)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("state_mixed", [False, True])
+    @pytest.mark.parametrize("qudit_mixed", [False, True])
+    def test_batch_matches_each_column(self, d, state_mixed, qudit_mixed):
+        """A stack of states along a trailing axis is coupled column by
+        column, bit for bit, as the level walk's density-matrix runs are."""
+        rng = np.random.default_rng(89 + d)
+        states = [haar_state(4 * d, rng) for _ in range(3)]
+        if state_mixed:
+            states = [random_density(4 * d, rng) for _ in states]
+        qudit = random_density(d, rng) if qudit_mixed else haar_state(d, rng)
+        got = _couple(np.stack(states, axis=-1), qudit, batch=True)
+        for i, state in enumerate(states):
+            assert np.array_equal(got[..., i], _couple(state, qudit))
 
     def test_register_vector(self):
         rng = np.random.default_rng(83)
