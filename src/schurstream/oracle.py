@@ -164,9 +164,18 @@ def _probs(rho: np.ndarray, n: int, d: int) -> dict[Partition, float]:
         blocks = _blocks(blocks, k, d)
         if k == n:
             break
+        # a block's labels, those held on its sub-blocks, are the nonzero
+        # counts over the level's labels, sorted, and `where` is each one's
+        # position among them.  Not np.unique: it reads np.ma.is_masked, so
+        # its first call in a process imports numpy.ma (8-10 ms and about
+        # 1.1 MB RSS with numpy 2.4, a quarter of a cold `oracle --d 2 --n
+        # 10 --compare`)
         new, traces = {}, np.zeros(len(children))
+        where = np.empty(len(labels), dtype=np.intp)
         for w, (ws, subs, swaps) in blocks.items():
-            mus = np.unique(np.concatenate([held[sub][0] for sub, _ in subs]))
+            ons = np.concatenate([held[sub][0] for sub, _ in subs])
+            mus = np.flatnonzero(np.bincount(ons, minlength=len(labels)))
+            where[mus] = np.arange(len(mus))
             c = coef[:, :, mus]
             nus = np.flatnonzero(c.any(axis=(1, 2)))
             count = np.flatnonzero(c.any(axis=(0, 2)))[-1] + 1
@@ -175,7 +184,7 @@ def _probs(rho: np.ndarray, n: int, d: int) -> dict[Partition, float]:
             powers = np.zeros((count, len(mus), len(ws), len(ws)))
             for sub, sl in subs:
                 on, stack = held[sub]
-                powers[0, np.searchsorted(mus, on), sl, sl] = stack
+                powers[0, where[on], sl, sl] = stack
             _powers(powers, swaps, axis=1)
             stack = np.tensordot(c[nus, :count], powers, axes=([1, 2], [0, 1]))
             traces[nus] += np.trace(stack, axis1=1, axis2=2)
@@ -195,6 +204,6 @@ def _probs(rho: np.ndarray, n: int, d: int) -> dict[Partition, float]:
             t[:, on] += np.einsum("uij,mij->mu", stack, powers[:, sl, sl])
     out = {lam: float(p) for lam, p in zip(children, np.einsum("vmu,mu->v", coef, t))}
     total = sum(out.values())
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:
         raise AssertionError(f"probabilities sum to {total}")
     return out

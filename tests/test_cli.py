@@ -412,6 +412,41 @@ class TestContract:
         assert proc.returncode == 1
         assert b"Traceback" not in err, err.decode()
 
+    def test_no_command_imports_numpy_ma(self):
+        """The first call of each command, in one fresh interpreter on the
+        tests/data inputs, leaves numpy.ma unimported: np.unique reads
+        np.ma.is_masked, so one call of it costs a process 8-10 ms and about
+        1.1 MB RSS.  Only numpy.ma is asserted, not the whole import set,
+        which varies with the numpy build."""
+        calls = [
+            ["sample", "--stream", "qubits.json", "--seed", "5"],
+            ["sample", "--d", "3", "--stream", "qutrits.json", "--seed", "2"],
+            ["dist", "--stream", "qubits.json"],
+            ["full", "--state", "state.json"],
+            ["oracle", "--n", "3"],
+            ["oracle", "--n", "3", "--format", "csv"],
+            ["oracle", "--n", "3", "--state", "state.json", "--compare", "iid.json"],
+            ["oracle", "--d", "3", "--n", "4", "--state", "state_d3.json",
+             "--compare", "qutrits.json"],
+            ["cg", "--d", "3", "--lambda", "2,1,0"],
+            ["resources", "--n", "6", "--d", "3", "--epsilon", "0.01"],
+        ]
+        script = (
+            "import json, sys\n"
+            "from schurstream.cli import run\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    code, out = run(argv)\n"
+            "    assert code == 0, (argv, out)\n"
+            "    assert 'numpy.ma' not in sys.modules, argv\n")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(
+                       [str(Path(__file__).parents[1] / "src"),
+                        os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(calls)],
+                              cwd=Path(__file__).parent / "data", env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
     def test_schema_flag(self):
         code, out = run(["--schema"])
         assert code == 0

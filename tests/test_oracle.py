@@ -242,6 +242,20 @@ class TestJucysMurphyOracle:
         assert abs(sum(wrong.values()) - 1.0) <= 1e-12
         assert max(abs(p - float(schur_weyl_weight(lam))) for lam, p in wrong.items()) > 0.01
 
+    @pytest.mark.parametrize("kind", ["density matrix", "vector"])
+    def test_a_nan_total_is_refused(self, kind):
+        """check_state refuses a NaN before the oracle runs; the oracle's
+        body, given one past it, refuses the NaN total it makes rather than
+        return NaN probabilities."""
+        if kind == "vector":
+            state = np.full(8, 8 ** -0.5)
+            state[3] = np.nan
+        else:
+            state = np.eye(8) / 8
+            state[1, 2] = np.nan
+        with pytest.raises(AssertionError, match="^probabilities sum to nan$"):
+            oracle._probs(state, 3, 2)
+
     @pytest.mark.parametrize("n,d", [(1, 2), (1, 1000), (2, 40)])
     def test_one_and_two_copies(self, n, d):
         """One copy is one label, of probability tr rho; two are the
