@@ -627,12 +627,15 @@ def _build_bytes(d: int, size: int) -> int:
 
 def _step_bytes(size: int) -> int:
     """Peak bytes of coupling into a density matrix of side `size`, by
-    `step()` or at a `dist` node: the previous state, the coupled state
-    and the temporaries of its rotation, the coupled state freed before
-    the second side's (measured 48 size^2 + at most 0.6 KB size for the
-    d=2 rotations at sides 402 to 1400 and the d >= 3 rows at sides 256
-    to 1536).  `sample` unravels density matrices and holds only
-    vectors."""
+    `step()` or at a `dist` node, both through the level walk's kernel
+    (sampler._expand, on one column for `step()`): the previous state,
+    the coupled state and the temporaries of its rotation, the coupled
+    state freed before the second side's.  The traced peak of `step()`
+    above the previous state was 48 size^2 + at most 0.5 KB size, on a
+    density matrix meeting a pure or a mixed qudit and on a vector
+    meeting a mixed one, at d=2 and sides 256 to 1536 and at d = 3 and 4
+    and sides 273 to 1488.  `sample` unravels density matrices and holds
+    only vectors."""
     return 80 * size * size + 4096 * size
 
 

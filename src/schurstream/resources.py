@@ -76,7 +76,7 @@ def givens_decompose(u: np.ndarray
     """
     u = np.asarray(u, dtype=complex)
     size = u.shape[0]
-    if np.max(np.abs(u.conj().T @ u - np.eye(size))) > 1e-10:
+    if not np.max(np.abs(u.conj().T @ u - np.eye(size))) <= 1e-10:  # NaN fails it
         raise ValueError("input is not unitary")
     a = u.copy()
     rotations = []

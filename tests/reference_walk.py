@@ -5,11 +5,13 @@ mode (tests/register_mode.py).
 `_enumerate(d, n, root, outcomes_fn, prune, held)` expands one node at a
 time through `outcomes_fn(k, lam, state)`, which gives the children of a
 node after k qudits as (j, lam+e_j, weight, unnormalized part), j
-ascending: `sampler._product_outcomes` coupling stream[k] into a product
-stream's node, or `sampler._outcomes` with the label's transform for a
-full state.  Its leaves are the batched walk's, key for key and in the
-same order; their floats agree to rounding, since it weighs each block
-with `np.vdot` where the batched walk sums |x|^2 down a column.
+ascending: `node_outcomes` with the label's transform, coupling stream[k]
+into a product stream's node or rotating the leading qudits of a full
+state.  Nothing here batches: a node is coupled by np.kron and rotated
+alone, and each block is weighed with `np.vdot` or a 2-D trace.  Its
+leaves are the batched walk's, key for key and in the same order; their
+floats agree to rounding, since the batched walk sums |x|^2 down a
+column or traces a stack.
 """
 
 from __future__ import annotations
@@ -19,7 +21,41 @@ import numpy as np
 from schurstream import errors
 from schurstream.errors import InvalidInputError, check_budget
 from schurstream.partitions import Partition, one_box
-from schurstream.sampler import BranchDistribution, _leaf_bytes, _path_counts, _weight
+from schurstream.sampler import (BranchDistribution, _leaf_bytes, _path_counts, _split,
+                                 _weight)
+
+
+def promoted(x: np.ndarray, mixed: bool) -> np.ndarray:
+    """x, or |x><x| when a pure x meets a mixed factor."""
+    return np.outer(x, x.conj()) if mixed and x.ndim == 1 else x
+
+
+def node_outcomes(t, state: np.ndarray, qudit: np.ndarray | None = None
+                  ) -> list[tuple[int, Partition, float, np.ndarray]]:
+    """The children of one node at t's label: (j, lam+e_j, weight,
+    unnormalized part) per block of t, j ascending.  A vector meeting a
+    pure qudit takes the sampler's vector step (t._product, then
+    sampler._split).  Otherwise the node's state is coupled to `qudit` by
+    np.kron, a pure factor promoted when the other one is mixed, or taken
+    alone (a state of side t.size * rest that holds every qudit, with
+    `qudit` None); it is rotated by t (x) I_rest, on both sides of a
+    density matrix, and split along the blocks of t, each weighed with
+    np.vdot or a 2-D trace."""
+    if qudit is not None:
+        if state.ndim == 1 and qudit.ndim == 1:
+            return _split(t, t._product(state, qudit))
+        mixed = state.ndim == 2 or qudit.ndim == 2
+        state = np.kron(promoted(state, mixed), promoted(qudit, mixed))
+    rest = len(state) // t.size
+    rotated = t._apply(state)
+    if rotated.ndim == 2:
+        rotated = t._apply(rotated, axis=1)
+    out = []
+    for b in t.blocks:
+        lo, hi = b.offset * rest, (b.offset + b.dim) * rest
+        sub = rotated[lo:hi] if rotated.ndim == 1 else rotated[lo:hi, lo:hi]
+        out.append((b.j, b.target, _weight(sub), sub))
+    return out
 
 
 def _enumerate(d: int, n: int, root: np.ndarray, outcomes_fn,

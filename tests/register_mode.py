@@ -5,23 +5,25 @@ The state after k qubits lies on a ceil(log2(2k+4))-qubit register,
 amplitudes carry the state and the rest are zero padding.  Each step
 couples the next qubit in, lets the leading (L) qubit index j and keeps
 the qubits the width bookkeeping (`resources.removal`) keeps.  The mode is
-one more outcomes function (`_register_outcomes`) on the depth-first
-reference walk (reference_walk._enumerate) and the sampler's draw
-(`_sample`); acceptance criterion 4 checks
-the register layout and that its measurement law is the abstract mode's.
+one more outcomes function (`_register_outcomes`), which couples a qubit
+in with the sampler's vector kernel (the transform's `_product`, split by
+`sampler._split`), on the depth-first reference walk
+(reference_walk._enumerate) and the sampler's draw over the block
+weights (`_sample`); acceptance criterion 4 checks the register layout
+and that its measurement law is the abstract mode's.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from schurstream.cg import cg_transform
 from schurstream.errors import (InvalidInputError, NumericalCollapseError,
                                 check_stream)
 from schurstream.partitions import LatticePath, Partition, dim_unitary, one_box
 from schurstream.resources import qudit_width, removal
 from schurstream.sampler import (DEFAULT_PRUNE, BranchDistribution, RunResult,
-                                 _is_matrix, _normalized, _product_outcomes,
-                                 _sample, make_rng)
+                                 _is_matrix, _normalized, _sample, _split, make_rng)
 from reference_walk import _enumerate
 
 PAD_TOL = 1e-12
@@ -55,8 +57,9 @@ def _register_outcomes(k: int, lam: Partition, vec: np.ndarray, qubit: np.ndarra
     if np.max(np.abs(vec[dimq:])) > PAD_TOL:
         raise NumericalCollapseError("padding qubits are not exactly zero")
     kept = 2 ** (width - removal(k, 2))
+    t = cg_transform(lam)
     return [(j, target, p, np.pad(sub, (0, kept - len(sub))))
-            for j, target, p, sub in _product_outcomes(lam, vec[:dimq], qubit)]
+            for j, target, p, sub in _split(t, t._product(vec[:dimq], qubit))]
 
 
 def register_run(stream: list[np.ndarray], seed: int = 0) -> RunResult:
@@ -65,7 +68,9 @@ def register_run(stream: list[np.ndarray], seed: int = 0) -> RunResult:
     rng = make_rng(seed)
     lam, path = one_box(2), []
     for k in range(1, len(stream)):
-        (j, lam, p, sub), _ = _sample(_register_outcomes(k, lam, vec, stream[k]), rng)
+        outcomes = _register_outcomes(k, lam, vec, stream[k])
+        i, _ = _sample([p for _, _, p, _ in outcomes], rng)
+        j, lam, p, sub = outcomes[i]
         vec = _normalized(sub, p)
         path.append(j)
     return RunResult(lam=lam, path=LatticePath(tuple(path)), amplitudes=vec)

@@ -112,6 +112,15 @@ class TestGivens:
         with pytest.raises(ValueError):
             givens_decompose(np.ones((3, 3)))
 
+    @pytest.mark.parametrize("at", [(0, 0), (2, 1)])
+    def test_rejects_a_nan_entry(self, at):
+        """Every comparison with NaN is false, so the unitarity check is
+        stated to fail on it."""
+        u = np.eye(3)
+        u[at] = np.nan
+        with pytest.raises(ValueError, match="not unitary"):
+            givens_decompose(u)
+
 
 class TestQubitCounts:
     def test_formula_vs_summation(self):

@@ -19,12 +19,12 @@ from schurstream.partitions import (LatticePath, Partition, dim_symmetric,
                                     dim_unitary, one_box, partitions_of,
                                     schur_weyl_weight)
 from schurstream.resources import qudit_width
-from reference_walk import _enumerate as depth_first
+from reference_walk import _enumerate as depth_first, node_outcomes, promoted
 from register_mode import _register_outcomes, register_branch_distribution, register_run
 from schurstream.sampler import (InvalidInputError, NumericalCollapseError,
                                  _leaf_bytes, _sample, branch_distribution,
                                  init_state, run_full_state, run_stream, step,
-                                 _couple, _outcomes, _product_outcomes, _weight)
+                                 _couple, _expand, _split, _weight)
 
 KET0 = np.array([1.0, 0.0])
 KET1 = np.array([0.0, 1.0])
@@ -83,9 +83,8 @@ class TestStep:
 
     @pytest.mark.parametrize("weights", [[np.nan, 0.5], [0.5, np.nan]])
     def test_nan_weight_is_refused(self, weights):
-        outcomes = [(j, None, w, None) for j, w in enumerate(weights)]
         with pytest.raises(NumericalCollapseError):
-            _sample(outcomes, np.random.default_rng(0))
+            _sample(weights, np.random.default_rng(0))
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(17)
@@ -420,12 +419,19 @@ def walk_pushing_every_leaf(d, n, root, outcomes_fn, prune):
 
 def product_outcomes(stream):
     """The depth-first walk's outcomes function for a product stream."""
-    return lambda k, lam, amp: _product_outcomes(lam, amp, stream[k])
+    return lambda k, lam, amp: node_outcomes(cg_transform(lam), amp, stream[k])
 
 
 def full_outcomes(k, lam, cur):
     """The depth-first walk's outcomes function for a full state."""
-    return _outcomes(cg_transform(lam), cur)
+    return node_outcomes(cg_transform(lam), cur)
+
+
+def one_column(t, state, qudit=None):
+    """`_expand` on one node, as `step` runs a density-matrix step: (j,
+    lam+e_j, weight, unnormalized part) per block of t."""
+    return [(j, target, w[0], sub[..., 0])
+            for j, target, w, sub in _expand(t, state[..., None], qudit)]
 
 
 def walk_modes(rng):
@@ -650,9 +656,10 @@ class TestLevelWalk:
 
 
 class TestOutcomes:
-    """`_outcomes` applies t (x) I_rest on the leading axis, a d=2 transform
-    as its rotations and a d >= 3 one as its sparse rows; a kron-padded
-    dense operator is the reference."""
+    """One node's step: `_expand` on one column applies t (x) I_rest on the
+    leading axis, a d=2 transform as its rotations and a d >= 3 one as its
+    sparse rows, and so does the depth-first walk's `node_outcomes`; a
+    kron-padded dense operator is the reference."""
 
     @staticmethod
     def kron_reference(t, big, rest):
@@ -688,7 +695,9 @@ class TestOutcomes:
             a = rng.normal(size=(len(big), 3)) + 1j * rng.normal(size=(len(big), 3))
             big = a @ a.conj().T
             big /= np.trace(big).real
-        self.check(_outcomes(t, big), self.kron_reference(t, big, rest), mixed)
+        want = self.kron_reference(t, big, rest)
+        self.check(one_column(t, big), want, mixed)
+        self.check(node_outcomes(t, big), want, mixed)
 
     @pytest.mark.parametrize("parts,rest", [((3, 1), 1), ((2, 0), 4), ((40, 0), 1),
                                             ((2, 1, 0), 1), ((2, 1, 0), 3)])
@@ -723,7 +732,9 @@ class TestOutcomes:
     def test_product_step_matches_kron(self, parts, state_mixed, qubit_mixed):
         """The product step against the dense transform on the Kronecker
         product.  A vector coupled to a pure qubit folds the qubit into the
-        rotations; at d >= 3 the coupled vector goes through the rows."""
+        rotations (`_split` of `_product`); at d >= 3 the coupled vector
+        goes through the rows.  A mixed factor takes `_expand` on one
+        column, as `step` does, and the depth-first walk's `node_outcomes`."""
         rng = np.random.default_rng(sum(parts))
         lam = Partition(parts)
         d = lam.d
@@ -735,17 +746,18 @@ class TestOutcomes:
         if qubit_mixed:
             qubit = random_density(d, rng)
         mixed = state_mixed or qubit_mixed
-        got = _product_outcomes(lam, state, qubit)
-        self.check(got, self.kron_reference(t, _couple(state, qubit), 1), mixed)
+        want = self.kron_reference(t, np.kron(promoted(state, mixed), promoted(qubit, mixed)), 1)
+        if mixed:
+            self.check(one_column(t, state, qubit), want, mixed)
+        else:
+            self.check(_split(t, t._product(state, qubit)), want, mixed)
+        self.check(node_outcomes(t, state, qubit), want, mixed)
 
 
 class TestCouple:
-    """`_couple` broadcasts the product that np.kron forms from the
-    promoted factors, bit for bit."""
-
-    @staticmethod
-    def promoted(x, mixed):
-        return np.outer(x, x.conj()) if mixed and x.ndim == 1 else x
+    """`_couple` broadcasts the density matrix that np.kron forms from the
+    factors, each pure one promoted to |v><v|, bit for bit, for each
+    state of a stack along the trailing axis."""
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("state_mixed", [False, True])
@@ -757,31 +769,33 @@ class TestCouple:
             state = random_density(len(state), rng)
         if qudit_mixed:
             qudit = random_density(d, rng)
-        mixed = state_mixed or qudit_mixed
-        want = np.kron(self.promoted(state, mixed), self.promoted(qudit, mixed))
-        assert np.array_equal(_couple(state, qudit), want)
+        want = np.kron(promoted(state, True), promoted(qudit, True))
+        assert np.array_equal(_couple(state[..., None], qudit)[..., 0], want)
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("state_mixed", [False, True])
     @pytest.mark.parametrize("qudit_mixed", [False, True])
     def test_batch_matches_each_column(self, d, state_mixed, qudit_mixed):
-        """A stack of states along a trailing axis is coupled column by
-        column, bit for bit, as the level walk's density-matrix runs are."""
+        """A stack of states along a trailing axis couples each column as
+        np.kron couples it alone, bit for bit, as the level walk's
+        density-matrix runs need."""
         rng = np.random.default_rng(89 + d)
         states = [haar_state(4 * d, rng) for _ in range(3)]
         if state_mixed:
             states = [random_density(4 * d, rng) for _ in states]
         qudit = random_density(d, rng) if qudit_mixed else haar_state(d, rng)
-        got = _couple(np.stack(states, axis=-1), qudit, batch=True)
+        got = _couple(np.stack(states, axis=-1), qudit)
         for i, state in enumerate(states):
-            assert np.array_equal(got[..., i], _couple(state, qudit))
+            want = np.kron(promoted(state, True), promoted(qudit, True))
+            assert np.array_equal(got[..., i], want)
 
     def test_register_vector(self):
         rng = np.random.default_rng(83)
         res = register_run([random_qubit(rng) for _ in range(5)], seed=3)
         dimq = res.lam.parts[0] - res.lam.parts[1] + 1
         amplitudes, qubit = res.amplitudes[:dimq], random_qubit(rng)
-        assert np.array_equal(_couple(amplitudes, qubit), np.kron(amplitudes, qubit))
+        want = np.kron(promoted(amplitudes, True), promoted(qubit, True))
+        assert np.array_equal(_couple(amplitudes[:, None], qubit)[..., 0], want)
 
 
 def schur_polynomial(lam, r):

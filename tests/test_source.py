@@ -80,3 +80,26 @@ def test_the_oracle_stays_off_the_cg_layer():
                  for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
                  if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in moved]
         assert found == [], f"{path.name}: Schur-transform names {found}"
+
+
+def test_one_density_matrix_kernel_in_the_sampler():
+    """The level walk's `_expand` is the sampler's one density-matrix
+    kernel, and `step` runs it on one column: in sampler.py only `_expand`
+    couples a density matrix (`_couple`) or rotates a second axis
+    (`_apply` given an axis), so a second density-matrix kernel cannot
+    come back beside it."""
+    sampler = ast.parse((SRC[0].parent / "sampler.py").read_text())
+
+    def kernel_calls(tree):
+        return [node for node in ast.walk(tree) if isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Name) and node.func.id == "_couple"
+            or isinstance(node.func, ast.Attribute) and node.func.attr == "_apply"
+            and (len(node.args) > 1 or any(k.arg == "axis" for k in node.keywords)))]
+
+    expand, = [node for node in ast.walk(sampler)
+               if isinstance(node, ast.FunctionDef) and node.name == "_expand"]
+    inside = kernel_calls(expand)
+    kinds = {getattr(node.func, "id", None) or node.func.attr for node in inside}
+    assert kinds == {"_couple", "_apply"}, kinds
+    outside = [node.lineno for node in kernel_calls(sampler) if node not in inside]
+    assert outside == [], f"sampler.py: density-matrix kernel calls on lines {outside}"
