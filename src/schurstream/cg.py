@@ -74,7 +74,8 @@ builds each transform once, at its reduced label, lam less min(lam_{d-1},
 lam_0 - 1) full columns, and every label with that reduced form gets its
 own entry, with its own lam and blocks, that shares the reduced entry's
 read-only coef or cols/vals.  Its blocks are the reduced entry's, each
-target moved by the full columns between the two labels (_shifted).
+target moved by the full columns between the two labels (_shifted), and
+a miss whose reduced entry is cached constructs only those targets.
 """
 
 from __future__ import annotations
@@ -90,6 +91,12 @@ from .gt_basis import enumerate_gt
 from .partitions import Partition, add_box, dim_unitary, valid_rows
 
 UNITARITY_TOL = 1e-12
+
+
+def _unitarity_tol(w: int) -> float:
+    """check_unitary's tolerance on rows of w entries: 64 w eps = w 2^-46, at most
+    UNITARITY_TOL; 42 times 6.7e-16, the worst deviation seen, at w = 2 (surveyed: 0.5 w eps)."""
+    return min(w * 2.0 ** -46, UNITARITY_TOL)
 
 
 class DegeneracyError(RuntimeError):
@@ -181,7 +188,7 @@ class CGTransform:
         columns, about _CHECK_PAIRS pairs: it sorts the keys of its pairs
         on and above the diagonal, cols[r, k] >= c, and sums each key's
         products, so every pair of columns is summed once.  Every column
-        needs a diagonal within UNITARITY_TOL of 1 and every other sum
+        needs a diagonal within _unitarity_tol(w) of 1 and every other sum
         within it of 0."""
         size, w = self.cols.shape
         flat_cols, flat_vals = self.cols.ravel(), self.vals.ravel()
@@ -207,7 +214,7 @@ class CGTransform:
             dev = np.maximum(dev, np.abs(sums - diag).max())
         if diagonals != size:  # a column with no entry has norm 0
             dev = np.maximum(dev, 1.0)
-        if not dev <= UNITARITY_TOL:
+        if not dev <= _unitarity_tol(w):
             raise DegeneracyError(f"CG matrix not unitary: deviation {dev}")
         return float(dev)
 
@@ -237,7 +244,7 @@ def _shifted(t: Transform, lam: Partition) -> list[Block]:
     """lam's blocks from t's, lam being t.lam plus c full columns (c may be
     negative): the same j, offsets and dims, each target moved by c."""
     c = lam.parts[0] - t.lam.parts[0]
-    return [Block(b.j, Partition(tuple(p + c for p in b.target.parts)), b.offset, b.dim)
+    return [Block(b.j, Partition(tuple(map(c.__add__, b.target.parts))), b.offset, b.dim)
             for b in t.blocks]
 
 
@@ -315,7 +322,7 @@ class QubitCG:
         coef[1, k] q[1] v[(k - 1) mod dim Q], `wrapped` listing v around its
         ends.  The columns of a (dim Q, m) v are m vectors, each coupled to q."""
         wrapped = np.concatenate((v[-1:], v, v))
-        coef = self.coef.reshape(self.coef.shape + (1,) * (v.ndim - 1))
+        coef = self.coef if v.ndim == 1 else self.coef.reshape((2, -1) + (1,) * (v.ndim - 1))
         rotated = coef[0] * wrapped[1:]
         rotated *= q[0]
         part = coef[1] * wrapped[:-1]
@@ -324,14 +331,16 @@ class QubitCG:
         return rotated
 
     def check_unitary(self) -> float:
-        """Each 2 x 2 block is a rotation [[c, s], [-s, c]] with
-        c^2 + s^2 = 1, and every coefficient is real; the blocks tile the
-        rows and the inputs, so the transform is unitary."""
-        # block r: row r is (c, s) and row dim Q + r is (-s, c) on (a[r], b[r-1])
-        (c, minus_s), (s, c_lower) = self.coef.real.reshape(2, 2, -1)
-        dev = np.max(np.abs(c * c + s * s - 1))
-        if (dev > UNITARITY_TOL or self.coef.imag.any() or np.any(c_lower != c)
-                or np.any(minus_s != -s)):
+        """Each 2 x 2 block is a rotation [[c, s], [-s, c]] with c^2 + s^2
+        within _unitarity_tol(2) of 1, and every coefficient is real; the
+        blocks tile the rows and the inputs, so the transform is unitary."""
+        # block r: rows r and dim Q + r are (c, s) and (-s, c) on (a[r], b[r-1]); by (row,
+        # half, r, real or imaginary part), [0, 0] is c, [1, 0] s, [0, 1] -s, [1, 1] c
+        parts = self.coef.view(float).reshape(2, 2, -1, 2)
+        c, s = parts[0, 0, :, 0], parts[1, 0, :, 0]
+        dev = abs(c * c + s * s - 1).max()
+        if not (dev <= _unitarity_tol(2) and not parts[:, 0, :, 1].any()
+                and (parts[1, 1] == parts[0, 0]).all() and (parts[0, 1] == -parts[1, 0]).all()):
             raise DegeneracyError(f"CG rotations not unitary: deviation {dev}")
         return float(dev)
 
@@ -355,13 +364,11 @@ def cg_qubit(lam: Partition) -> QubitCG:
     if lam.d != 2:
         raise ValueError(f"cg_qubit needs d=2, got {lam.d}")
     dimq = lam.parts[0] - lam.parts[1] + 1
-    sin = np.sqrt(np.arange(1, dimq + 1) / dimq)
-    cos = sin[::-1]
-    coef = np.zeros((2, 2 * dimq), dtype=complex)
-    coef[0, :dimq] = cos
-    coef[0, dimq + 1:] = -sin[:-1]
-    coef[1, 1:dimq + 1] = sin
-    coef[1, dimq + 1:] = cos[1:]
+    # s[k] = sqrt(k / dim Q), sin_r = s[r + 1] and cos_r = s[dim Q - r]: rows
+    # (cos, 0, -sin[:-1]) and (0, sin, cos[1:])
+    s = np.sqrt(np.arange(dimq + 1) / dimq)
+    coef = np.concatenate((s[::-1], -s[1:dimq], s, s[dimq - 1:0:-1]), dtype=complex)
+    coef = coef.reshape(2, -1)
     coef.flags.writeable = False  # shared by every label with lam's reduced form
     t = QubitCG(lam=lam, blocks=_blocks_for(lam), coef=coef)
     t.check_unitary()
@@ -586,10 +593,10 @@ def cg_closed(lam: Partition) -> CGTransform:
     return t
 
 
-# The d=2 rotations cost about as much to rebuild as to apply, so their
-# cache stays small.  A trajectory meets its reduced labels, (a, 0) and
-# (1, 1), again and again, and they fit: those of sides up to about 940
-# hold 12 MiB in all, with their rotations.
+# A d=2 build costs 6.0-6.3 vector _products on its label at dim Q 2 to 31
+# and 2.6-2.7 at 5001, so the d=2 cache stays small.  A trajectory meets
+# its reduced labels, (a, 0) and (1, 1), again and again, and they fit:
+# those of sides up to about 940 hold 12 MiB in all, with their rotations.
 QUBIT_CACHE_BYTES = 3 << 22
 
 Transform = CGTransform | QubitCG
@@ -639,13 +646,13 @@ def _step_bytes(size: int) -> int:
     return 80 * size * size + 4096 * size
 
 
-def _reduced(lam: Partition) -> Partition:
-    """lam less m full columns, m = min(lam_{d-1}, lam_0 - 1): the same
-    SU(d) irrep up to det^m, with the same CG coefficients in the GT basis.
-    A rectangle (c^d) reduces to (1^d), so a reduced label keeps a box
-    (m is 0 on the empty label)."""
-    m = min(lam.parts[-1], max(lam.parts[0] - 1, 0))
-    return Partition(tuple(p - m for p in lam.parts))
+def _reduced(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """The parts of lam less m full columns, m = min(lam_{d-1}, lam_0 - 1):
+    the same SU(d) irrep up to det^m, with the same CG coefficients in the
+    GT basis; `parts` itself when m is 0.  A rectangle (c^d) reduces to
+    (1^d), so a reduced label keeps a box (m is 0 on the empty label)."""
+    m = min(parts[-1], max(parts[0] - 1, 0))
+    return tuple([p - m for p in parts]) if m else parts
 
 
 def _clear() -> None:
@@ -679,44 +686,46 @@ def cg_transform(lam: Partition, *, mixed: bool = False) -> Transform:
     emptied before an insertion, built or shared, would take it over its
     cap (the budget, and at d=2 at most QUBIT_CACHE_BYTES), and, keeping
     the transform returned, before a density-matrix lookup, built or
-    found, would leave less than its step of the budget beside it.  A kept label that shares rows keeps its reduced entry too, when
-    the step still fits beside both: then the next label with that
-    reduced form finds the rows."""
+    found, would leave less than its step of the budget beside it.  A
+    kept label that shares rows keeps its reduced entry too, when the
+    step still fits beside both: then the next label with that reduced
+    form finds the rows."""
     global _cache_bytes
     key = lam.parts
     t = _cache.get(key)
     if t is not None and not mixed:
         return t
-    size = lam.d * dim_unitary(lam) if t is None else t.size
-    # a density-matrix lookup that finds its transform is made once per
-    # node of a `dist` walk, so each message is formatted only to refuse
-    if t is None:
-        errors.check_budget(lambda: f"CG transform of size {size} at lambda={lam}",
-                            _build_bytes(lam.d, size))
-    step = _step_bytes(size) if mixed else 0
-    errors.check_budget(lambda: f"a density-matrix step of side {size} at lambda={lam}", step)
     with _cache_lock:
         cap = errors.MEMORY_BUDGET
         if lam.d == 2:
             cap = min(cap, QUBIT_CACHE_BYTES)
-        t = _cache.get(key)
+        base, t = _reduced(key), _cache.get(key)
         if t is None:
-            base = _reduced(lam)
-            t = _cache.get(base.parts)  # before any eviction
-            if t is None:
-                _make_room(_build_bytes(lam.d, size), cap)
-                t = _cache[base.parts] = cg_qubit(base) if lam.d == 2 else cg_closed(base)
-                _cache_bytes += t._held_bytes()
-            if base != lam:
-                _make_room(4096, cap)
-                t = _cache[key] = t._relabel(lam)
-                _cache_bytes += 4096 if base.parts in _cache else t._held_bytes()
+            t = _cache.get(base)  # before any eviction
+        # a cached reduced entry passed the build estimate when it was built
+        size = lam.d * dim_unitary(lam) if t is None else t.size
+        if t is None:
+            errors.check_budget(lambda: f"CG transform of size {size} at lambda={lam}",
+                                _build_bytes(lam.d, size))
+        # a density-matrix lookup that finds its transform is made once per
+        # node of a `dist` walk, so each message is formatted only to refuse
+        step = _step_bytes(size) if mixed else 0
+        errors.check_budget(lambda: f"a density-matrix step of side {size} at lambda={lam}", step)
+        if t is None:
+            _make_room(_build_bytes(lam.d, size), cap)
+            label = lam if base == key else Partition(base)
+            t = _cache[base] = cg_qubit(label) if lam.d == 2 else cg_closed(label)
+            _cache_bytes += t._held_bytes()
+        if t.lam.parts != key:  # the reduced entry, found or built
+            _make_room(4096, cap)
+            t = _cache[key] = t._relabel(lam)
+            _cache_bytes += 4096 if base in _cache else t._held_bytes()
         if mixed and _cache_bytes + step > errors.MEMORY_BUDGET:
-            kept, base = {key: t}, _reduced(lam)
+            kept = {key: t}
             room = min(cap, errors.MEMORY_BUDGET - step)
-            if base != lam and t._held_bytes() + 4096 <= room:
-                reduced = _cache.get(base.parts)
-                kept[base.parts] = t._relabel(base) if reduced is None else reduced
+            if base != key and t._held_bytes() + 4096 <= room:
+                reduced = _cache.get(base)
+                kept[base] = t._relabel(Partition(base)) if reduced is None else reduced
             _clear()
             _cache.update(kept)
             _cache_bytes = t._held_bytes() + 4096 * (len(kept) - 1)

@@ -66,7 +66,7 @@ def check_state(state, dim: int, *, keep_real: bool = False) -> np.ndarray:
 
     With `keep_real`, a real input is checked and returned as float64,
     with no complex copy (16 dim^2 bytes of a density matrix)."""
-    state = np.asarray(state)
+    state = np.asarray(state) if keep_real else state
     real = keep_real and state.dtype.kind in "biuf"
     state = np.asarray(state, dtype=float if real else complex)
     if state.ndim == 1:

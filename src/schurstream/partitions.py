@@ -8,6 +8,7 @@ Partitions are stored padded to exactly ``d`` parts so that row indices
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -27,13 +28,13 @@ class Partition:
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
+        parts = tuple(map(int, self.parts))
         object.__setattr__(self, "parts", parts)
         if len(parts) < 2:
             raise ValueError(f"need at least 2 rows, got {parts}")
-        if any(p < 0 for p in parts):
+        if min(parts) < 0:
             raise ValueError(f"negative row length in {parts}")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+        if not all(map(operator.ge, parts, parts[1:])):
             raise ValueError(f"rows must be non-increasing: {parts}")
 
     @property

@@ -375,13 +375,9 @@ class StreamState:
     def d(self) -> int:
         return self.lam.d
 
-    @property
-    def mixed(self) -> bool:
-        return _is_matrix(self.amplitudes)
-
     def check(self) -> None:
         """Refuse a state whose trace or norm has drifted from 1, or is NaN."""
-        if self.mixed:
+        if self.amplitudes.ndim == 2:
             if not abs(np.trace(self.amplitudes).real - 1.0) <= 1e-9:
                 raise NumericalCollapseError("state trace drifted from 1")
         elif not abs(math.sqrt(np.vdot(self.amplitudes, self.amplitudes).real) - 1.0) <= 1e-9:
@@ -401,7 +397,8 @@ def _normalized(vec: np.ndarray, p: float) -> np.ndarray:
 
 
 def init_state(qudit: np.ndarray, d: int, seed: int = 0) -> StreamState:
-    """Absorb the first qudit: lam = (1, 0, ...) and Q^d_(1) = C^d."""
+    """Absorb the first qudit: lam = (1, 0, ...) and Q^d_(1) = C^d.
+    `run_stream` builds the same state on its run's own generator."""
     qudit = check_state(qudit, d)
     return StreamState(lam=one_box(d), amplitudes=qudit.copy(), rng=make_rng(seed))
 
@@ -460,8 +457,9 @@ def run_stream(stream: list[np.ndarray], d: int, seed: int = 0) -> RunResult:
         weights, vectors = components[id(q)]
         return vectors[_sample(weights, rng)[0]]
 
-    state = init_state(pure(stream[0]), d)
-    state.rng = rng  # one generator draws the components and the labels
+    # init_state's first state on the run's generator, which draws the
+    # components and the labels (make_rng is 17 us a run)
+    state = StreamState(one_box(d), check_state(pure(stream[0]), d).copy(), rng=rng)
     for k in range(1, len(stream)):
         try:
             state, _, _ = step(state, pure(stream[k]))

@@ -55,7 +55,28 @@ class TestCgQubit:
         assert not any(isinstance(v, np.ndarray) and v.size >= 1002 ** 2
                        for v in vars(t).values())
 
-    @pytest.mark.parametrize("parts", [(1, 0), (1, 1), (4, 4), (7, 2), (12, 0)])
+    @staticmethod
+    def closed_form(dimq):
+        """The coefficients laid out entry by entry from cos_r and sin_r."""
+        sin = np.sqrt(np.arange(1, dimq + 1) / dimq)
+        cos = sin[::-1]
+        coef = np.zeros((2, 2 * dimq), dtype=complex)
+        coef[0, :dimq] = cos
+        coef[0, dimq + 1:] = -sin[:-1]
+        coef[1, 1:dimq + 1] = sin
+        coef[1, dimq + 1:] = cos[1:]
+        return coef
+
+    def test_coefficients_equal_the_closed_form(self):
+        """Bit for bit, and complex-typed, at dim Q from 1 to 2 10^4: every
+        one to 1000, then every 97th."""
+        for dimq in [*range(1, 1001), *range(1001, 20001, 97), 20000]:
+            coef = cg_qubit(Partition((dimq - 1, 0))).coef
+            assert coef.dtype == np.complex128
+            assert coef.tobytes() == self.closed_form(dimq).tobytes(), dimq
+
+    @pytest.mark.parametrize("parts", [(1, 0), (1, 1), (4, 4), (7, 2), (12, 0), (40, 0),
+                                       (150, 50)])
     def test_corrupted_coefficient_is_refused(self, parts):
         """Moving any one of the 4 dim Q stored coefficients, zeros
         included, giving it an imaginary part, or making it NaN breaks
@@ -507,7 +528,23 @@ class TestSharedRows:
             assert [b.target for b in t.blocks] == [add_box(label, b.j) for b in t.blocks]
             assert len(builds) == 1, (label, builds)
             assert cg_transform(label) is t
-        assert builds == [cg._reduced(lam)]
+        assert builds == [Partition(cg._reduced(lam.parts))]
+
+    def test_a_relabel_constructs_only_its_targets(self, monkeypatch):
+        """A d=2 lookup of a label that is not reduced, whose reduced entry
+        is cached, constructs its two target labels and no other label."""
+        cg_transform(Partition((30, 0)))
+        lam = Partition((45, 15))
+        made, post_init = [], Partition.__post_init__
+
+        def counted(self):
+            post_init(self)
+            made.append(self.parts)
+
+        monkeypatch.setattr(Partition, "__post_init__", counted)
+        t = cg_transform(lam)
+        assert made == [(46, 15), (45, 16)]
+        assert [b.target.parts for b in t.blocks] == made
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_a_rectangle_reduces_to_one_column(self, d):
@@ -517,8 +554,8 @@ class TestSharedRows:
             cg_transform(Partition((c,) * d))
         assert set(cg._cache) == {(c,) * d for c in (1, 2, 5)}
         row = Partition((2,) + (0,) * (d - 1))
-        assert cg._reduced(row) == row
-        assert cg._reduced(Partition((7,) + (3,) * (d - 1))) == Partition((4,) + (0,) * (d - 1))
+        assert cg._reduced(row.parts) is row.parts
+        assert cg._reduced((7,) + (3,) * (d - 1)) == (4,) + (0,) * (d - 1)
 
     @pytest.mark.parametrize("parts", [(4, 1), (3, 1, 0), (2, 1, 0, 0)])
     def test_shared_arrays_are_read_only(self, parts):
@@ -559,13 +596,13 @@ class TestSharedRows:
         blocks_for, calls = cg._blocks_for, []
         monkeypatch.setattr(cg, "_blocks_for", lambda lam: calls.append(lam) or blocks_for(lam))
         shifted = [lam for n in range(1, n_max + 1) for lam in partitions_of(n, d)
-                   if cg._reduced(lam) != lam]
+                   if cg._reduced(lam.parts) != lam.parts]
         assert shifted
         for lam in shifted:
             t = cg_transform(lam)
             assert t.lam == lam
             assert t.blocks == blocks_for(lam), lam
-        assert sorted(calls) == sorted({cg._reduced(lam) for lam in shifted})
+        assert sorted(calls) == sorted({Partition(cg._reduced(lam.parts)) for lam in shifted})
 
     @pytest.mark.parametrize("parts,other", [((20, 0), (9, 0)), ((2, 1, 0), (3, 1, 0)),
                                              ((2, 1, 0, 0), (3, 0, 0, 0))])

@@ -37,6 +37,30 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition((2, -1))
 
+    @pytest.mark.parametrize("parts,message", [
+        ((), "need at least 2 rows, got ()"),
+        ((3,), "need at least 2 rows, got (3,)"),
+        ((-1,), "need at least 2 rows, got (-1,)"),
+        ((2, -1), "negative row length in (2, -1)"),
+        ((3, 1, -2), "negative row length in (3, 1, -2)"),
+        ((1, 2), "rows must be non-increasing: (1, 2)"),
+        ((2, 2, 0, 1), "rows must be non-increasing: (2, 2, 0, 1)"),
+        ((-1, 0), "negative row length in (-1, 0)"),
+        ((1, -1, 2), "negative row length in (1, -1, 2)"),
+    ])
+    def test_refusals_keep_their_type_and_message(self, parts, message):
+        """Each kind of invalid label is refused as ValueError with the
+        message of its first failed check, in the order: at least 2 rows,
+        no negative row, non-increasing rows."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+            Partition(parts)
+        assert type(info.value) is ValueError
+
+    def test_parts_are_converted_to_int(self):
+        lam = Partition([np.int64(3), 1.0, True])
+        assert lam.parts == (3, 1, 1)
+        assert all(type(p) is int for p in lam.parts)
+
     def test_string_round_trip(self):
         lam = Partition((3, 1, 0))
         assert str(lam) == "3,1,0"
